@@ -10,7 +10,6 @@ meta-learning literature are built in.
 
 from .errors import (
     BilevelError,
-    CgNoConvergenceWarning,
     ConfigError,
     EmptyClass,
     IndefiniteCurvature,

@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BilevelError, ConfigError, NonFiniteValue
+from .errors import BilevelError, NonFiniteValue
 from .hypergrad import METHOD_NAMES, compose_named_method
 from .params_io import write_params
 from .trainer import (
@@ -85,7 +85,7 @@ def _cmd_run(args) -> int:
             raw.setdefault("run", {})["threads"] = args.threads
         cfg = ExperimentConfig.from_dict(raw)
         exp, state = build_experiment(cfg)
-    except (ConfigError, BilevelError) as e:
+    except BilevelError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -59,7 +59,3 @@ class UnknownMethod(BilevelError):
 
 class ConfigError(BilevelError):
     """Invalid experiment configuration; message carries the field path."""
-
-
-class CgNoConvergenceWarning(UserWarning):
-    """CG hit its iteration cap above tolerance; the iterate is still used."""

@@ -77,6 +77,8 @@ class Implicit:
     def __post_init__(self):
         if self.cg_tol <= 0:
             raise ValueError("cg_tol must be > 0")
+        if self.cg_max_iter is not None and self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be >= 1")
         if self.prox_lambda is not None and self.prox_lambda < 0:
             raise ValueError("prox_lambda must be >= 0")
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -110,11 +111,13 @@ class DataSection:
             raise ValueError(f"source must be 'synthetic' or 'directory', got {self.source!r}")
         if self.source == "directory" and not self.root:
             raise ValueError("directory source needs a root path")
-        for name in ("num_classes", "dim", "way", "shot", "query", "batch_size"):
+        # checked here because a directory source never reads them
+        for name in ("num_classes", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
+        EpisodeSpec(self.way, self.shot, self.query, self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -132,18 +135,15 @@ class ProblemSection:
     def __post_init__(self):
         if self.kind not in ("mlp", "feature_softmax", "quadratic"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        # checked here because only the problem of the chosen kind reads them
         if self.hidden < 0:
             raise ValueError("hidden must be >= 0")
-        if self.loss not in ("cross_entropy", "mse"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.reg not in ("none", "l1", "l2"):
-            raise ValueError(f"unknown regularizer {self.reg!r}")
-        if self.reg_coef < 0:
-            raise ValueError("reg_coef must be >= 0")
         if self.dim_feat < 1:
             raise ValueError("dim_feat must be >= 1")
         if self.quad_lam <= 0:
             raise ValueError("quad_lam must be > 0")
+        LossKind(self.loss)
+        Regularizer(self.reg, self.reg_coef)
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,10 @@ class InnerSection:
     bda_alpha: float = 0.5
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if not 0.0 <= self.bda_alpha <= 1.0:
-            raise ValueError("bda_alpha must be in [0, 1]")
+        self.inner_config(InnerRule.GD)
+
+    def inner_config(self, rule: InnerRule) -> InnerConfig:
+        return InnerConfig(self.steps, self.step_size, rule, self.bda_alpha)
 
 
 @dataclass(frozen=True)
@@ -170,16 +168,17 @@ class HypergradSection:
     darts_delta: float = 1e-2
 
     def __post_init__(self):
-        if self.truncation_k is not None and self.truncation_k < 1:
-            raise ValueError("truncation_k must be >= 1")
-        if self.cg_tol <= 0:
-            raise ValueError("cg_tol must be > 0")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be >= 1")
-        if self.prox_lambda is not None and self.prox_lambda < 0:
-            raise ValueError("prox_lambda must be >= 0")
-        if self.darts_delta <= 0:
-            raise ValueError("darts_delta must be > 0")
+        self.estimators()
+
+    def estimators(self) -> dict[type, HyperGradMethod]:
+        """Every estimator built from this section, keyed by its class."""
+        return {
+            Reverse: Reverse(),
+            TruncatedReverse: TruncatedReverse(self.truncation_k),
+            Implicit: Implicit(self.cg_tol, self.cg_max_iter, self.prox_lambda),
+            FirstOrder: FirstOrder(),
+            Darts: Darts(self.darts_delta),
+        }
 
 
 @dataclass(frozen=True)
@@ -192,20 +191,25 @@ class MetaOptSection:
     eps_hat: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "momentum", "adam"):
+        if self.kind not in self.optimizers():
             raise ValueError(f"unknown meta optimizer {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError("mu must be in [0, 1)")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        if self.eps_hat <= 0:
-            raise ValueError("eps_hat must be > 0")
+
+    def optimizers(self) -> dict[str, MetaOptimizer]:
+        """Every optimizer built from this section, keyed by kind."""
+        return {
+            "sgd": Sgd(self.lr),
+            "momentum": Momentum(self.lr, self.mu),
+            "adam": Adam(self.lr, self.beta1, self.beta2, self.eps_hat),
+        }
 
 
-_RULE_NAMES = {r.value: r for r in InnerRule}
-_METHOD_KINDS = ("reverse", "truncated", "implicit", "first_order", "darts")
+_METHOD_KINDS = {
+    "reverse": Reverse,
+    "truncated": TruncatedReverse,
+    "implicit": Implicit,
+    "first_order": FirstOrder,
+    "darts": Darts,
+}
 
 
 @dataclass(frozen=True)
@@ -224,10 +228,10 @@ class RunSection:
         for name in ("meta_iterations", "eval_every", "eval_tasks", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.paradigm is not None and self.paradigm not in ("meta_init", "meta_feature"):
-            raise ValueError(f"unknown paradigm {self.paradigm!r}")
-        if self.inner_rule is not None and self.inner_rule not in _RULE_NAMES:
-            raise ValueError(f"unknown inner rule {self.inner_rule!r}")
+        if self.paradigm is not None:
+            Paradigm(self.paradigm)
+        if self.inner_rule is not None:
+            InnerRule(self.inner_rule)
         if self.hypergrad_method is not None and self.hypergrad_method not in _METHOD_KINDS:
             raise ValueError(f"unknown hypergrad method {self.hypergrad_method!r}")
 
@@ -239,6 +243,19 @@ _SECTIONS = {
     "hypergrad": HypergradSection,
     "meta_opt": MetaOptSection,
     "run": RunSection,
+}
+
+
+def _json_types(hint) -> tuple[type, ...]:
+    """The JSON value types a field annotation admits."""
+    options = get_args(hint) or (hint,)
+    return tuple(t for o in options for t in ((int, float) if o is float else (o,)))
+
+
+# resolved once, because get_type_hints costs more than the rest of from_dict
+_FIELD_TYPES = {
+    key: {name: _json_types(hint) for name, hint in get_type_hints(cls).items()}
+    for key, cls in _SECTIONS.items()
 }
 
 
@@ -263,13 +280,19 @@ class ExperimentConfig:
             body = raw.get(key, {})
             if not isinstance(body, dict):
                 raise ConfigError(f"{key}: section must be an object")
-            names = {f.name for f in fields(section_cls)}
-            for field_name in body:
-                if field_name not in names:
+            for field_name, value in body.items():
+                types = _FIELD_TYPES[key].get(field_name)
+                if types is None:
                     raise ConfigError(f"{key}.{field_name}: unknown field")
+                # bool subclasses int, but no number field takes a JSON boolean
+                if not isinstance(value, types) or (isinstance(value, bool) and int in types):
+                    raise ConfigError(
+                        f"{key}.{field_name}: expected "
+                        f"{section_cls.__annotations__[field_name]}, got {value!r}"
+                    )
             try:
                 parts[key] = section_cls(**body)
-            except (ValueError, TypeError) as e:
+            except ValueError as e:
                 raise ConfigError(f"{key}: {e}") from e
         return cls(**parts)
 
@@ -338,14 +361,8 @@ def metrics_to_jsonl(records: list[MetricsRecord]) -> str:
     return "".join(json.dumps(r.to_json_dict()) + "\n" for r in records)
 
 
-def _make_regularizer(cfg: ProblemSection) -> Regularizer:
-    if cfg.reg == "none":
-        return Regularizer.none()
-    return Regularizer(cfg.reg, cfg.reg_coef)
-
-
 def _resolve_method(cfg: ExperimentConfig) -> tuple[Paradigm, InnerRule, HyperGradMethod]:
-    run, hgc = cfg.run, cfg.hypergrad
+    run = cfg.run
     if run.method.strip().lower() == "custom":
         missing = [
             name
@@ -354,34 +371,27 @@ def _resolve_method(cfg: ExperimentConfig) -> tuple[Paradigm, InnerRule, HyperGr
         ]
         if missing:
             raise ConfigError(f"run.{missing[0]}: required when run.method is 'custom'")
-        paradigm = Paradigm.META_INIT if run.paradigm == "meta_init" else Paradigm.META_FEATURE
-        rule = _RULE_NAMES[run.inner_rule]
-        kind = run.hypergrad_method
+        paradigm, rule = Paradigm(run.paradigm), InnerRule(run.inner_rule)
+        kind = _METHOD_KINDS[run.hypergrad_method]
     else:
         try:
             composed = compose_named_method(run.method)
         except UnknownMethod as e:
             raise ConfigError(f"run.method: {e}") from e
         paradigm, rule = composed.paradigm, composed.inner_rule
-        kind = {
-            Reverse: "reverse",
-            TruncatedReverse: "truncated",
-            Implicit: "implicit",
-            FirstOrder: "first_order",
-            Darts: "darts",
-        }[type(composed.hypergrad_method)]
+        kind = type(composed.hypergrad_method)
+    return paradigm, rule, cfg.hypergrad.estimators()[kind]
 
-    if kind == "reverse":
-        method: HyperGradMethod = Reverse()
-    elif kind == "truncated":
-        method = TruncatedReverse(hgc.truncation_k)
-    elif kind == "implicit":
-        method = Implicit(hgc.cg_tol, hgc.cg_max_iter, hgc.prox_lambda)
-    elif kind == "first_order":
-        method = FirstOrder()
-    else:
-        method = Darts(hgc.darts_delta)
-    return paradigm, rule, method
+
+def _build(section: str, make, *args):
+    """Call a runtime constructor; a value it rejects is a config error.
+
+    TypeError counts too, because quad_a and quad_b take any JSON value.
+    """
+    try:
+        return make(*args)
+    except (ValueError, TypeError, OSError) as e:
+        raise ConfigError(f"{section}: {e}") from e
 
 
 def _initial_segment_values(
@@ -404,15 +414,15 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[Experiment, TrainState]:
     if prob.kind == "quadratic":
         source = None
         episode = None
-        problem: BilevelObjective = make_quadratic(prob.quad_a, prob.quad_lam, prob.quad_b)
+        problem = _build("problem", make_quadratic, prob.quad_a, prob.quad_lam, prob.quad_b)
     else:
         if data.source == "synthetic":
-            source = SyntheticGaussian(
-                data.num_classes, data.dim, data.cluster_spread, data.noise_sd,
-                seed=cfg.run.seed,
+            source = _build(
+                "data", SyntheticGaussian,
+                data.num_classes, data.dim, data.cluster_spread, data.noise_sd, cfg.run.seed,
             )
         else:
-            source = ClassDirectory.from_path(data.root, data.file_format)
+            source = _build("data", ClassDirectory.from_path, data.root, data.file_format)
         if data.way > len(source.class_names()):
             raise ConfigError(
                 f"data.way: {data.way} classes requested but the source has "
@@ -420,16 +430,16 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[Experiment, TrainState]:
             )
         episode = EpisodeSpec(data.way, data.shot, data.query, data.batch_size)
         dim_in = source.feature_dim()
-        reg = _make_regularizer(prob)
+        reg = Regularizer(prob.reg, prob.reg_coef)
         if prob.kind == "mlp":
-            loss = (
-                LossKind.CROSS_ENTROPY
-                if prob.loss == "cross_entropy"
-                else LossKind.MEAN_SQUARED_ERROR
+            problem = _build(
+                "problem", make_meta_init_mlp,
+                dim_in, prob.hidden, data.way, LossKind(prob.loss), reg,
             )
-            problem = make_meta_init_mlp(dim_in, prob.hidden, data.way, loss, reg)
         else:
-            problem = make_meta_feature_softmax(dim_in, prob.dim_feat, data.way, reg)
+            problem = _build(
+                "problem", make_meta_feature_softmax, dim_in, prob.dim_feat, data.way, reg
+            )
 
     if paradigm is Paradigm.META_INIT and not problem.x_layout.has("init"):
         raise ConfigError(
@@ -442,9 +452,7 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[Experiment, TrainState]:
             "meta-feature methods need kind 'feature_softmax' or 'quadratic'"
         )
 
-    inner_cfg = InnerConfig(
-        cfg.inner.steps, cfg.inner.step_size, rule=rule, bda_alpha=cfg.inner.bda_alpha
-    )
+    inner_cfg = cfg.inner.inner_config(rule)
 
     layout = problem.x_layout
     for name, length in required_x_segments(rule, problem.y_layout):
@@ -459,14 +467,7 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[Experiment, TrainState]:
     ]
     x = ParamVector(layout, np.concatenate(pieces))
 
-    mo = cfg.meta_opt
-    if mo.kind == "sgd":
-        opt: MetaOptimizer = Sgd(mo.lr)
-    elif mo.kind == "momentum":
-        opt = Momentum(mo.lr, mo.mu)
-    else:
-        opt = Adam(mo.lr, mo.beta1, mo.beta2, mo.eps_hat)
-
+    opt = cfg.meta_opt.optimizers()[cfg.meta_opt.kind]
     exp = Experiment(cfg, source, problem, paradigm, inner_cfg, method, episode)
     return exp, TrainState(x=x, opt=opt, iteration=0)
 

@@ -111,6 +111,33 @@ def test_bad_field_exits_2(tmp_path, capsys):
     assert "run.method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "updates, section",
+    [
+        ({"data": {"num_classes": 1}}, "data"),
+        ({"data": {"source": "directory", "root": "no/such/dir"}}, "data"),
+        ({"data": {"source": "directory", "root": ".", "file_format": "tsv"}}, "data"),
+        (
+            {
+                "problem": {"kind": "quadratic", "quad_a": [[1, 0], [0, 1]], "quad_b": 1.0},
+                "run": {"method": "RHG"},
+            },
+            "problem",
+        ),
+        (
+            {"problem": {"kind": "quadratic", "quad_a": {"rows": 2}}, "run": {"method": "RHG"}},
+            "problem",
+        ),
+    ],
+)
+def test_values_rejected_while_building_exit_2(tmp_path, capsys, updates, section):
+    cfg = _write_config(tmp_path, **updates)
+    code = entry(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {section}: ")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_abort_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"

@@ -245,6 +245,12 @@ def test_implicit_config_validation():
         Implicit(prox_lambda=-0.5)
 
 
+def test_implicit_rejects_a_cg_cap_below_one_when_constructed():
+    with pytest.raises(ValueError, match="cg_max_iter"):
+        Implicit(cg_max_iter=0)
+    assert Implicit(cg_max_iter=1).cg_max_iter == 1
+
+
 # --------------------------------------------------------------------------
 # darts estimator
 # --------------------------------------------------------------------------

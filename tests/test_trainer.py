@@ -100,6 +100,108 @@ def test_invalid_enumeration_values_are_rejected():
         ExperimentConfig.from_dict({"run": {"inner_rule": "newton"}})
 
 
+# Every value a section rejects, including fields the default composition
+# (MAML on the mlp problem, momentum, synthetic data) never reads.
+_REJECTED_VALUES = [
+    ("data", {"source": "sql"}),
+    ("data", {"source": "directory"}),
+    ("data", {"num_classes": 0}),
+    ("data", {"source": "directory", "root": "anywhere", "num_classes": 0}),
+    ("data", {"dim": 0}),
+    ("data", {"source": "directory", "root": "anywhere", "dim": 0}),
+    ("data", {"noise_sd": -0.1}),
+    ("data", {"source": "directory", "root": "anywhere", "noise_sd": -1.0}),
+    ("data", {"way": 0}),
+    ("data", {"shot": 0}),
+    ("data", {"query": 0}),
+    ("data", {"batch_size": 0}),
+    ("problem", {"kind": "transformer"}),
+    ("problem", {"hidden": -1}),
+    ("problem", {"kind": "feature_softmax", "hidden": -1}),
+    ("problem", {"loss": "hinge"}),
+    ("problem", {"kind": "feature_softmax", "loss": "hinge"}),
+    ("problem", {"reg": "l3"}),
+    ("problem", {"reg_coef": -0.5}),
+    ("problem", {"reg": "l2", "reg_coef": -0.5}),
+    ("problem", {"dim_feat": 0}),
+    ("problem", {"quad_lam": 0.0}),
+    ("problem", {"quad_lam": -1.0}),
+    ("inner", {"steps": -1}),
+    ("inner", {"step_size": 0.0}),
+    ("inner", {"step_size": -0.1}),
+    ("inner", {"bda_alpha": -0.1}),
+    ("inner", {"bda_alpha": 1.5}),
+    ("hypergrad", {"truncation_k": 0}),
+    ("hypergrad", {"cg_tol": 0.0}),
+    ("hypergrad", {"cg_max_iter": 0}),
+    ("hypergrad", {"prox_lambda": -1.0}),
+    ("hypergrad", {"darts_delta": 0.0}),
+    ("meta_opt", {"kind": "rmsprop"}),
+    ("meta_opt", {"lr": 0.0}),
+    ("meta_opt", {"kind": "adam", "lr": -1.0}),
+    ("meta_opt", {"mu": 1.0}),
+    ("meta_opt", {"kind": "sgd", "mu": -0.1}),
+    ("meta_opt", {"beta1": 1.0}),
+    ("meta_opt", {"beta2": -0.1}),
+    ("meta_opt", {"kind": "sgd", "eps_hat": 0.0}),
+    ("run", {"meta_iterations": 0}),
+    ("run", {"eval_every": 0}),
+    ("run", {"eval_tasks": 0}),
+    ("run", {"threads": 0}),
+    ("run", {"paradigm": "both"}),
+    ("run", {"inner_rule": "newton"}),
+    ("run", {"hypergrad_method": "newton"}),
+]
+
+
+@pytest.mark.parametrize(
+    "section, body", _REJECTED_VALUES, ids=[f"{s}-{b}" for s, b in _REJECTED_VALUES]
+)
+def test_rejected_values_name_their_section(section, body):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict({section: body})
+    assert str(exc.value).startswith(f"{section}:")
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("inner", "steps", 2.5),
+        ("inner", "steps", True),
+        ("inner", "step_size", "0.1"),
+        ("inner", "step_size", False),
+        ("run", "meta_iterations", 1.5),
+        ("run", "threads", 2.5),
+        ("run", "method", 3),
+        ("run", "seed", None),
+        ("run", "paradigm", 1),
+        ("problem", "hidden", 2.5),
+        ("problem", "loss", None),
+        ("hypergrad", "truncation_k", 1.5),
+        ("hypergrad", "prox_lambda", [0.5]),
+        ("data", "root", 5),
+        ("data", "num_classes", {"n": 8}),
+    ],
+)
+def test_json_type_of_each_value_is_checked(section, field, value):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict({section: {field: value}})
+    assert str(exc.value).startswith(f"{section}.{field}:")
+
+
+def test_json_types_that_fit_the_annotation_are_accepted():
+    cfg = ExperimentConfig.from_dict(
+        {
+            "inner": {"step_size": 1},
+            "hypergrad": {"truncation_k": None, "prox_lambda": 2},
+            "problem": {"quad_a": [[1, 0], [0, 1]], "quad_b": True},
+        }
+    )
+    assert cfg.inner.step_size == 1
+    assert cfg.hypergrad.truncation_k is None
+    assert cfg.problem.quad_b is True
+
+
 def test_apply_overrides_parses_json_values():
     raw = _maml_raw()
     before = copy.deepcopy(raw)
