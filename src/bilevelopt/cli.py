@@ -8,7 +8,7 @@ Three subcommands:
   list-methods  print the ten built-in method compositions
 
 Exit codes: 0 success; 1 verification failures; 2 bad configuration or
-arguments; 3 numeric abort during training.
+arguments; 3 training aborted by any library error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BilevelError, NonFiniteValue
+from .errors import BilevelError
 from .hypergrad import METHOD_NAMES, compose_named_method
 from .params_io import write_params
 from .trainer import (
@@ -93,7 +93,7 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         state, records = meta_train(exp, state)
-    except NonFiniteValue as e:
+    except BilevelError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

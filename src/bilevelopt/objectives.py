@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import TaskBatch, TaskDataset
 from .errors import LayoutMismatch, LengthMismatch, NonFiniteValue
-from .numerics import Layout, ParamVector, fd_gradient, fd_hvp
+from .numerics import Layout, ParamVector
 
 __all__ = [
     "Split",
@@ -289,21 +289,33 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return stable - np.log(np.exp(stable).sum(axis=1, keepdims=True))
 
 
+def _softmax_residual(z: np.ndarray, labels: np.ndarray):
+    """Softmax p of the logits and the cross-entropy residual (p - onehot) / n."""
+    p = np.exp(_log_softmax(z))
+    delta = p.copy()
+    delta[np.arange(len(labels)), labels] -= 1.0
+    delta /= len(labels)
+    return p, delta
+
+
+def _softmax_jvp(p: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Row-wise softmax Jacobian (symmetric) applied to logit directions dz."""
+    return p * dz - p * (p * dz).sum(axis=1, keepdims=True)
+
+
 class MetaFeatureSoftmax(BilevelObjective):
     """Cross-entropy of softmax(W (M phi) + c).
 
     x holds the shared map M ("feat", dim_feat x dim_in, row-major); y holds
     the head weights ("w", way x dim_feat) and bias ("b", way). Because the
     logits are linear in y, the Gauss-Newton product equals the exact
-    Hessian-vector product. The cross second-order term is taken by central
-    differences over x of <grad_y, v>, which keeps the implementation to the
-    two first-order oracles.
+    Hessian-vector product. The cross term d<grad_y, v>/dM is closed-form
+    too: (delta Vw + u W)^T phi, with u the softmax-Jacobian product that
+    hvp_yy builds. The regularizer never reads x, so it adds nothing there.
     """
 
     exact_hvp = True
     is_classifier = True
-
-    _CROSS_EPS = 1e-5
 
     def __init__(self, dim_in: int, dim_feat: int, way: int, reg: Regularizer | None = None):
         if min(dim_in, dim_feat, way) < 1:
@@ -324,6 +336,19 @@ class MetaFeatureSoftmax(BilevelObjective):
     def _logits(self, m, w, c, phi: np.ndarray) -> np.ndarray:
         return (phi @ m.T) @ w.T + c
 
+    def _forward(self, x, y, task, split):
+        """Inputs phi, head w, features h = phi M^T, softmax p and residual."""
+        phi, labels = _split_data(task, split)
+        m, w, c = self._unpack(x, y)
+        h = phi @ m.T
+        p, delta = _softmax_residual(h @ w.T + c, labels)
+        return phi, w, h, p, delta
+
+    def _head_jvp(self, h, p, v):
+        """Head direction Vw and the softmax-Jacobian product u, over n."""
+        vw = v.segment("w").reshape(self.way, self.dim_feat)
+        return vw, _softmax_jvp(p, h @ vw.T + v.segment("b")) / len(h)
+
     def predict(self, x, y, features):
         m, w, c = self._unpack(x, y)
         return self._logits(m, w, c, np.atleast_2d(features))
@@ -340,13 +365,7 @@ class MetaFeatureSoftmax(BilevelObjective):
 
     def grad_y(self, x, y, task, split):
         self._check_xy(x, y)
-        phi, labels = _split_data(task, split)
-        m, w, c = self._unpack(x, y)
-        h = phi @ m.T
-        p = np.exp(_log_softmax(h @ w.T + c))
-        delta = p.copy()
-        delta[np.arange(len(labels)), labels] -= 1.0
-        delta /= len(labels)
+        _, _, h, _, delta = self._forward(x, y, task, split)
         gw = delta.T @ h
         gb = delta.sum(axis=0)
         out = np.concatenate([gw.ravel(), gb])
@@ -356,28 +375,15 @@ class MetaFeatureSoftmax(BilevelObjective):
 
     def grad_x(self, x, y, task, split):
         self._check_xy(x, y)
-        phi, labels = _split_data(task, split)
-        m, w, c = self._unpack(x, y)
-        h = phi @ m.T
-        p = np.exp(_log_softmax(h @ w.T + c))
-        delta = p.copy()
-        delta[np.arange(len(labels)), labels] -= 1.0
-        delta /= len(labels)
+        phi, w, _, _, delta = self._forward(x, y, task, split)
         gm = (delta @ w).T @ phi
         out = ParamVector.zeros(x.layout)
         return out.with_segment("feat", gm.ravel())
 
     def hvp_yy(self, x, y, task, split, v):
         self._check_xy(x, y)
-        phi, labels = _split_data(task, split)
-        m, w, c = self._unpack(x, y)
-        h = phi @ m.T
-        p = np.exp(_log_softmax(h @ w.T + c))
-        vw = v.segment("w").reshape(self.way, self.dim_feat)
-        vb = v.segment("b")
-        dz = h @ vw.T + vb
-        u = p * dz - p * (p * dz).sum(axis=1, keepdims=True)
-        u /= len(labels)
+        _, _, h, p, _ = self._forward(x, y, task, split)
+        _, u = self._head_jvp(h, p, v)
         hw = u.T @ h
         hb = u.sum(axis=0)
         out = np.concatenate([hw.ravel(), hb])
@@ -387,11 +393,10 @@ class MetaFeatureSoftmax(BilevelObjective):
 
     def cross_hvp(self, x, y, task, split, v):
         self._check_xy(x, y)
-
-        def inner(xp: ParamVector) -> float:
-            return self.grad_y(xp, y, task, split).dot(v)
-
-        return fd_gradient(inner, x, eps=self._CROSS_EPS)
+        phi, w, h, p, delta = self._forward(x, y, task, split)
+        vw, u = self._head_jvp(h, p, v)
+        gm = (delta @ vw + u @ w).T @ phi
+        return ParamVector.zeros(x.layout).with_segment("feat", gm.ravel())
 
 
 def make_meta_feature_softmax(
@@ -411,14 +416,11 @@ class MetaInitMlp(BilevelObjective):
     y holds the network weights (one hidden layer of width `hidden`, or a
     bare linear map when hidden == 0); x holds segment "init" with the same
     total length. The loss never reads x, so grad_x and cross_hvp are zero.
-    Forward and first-order backward passes are analytic; curvature products
-    fall back to central differences of grad_y with a step small enough to
-    keep the product symmetric to ~1e-9.
+    Gradients are analytic backprop; hvp_yy is Pearlmutter's exact
+    R-operator, a forward-mode pass through that backprop.
     """
 
-    exact_hvp = False
-
-    _HVP_EPS_SCALE = 1e-5
+    exact_hvp = True
 
     def __init__(
         self,
@@ -465,6 +467,16 @@ class MetaInitMlp(BilevelObjective):
         onehot[np.arange(len(labels)), labels] = 1.0
         return onehot
 
+    def _residual(self, y: ParamVector, task, split):
+        """Inputs, activations, softmax p (None for MSE), residual dloss/dout."""
+        phi, labels = _split_data(task, split)
+        out, act = self._forward(y, phi)
+        if self.loss is LossKind.CROSS_ENTROPY:
+            p, delta = _softmax_residual(out, labels)
+        else:
+            p, delta = None, (out - self._targets(labels)) / len(labels)
+        return phi, act, p, delta
+
     def predict(self, x, y, features):
         out, _ = self._forward(y, np.atleast_2d(features))
         return out
@@ -487,15 +499,7 @@ class MetaInitMlp(BilevelObjective):
 
     def grad_y(self, x, y, task, split):
         self._check_xy(x, y)
-        phi, labels = _split_data(task, split)
-        out, act = self._forward(y, phi)
-        n = len(labels)
-        if self.loss is LossKind.CROSS_ENTROPY:
-            delta = np.exp(_log_softmax(out))
-            delta[np.arange(n), labels] -= 1.0
-            delta /= n
-        else:
-            delta = (out - self._targets(labels)) / n
+        phi, act, _, delta = self._residual(y, task, split)
         if self.hidden > 0:
             w1 = y.segment("w1").reshape(self.dim_out, self.hidden)
             gw1 = delta.T @ act
@@ -514,12 +518,32 @@ class MetaInitMlp(BilevelObjective):
 
     def hvp_yy(self, x, y, task, split, v):
         self._check_xy(x, y)
+        phi, act, p, delta = self._residual(y, task, split)
+        n = len(delta)
 
-        def g(yp: ParamVector) -> ParamVector:
-            return self.grad_y(x, yp, task, split)
+        def r_residual(r_out):
+            # directional derivative of delta along r_out = R{out}
+            return r_out / n if p is None else _softmax_jvp(p, r_out) / n
 
-        eps = self._HVP_EPS_SCALE * (1.0 + y.inf_norm()) / (1.0 + v.inf_norm())
-        return fd_hvp(g, y, v, eps=eps)
+        if self.hidden == 0:
+            v0 = v.segment("w0").reshape(self.dim_out, self.dim_in)
+            r_delta = r_residual(phi @ v0.T + v.segment("b0"))
+            out_vec = np.concatenate([(r_delta.T @ phi).ravel(), r_delta.sum(axis=0)])
+        else:
+            w1 = y.segment("w1").reshape(self.dim_out, self.hidden)
+            v0 = v.segment("w0").reshape(self.hidden, self.dim_in)
+            v1 = v.segment("w1").reshape(self.dim_out, self.hidden)
+            slope = 1.0 - act * act
+            r_act = (phi @ v0.T + v.segment("b0")) * slope
+            r_delta = r_residual(r_act @ w1.T + act @ v1.T + v.segment("b1"))
+            r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * (delta @ w1) * act * r_act
+            gw1 = r_delta.T @ act + delta.T @ r_act
+            out_vec = np.concatenate(
+                [(r_back.T @ phi).ravel(), r_back.sum(axis=0), gw1.ravel(), r_delta.sum(axis=0)]
+            )
+        if split is Split.TRAIN:
+            out_vec += self.reg.hvp(v.values)
+        return v.like(out_vec)
 
 
 def make_meta_init_mlp(

@@ -1,6 +1,10 @@
 """Command-line behavior: artifacts, exit codes, overrides, and listings."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,29 @@ def test_numeric_abort_exits_3(tmp_path, capsys):
     assert not (out / "metrics.jsonl").exists()
 
 
+@pytest.mark.parametrize("prox_lambda", [0.0, 1.0])
+def test_training_error_exits_3_without_a_traceback(tmp_path, capsys, prox_lambda):
+    # implicit differentiation on the non-convex MLP meets negative curvature
+    cfg = _write_config(
+        tmp_path,
+        run={
+            "method": "custom",
+            "paradigm": "meta_init",
+            "inner_rule": "gd",
+            "hypergrad_method": "implicit",
+        },
+        hypergrad={"prox_lambda": prox_lambda},
+    )
+    out = tmp_path / "o"
+    code = entry(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "not positive definite" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "metrics.jsonl").exists()
+
+
 def test_verify_passes_and_writes_report(tmp_path, capsys):
     report = tmp_path / "report.jsonl"
     code = entry(["verify", "--profile", "exact", "--report", str(report)])
@@ -183,6 +210,20 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     code = entry(["verify", "--profile", "exact"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_verify():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bilevelopt", "verify", "--profile", "exact"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith("checks passed")
 
 
 def test_verify_rejects_unknown_profile():

@@ -180,6 +180,47 @@ def test_softmax_cross_hvp_differentiates_grad_y_along_x(
     assert np.allclose(got.values, fd.values, atol=1e-5)
 
 
+def _rel_err(got, want):
+    return np.linalg.norm(got.values - want.values) / np.linalg.norm(want.values)
+
+
+def test_softmax_cross_hvp_matches_fd_on_both_splits(softmax_problem, small_task):
+    x = _randvec(softmax_problem.x_layout, 42)
+    y = _randvec(softmax_problem.y_layout, 43)
+    v = _randvec(softmax_problem.y_layout, 44, scale=1.0)
+    for split in (Split.TRAIN, Split.VAL):
+        got = softmax_problem.cross_hvp(x, y, small_task, split, v)
+        fd = fd_gradient(
+            lambda u: softmax_problem.grad_y(u, y, small_task, split).dot(v),
+            x,
+            eps=1e-6,
+        )
+        assert _rel_err(got, fd) < 1e-7
+
+
+def test_softmax_cross_hvp_is_zero_on_extra_x_segments(softmax_problem, small_task):
+    ext_layout = softmax_problem.x_layout.extended("rates", 3)
+    x = _randvec(ext_layout, 45)
+    y = _randvec(softmax_problem.y_layout, 46)
+    v = _randvec(softmax_problem.y_layout, 47, scale=1.0)
+    got = softmax_problem.cross_hvp(x, y, small_task, Split.TRAIN, v)
+    assert got.layout == ext_layout
+    assert np.array_equal(got.segment("rates"), np.zeros(3))
+    assert np.any(got.segment("feat") != 0.0)
+
+
+def test_softmax_cross_hvp_ignores_the_regularizer(small_task):
+    regs = (Regularizer.none(), Regularizer.l1(0.3), Regularizer.l2(0.3))
+    probs = [make_meta_feature_softmax(DIM_IN, 6, WAY, reg=r) for r in regs]
+    x = _randvec(probs[0].x_layout, 48)
+    y = _randvec(probs[0].y_layout, 49)
+    v = _randvec(probs[0].y_layout, 50, scale=1.0)
+    for split in (Split.TRAIN, Split.VAL):
+        first, *rest = [p.cross_hvp(x, y, small_task, split, v).values for p in probs]
+        for other in rest:
+            assert np.array_equal(first, other)
+
+
 def test_softmax_predict_scores_every_class(softmax_problem, small_task):
     x = _randvec(softmax_problem.x_layout, 40)
     y = _randvec(softmax_problem.y_layout, 41)
@@ -238,6 +279,63 @@ def test_exact_hvps_are_symmetric(quad2, softmax_problem, small_task):
         hu = prob.hvp_yy(x, y, task, Split.TRAIN, u)
         hv = prob.hvp_yy(x, y, task, Split.TRAIN, v)
         assert u.dot(hv) == pytest.approx(v.dot(hu), abs=1e-8)
+
+
+_MLP_REGS = {
+    "none": Regularizer.none(),
+    "l1": Regularizer.l1(0.05),
+    "l2": Regularizer.l2(0.05),
+}
+
+
+@pytest.mark.parametrize("reg", sorted(_MLP_REGS))
+@pytest.mark.parametrize("split", [Split.TRAIN, Split.VAL], ids=lambda s: s.value)
+@pytest.mark.parametrize("loss", list(LossKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("hidden", [0, 16])
+def test_mlp_hvp_matches_fd_of_gradient(small_task, hidden, loss, split, reg):
+    prob = make_meta_init_mlp(DIM_IN, hidden, WAY, loss=loss, reg=_MLP_REGS[reg])
+    x = ParamVector.zeros(prob.x_layout)
+    y = _randvec(prob.y_layout, 56)
+    v = _randvec(prob.y_layout, 57, scale=1.0)
+    hv = prob.hvp_yy(x, y, small_task, split, v)
+    fd = fd_hvp(lambda q: prob.grad_y(x, q, small_task, split), y, v, eps=1e-6)
+    assert _rel_err(hv, fd) < 1e-7
+
+
+def test_mlp_hvp_is_symmetric_to_rounding(mlp_problem, small_task):
+    x = ParamVector.zeros(mlp_problem.x_layout)
+    y = _randvec(mlp_problem.y_layout, 58)
+    u = _randvec(mlp_problem.y_layout, 59, scale=1.0)
+    v = _randvec(mlp_problem.y_layout, 60, scale=1.0)
+    for split in (Split.TRAIN, Split.VAL):
+        hu = mlp_problem.hvp_yy(x, y, small_task, split, u)
+        hv = mlp_problem.hvp_yy(x, y, small_task, split, v)
+        assert u.dot(hv) == pytest.approx(v.dot(hu), abs=1e-10)
+
+
+def test_curvature_oracles_never_call_grad_y(softmax_problem, mlp_problem, small_task):
+    # cost model: second-order products are closed-form, not differences of
+    # grad_y, so the wrapper below must record no calls
+    for prob in (softmax_problem, mlp_problem):
+        calls = []
+        inner = prob.grad_y
+
+        def counted(*args, inner=inner, calls=calls):
+            calls.append(args)
+            return inner(*args)
+
+        prob.grad_y = counted
+        x = _randvec(prob.x_layout, 63)
+        y = _randvec(prob.y_layout, 64)
+        v = _randvec(prob.y_layout, 65, scale=1.0)
+        for split in (Split.TRAIN, Split.VAL):
+            prob.hvp_yy(x, y, small_task, split, v)
+            assert calls == []
+            prob.cross_hvp(x, y, small_task, split, v)
+            assert calls == []
+        # the wrapper does count direct calls
+        prob.grad_y(x, y, small_task, Split.TRAIN)
+        assert len(calls) == 1
 
 
 def test_mlp_predict_returns_logits(mlp_problem, small_task):
