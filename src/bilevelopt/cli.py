@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile",
         choices=("exact", "fd", "all"),
         default="all",
-        help="which problem tolerance profile to check",
+        help="problems to check: exact (quadratic, feature softmax, zero "
+        "curvature), fd (the tanh MLP; the name is kept for compatibility) or all",
     )
     p_verify.add_argument(
         "--report", default=None, help="optional path for the JSONL report"

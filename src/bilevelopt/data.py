@@ -47,35 +47,37 @@ class Example:
 class TaskDataset:
     """One task: disjoint train (support) and validation (query) splits.
 
-    Labels in both splits are remapped to 0..way-1 in the order classes were
+    Each split is a (rows, dim) feature array with one label per row. Labels
+    in both splits are remapped to 0..way-1 in the order classes were
     sampled, consistently across the two splits.
     """
 
-    train: tuple[Example, ...]
-    val: tuple[Example, ...]
+    train_features: np.ndarray
+    train_labels: np.ndarray
+    val_features: np.ndarray
+    val_labels: np.ndarray
     way: int
     shot: int
     query: int
 
     @cached_property
-    def train_features(self) -> np.ndarray:
-        return np.stack([e.features for e in self.train])
+    def train(self) -> tuple[Example, ...]:
+        return _examples(self.train_features, self.train_labels)
 
     @cached_property
-    def train_labels(self) -> np.ndarray:
-        return np.array([e.label for e in self.train], dtype=np.int64)
+    def val(self) -> tuple[Example, ...]:
+        return _examples(self.val_features, self.val_labels)
 
-    @cached_property
-    def val_features(self) -> np.ndarray:
-        return np.stack([e.features for e in self.val])
 
-    @cached_property
-    def val_labels(self) -> np.ndarray:
-        return np.array([e.label for e in self.val], dtype=np.int64)
+def _examples(features: np.ndarray, labels: np.ndarray) -> tuple[Example, ...]:
+    return tuple(Example(row, int(label)) for row, label in zip(features, labels))
 
 
 @dataclass(frozen=True)
 class TaskBatch:
+    """Tasks of one episode shape; the split arrays stack them on a leading
+    task axis, (tasks, rows, dim) for features and (tasks, rows) for labels."""
+
     tasks: tuple[TaskDataset, ...]
 
     def __len__(self) -> int:
@@ -83,6 +85,22 @@ class TaskBatch:
 
     def __iter__(self):
         return iter(self.tasks)
+
+    @cached_property
+    def train_features(self) -> np.ndarray:
+        return np.stack([t.train_features for t in self.tasks])
+
+    @cached_property
+    def train_labels(self) -> np.ndarray:
+        return np.stack([t.train_labels for t in self.tasks])
+
+    @cached_property
+    def val_features(self) -> np.ndarray:
+        return np.stack([t.val_features for t in self.tasks])
+
+    @cached_property
+    def val_labels(self) -> np.ndarray:
+        return np.stack([t.val_labels for t in self.tasks])
 
 
 @dataclass(frozen=True)
@@ -265,25 +283,30 @@ def sample_task_batch(
             f"need {spec.way} classes, source has {len(names)}"
         )
     need = spec.shot + spec.query
+    train_labels = np.repeat(np.arange(spec.way, dtype=np.int64), spec.shot)
+    val_labels = np.repeat(np.arange(spec.way, dtype=np.int64), spec.query)
     tasks = []
     for j in range(spec.batch_size):
         gen = rng.child(j).generator()
         chosen = gen.choice(len(names), size=spec.way, replace=False)
-        train: list[Example] = []
-        val: list[Example] = []
-        for label, class_idx in enumerate(chosen):
+        draws = []
+        for class_idx in chosen:
             name = names[class_idx]
             cap = source.capacity(name)
             if cap is not None and cap < need:
                 raise InsufficientItemsPerClass(
                     f"class {name!r} has {cap} items, episode needs {need}"
                 )
-            items = source.draw(name, need, gen)
-            for row in items[: spec.shot]:
-                train.append(Example(np.asarray(row, dtype=np.float64), label))
-            for row in items[spec.shot :]:
-                val.append(Example(np.asarray(row, dtype=np.float64), label))
+            draws.append(source.draw(name, need, gen))
         tasks.append(
-            TaskDataset(tuple(train), tuple(val), spec.way, spec.shot, spec.query)
+            TaskDataset(
+                np.concatenate([d[: spec.shot] for d in draws], dtype=np.float64),
+                train_labels.copy(),
+                np.concatenate([d[spec.shot :] for d in draws], dtype=np.float64),
+                val_labels.copy(),
+                spec.way,
+                spec.shot,
+                spec.query,
+            )
         )
     return TaskBatch(tuple(tasks))

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .data import TaskBatch
 from .errors import MissingSegment, NonFiniteValue
 from .numerics import Layout, ParamVector, RngStream
 from .objectives import BilevelObjective, Paradigm, Split
@@ -33,6 +35,7 @@ __all__ = [
     "init_task_params",
     "inner_step",
     "run_inner",
+    "run_inner_batch",
     "step_transposed_jvps",
     "required_x_segments",
     "softplus",
@@ -168,6 +171,31 @@ def _mask_per_coordinate(x: ParamVector, y_layout: Layout, rule: InnerRule) -> n
     return np.repeat(sigmoid(logits), lengths)
 
 
+def _step(rule: InnerRule, config: InnerConfig, y_layout: Layout, x: ParamVector, y, grad):
+    """One step of `rule` on y values of shape (..., dim); grad(split) gives
+    grad_y values at y in the same shape."""
+    s = config.step_size
+    g_f = grad(Split.TRAIN)
+
+    if rule is InnerRule.GD:
+        y_next = y - s * g_f
+    elif rule is InnerRule.META_SGD:
+        y_next = y - softplus(_require_segment(x, "rates", rule)) * g_f
+    elif rule is InnerRule.BDA:
+        a = config.bda_alpha
+        y_next = y - s * (a * g_f + (1.0 - a) * grad(Split.VAL))
+    elif rule is InnerRule.MTNET_MASK:
+        y_next = y - s * _mask_per_coordinate(x, y_layout, rule) * g_f
+    elif rule is InnerRule.WARP_GRAD_DIAG:
+        y_next = y - s * np.exp(_require_segment(x, "warp_logdiag", rule)) * g_f
+    else:
+        raise ValueError(f"unhandled rule {rule!r}")
+
+    if not np.all(np.isfinite(y_next)):
+        raise NonFiniteValue(f"inner step under rule {rule.value} produced non-finite y")
+    return y_next
+
+
 def inner_step(
     rule: InnerRule,
     config: InnerConfig,
@@ -176,30 +204,10 @@ def inner_step(
     y_prev: ParamVector,
     task,
 ) -> ParamVector:
-    s = config.step_size
-    g_f = problem.grad_y(x, y_prev, task, Split.TRAIN)
+    def grad(split: Split) -> np.ndarray:
+        return problem.grad_y(x, y_prev, task, split).values
 
-    if rule is InnerRule.GD:
-        y_next = y_prev - s * g_f
-    elif rule is InnerRule.META_SGD:
-        rates = _require_segment(x, "rates", rule)
-        y_next = y_prev.like(y_prev.values - softplus(rates) * g_f.values)
-    elif rule is InnerRule.BDA:
-        a = config.bda_alpha
-        g_F = problem.grad_y(x, y_prev, task, Split.VAL)
-        y_next = y_prev - s * (a * g_f + (1.0 - a) * g_F)
-    elif rule is InnerRule.MTNET_MASK:
-        m = _mask_per_coordinate(x, y_prev.layout, rule)
-        y_next = y_prev.like(y_prev.values - s * m * g_f.values)
-    elif rule is InnerRule.WARP_GRAD_DIAG:
-        d = np.exp(_require_segment(x, "warp_logdiag", rule))
-        y_next = y_prev.like(y_prev.values - s * d * g_f.values)
-    else:
-        raise ValueError(f"unhandled rule {rule!r}")
-
-    if not y_next.is_finite():
-        raise NonFiniteValue(f"inner step under rule {rule.value} produced non-finite y")
-    return y_next
+    return y_prev.like(_step(rule, config, y_prev.layout, x, y_prev.values, grad))
 
 
 def run_inner(
@@ -226,6 +234,22 @@ def run_inner(
         x_snapshot=x,
         recorded=record or config.steps <= 1,
     )
+
+
+def run_inner_batch(
+    rule: InnerRule,
+    config: InnerConfig,
+    problem: BilevelObjective,
+    x: ParamVector,
+    ys: np.ndarray,
+    batch: TaskBatch,
+) -> np.ndarray:
+    """Final iterates of the inner runs of every task of `batch` at once,
+    from the rows of ys. Needs the problem's grad_y_batch."""
+    for _ in range(config.steps):
+        grad = partial(problem.grad_y_batch, x, ys, batch)
+        ys = _step(rule, config, problem.y_layout, x, ys, grad)
+    return ys
 
 
 def _segment_inner_products(values: np.ndarray, layout: Layout) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Flat parameter vectors with named segments, deterministic counter-based
-RNG streams, a matrix-free conjugate-gradient solver, and central-difference
-utilities used throughout the engine.
+RNG streams, a matrix-free conjugate-gradient solver, and the
+central-difference helpers that verify.py uses as independent oracles.
 """
 
 from __future__ import annotations

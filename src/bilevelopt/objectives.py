@@ -94,11 +94,13 @@ class Regularizer:
     def l2(cls, coef: float) -> "Regularizer":
         return cls("l2", coef)
 
-    def value(self, y: np.ndarray) -> float:
+    def value(self, y: np.ndarray):
+        """Penalty of y, or of each row of a (tasks, dim) stack."""
         if self.kind == "l1":
-            return self.coef * float(np.sum(np.abs(y)))
+            return self.coef * np.sum(np.abs(y), axis=-1)
         if self.kind == "l2":
-            return 0.5 * self.coef * float(y @ y)
+            # the same dot product as y @ y, row by row
+            return 0.5 * self.coef * (y[..., None, :] @ y[..., :, None])[..., 0, 0]
         return 0.0
 
     def grad(self, y: np.ndarray) -> np.ndarray:
@@ -114,10 +116,13 @@ class Regularizer:
         return np.zeros_like(v)
 
 
-def _split_data(task: TaskDataset, split: Split) -> tuple[np.ndarray, np.ndarray]:
+def _split_data(
+    data: TaskDataset | TaskBatch, split: Split
+) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of one split, of a task or stacked over a batch."""
     if split is Split.TRAIN:
-        return task.train_features, task.train_labels
-    return task.val_features, task.val_labels
+        return data.train_features, data.train_labels
+    return data.val_features, data.val_labels
 
 
 class BilevelObjective:
@@ -284,26 +289,97 @@ def make_quadratic(a, lam: float, b) -> QuadraticBilevel:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     stable = z - zmax
-    return stable - np.log(np.exp(stable).sum(axis=1, keepdims=True))
+    return stable - np.log(np.exp(stable).sum(axis=-1, keepdims=True))
+
+
+def _onehot(labels: np.ndarray, classes: int) -> np.ndarray:
+    return (labels[..., None] == np.arange(classes)).astype(np.float64)
+
+
+def _at_labels(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's entry at its own label."""
+    rows = scores.reshape(-1, scores.shape[-1])
+    return rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
 
 
 def _softmax_residual(z: np.ndarray, labels: np.ndarray):
     """Softmax p of the logits and the cross-entropy residual (p - onehot) / n."""
     p = np.exp(_log_softmax(z))
-    delta = p.copy()
-    delta[np.arange(len(labels)), labels] -= 1.0
-    delta /= len(labels)
-    return p, delta
+    return p, (p - _onehot(labels, z.shape[-1])) / labels.shape[-1]
 
 
 def _softmax_jvp(p: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """Row-wise softmax Jacobian (symmetric) applied to logit directions dz."""
-    return p * dz - p * (p * dz).sum(axis=1, keepdims=True)
+    return p * dz - p * (p * dz).sum(axis=-1, keepdims=True)
 
 
-class MetaFeatureSoftmax(BilevelObjective):
+def _parts(layout: Layout, shapes) -> tuple:
+    """(slice, shape) of each segment of the layout, for _unpack."""
+    return tuple(
+        (slice(seg.offset, seg.offset + seg.length), shape)
+        for seg, shape in zip(layout.segments, shapes)
+    )
+
+
+def _unpack(values: np.ndarray, parts) -> list[np.ndarray]:
+    """The segments of values (..., dim) reshaped to the shapes in `parts`,
+    keeping any leading task axes. Biases are (1, length), so they broadcast
+    over rows."""
+    lead = values.shape[:-1]
+    return [values[..., where].reshape(lead + shape) for where, shape in parts]
+
+
+def _join(like: np.ndarray, *parts: np.ndarray) -> np.ndarray:
+    """Flatten each part behind the leading task axes of `like` and concatenate."""
+    lead = like.shape[:-1]
+    return np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
+
+
+class _TaskAxisObjective(BilevelObjective):
+    """value, grad_y and predict from kernels _value, _grad_y and _scores
+    that take y as a (..., dim_y) array and broadcast over leading task axes,
+    plus batch forms of the three that run a stack of tasks in one call; each
+    row of a batch answer matches the per-task oracle to rounding.
+
+    meta_evaluate uses the batch methods wherever it finds them by name.
+    They stay off BilevelObjective, so a problem without such kernels, or a
+    wrapper that forwards to another problem, never inherits them."""
+
+    def value(self, x, y, task, split):
+        self._check_xy(x, y)
+        return float(self._value(x, y.values, task, split))
+
+    def grad_y(self, x, y, task, split):
+        self._check_xy(x, y)
+        return y.like(self._grad_y(x, y.values, task, split))
+
+    def predict(self, x, y, features):
+        return self._scores(x, y.values, np.atleast_2d(features))
+
+    def _check_stack(self, ys: np.ndarray, batch: TaskBatch):
+        if ys.shape != (len(batch), self.y_layout.dim):
+            raise LayoutMismatch(
+                f"y stack shape {ys.shape} != ({len(batch)}, {self.y_layout.dim})"
+            )
+
+    def value_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
+        """value of each task of `batch` at the matching row of ys."""
+        self._check_stack(ys, batch)
+        return self._value(x, ys, batch, split)
+
+    def grad_y_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
+        """grad_y values of each task of `batch` at the matching row of ys."""
+        self._check_stack(ys, batch)
+        return self._grad_y(x, ys, batch, split)
+
+    def predict_batch(self, x, ys: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """predict on a (tasks, rows, dim) feature stack, task by task."""
+        return self._scores(x, ys, features)
+
+
+class MetaFeatureSoftmax(_TaskAxisObjective):
     """Cross-entropy of softmax(W (M phi) + c).
 
     x holds the shared map M ("feat", dim_feat x dim_in, row-major); y holds
@@ -326,74 +402,62 @@ class MetaFeatureSoftmax(BilevelObjective):
         self.reg = reg or Regularizer.none()
         self.x_layout = Layout([("feat", dim_feat * dim_in)])
         self.y_layout = Layout([("w", way * dim_feat), ("b", way)])
+        self._y_parts = _parts(self.y_layout, ((way, dim_feat), (1, way)))
 
-    def _unpack(self, x: ParamVector, y: ParamVector):
-        m = x.segment("feat").reshape(self.dim_feat, self.dim_in)
-        w = y.segment("w").reshape(self.way, self.dim_feat)
-        c = y.segment("b")
-        return m, w, c
+    def _logits(self, x: ParamVector, yv: np.ndarray, phi: np.ndarray):
+        """Features h = phi M^T, head weights W and logits h W^T + c."""
+        w, c = _unpack(yv, self._y_parts)
+        h = phi @ x.segment("feat").reshape(self.dim_feat, self.dim_in).T
+        return h, w, h @ w.swapaxes(-1, -2) + c
 
-    def _logits(self, m, w, c, phi: np.ndarray) -> np.ndarray:
-        return (phi @ m.T) @ w.T + c
-
-    def _forward(self, x, y, task, split):
-        """Inputs phi, head w, features h = phi M^T, softmax p and residual."""
-        phi, labels = _split_data(task, split)
-        m, w, c = self._unpack(x, y)
-        h = phi @ m.T
-        p, delta = _softmax_residual(h @ w.T + c, labels)
+    def _forward(self, x, yv, data, split):
+        """Inputs phi, head W, features h, softmax p and residual."""
+        phi, labels = _split_data(data, split)
+        h, w, z = self._logits(x, yv, phi)
+        p, delta = _softmax_residual(z, labels)
         return phi, w, h, p, delta
 
     def _head_jvp(self, h, p, v):
         """Head direction Vw and the softmax-Jacobian product u, over n."""
-        vw = v.segment("w").reshape(self.way, self.dim_feat)
-        return vw, _softmax_jvp(p, h @ vw.T + v.segment("b")) / len(h)
+        vw, vb = _unpack(v.values, self._y_parts)
+        return vw, _softmax_jvp(p, h @ vw.T + vb) / len(h)
 
-    def predict(self, x, y, features):
-        m, w, c = self._unpack(x, y)
-        return self._logits(m, w, c, np.atleast_2d(features))
-
-    def value(self, x, y, task, split):
-        self._check_xy(x, y)
-        phi, labels = _split_data(task, split)
-        m, w, c = self._unpack(x, y)
-        logp = _log_softmax(self._logits(m, w, c, phi))
-        loss = -float(logp[np.arange(len(labels)), labels].mean())
+    def _value(self, x, yv, data, split):
+        phi, labels = _split_data(data, split)
+        loss = -_at_labels(_log_softmax(self._scores(x, yv, phi)), labels).mean(axis=-1)
         if split is Split.TRAIN:
-            loss += self.reg.value(y.values)
+            loss = loss + self.reg.value(yv)
         return loss
 
-    def grad_y(self, x, y, task, split):
-        self._check_xy(x, y)
-        _, _, h, _, delta = self._forward(x, y, task, split)
-        gw = delta.T @ h
-        gb = delta.sum(axis=0)
-        out = np.concatenate([gw.ravel(), gb])
+    def _grad_y(self, x, yv, data, split):
+        _, _, h, _, delta = self._forward(x, yv, data, split)
+        out = _join(yv, delta.swapaxes(-1, -2) @ h, delta.sum(axis=-2))
         if split is Split.TRAIN:
-            out += self.reg.grad(y.values)
-        return y.like(out)
+            out += self.reg.grad(yv)
+        return out
+
+    def _scores(self, x, yv, phi):
+        return self._logits(x, yv, phi)[2]
 
     def grad_x(self, x, y, task, split):
         self._check_xy(x, y)
-        phi, w, _, _, delta = self._forward(x, y, task, split)
+        phi, w, _, _, delta = self._forward(x, y.values, task, split)
         gm = (delta @ w).T @ phi
         out = ParamVector.zeros(x.layout)
         return out.with_segment("feat", gm.ravel())
 
     def hvp_yy(self, x, y, task, split, v):
         self._check_xy(x, y)
-        _, _, h, p, _ = self._forward(x, y, task, split)
+        _, _, h, p, _ = self._forward(x, y.values, task, split)
         _, u = self._head_jvp(h, p, v)
-        hw = u.T @ h
-        hb = u.sum(axis=0)
-        out = np.concatenate([hw.ravel(), hb])
+        out = _join(v.values, u.T @ h, u.sum(axis=0))
         if split is Split.TRAIN:
             out += self.reg.hvp(v.values)
         return v.like(out)
 
     def cross_hvp(self, x, y, task, split, v):
         self._check_xy(x, y)
-        phi, w, h, p, delta = self._forward(x, y, task, split)
+        phi, w, h, p, delta = self._forward(x, y.values, task, split)
         vw, u = self._head_jvp(h, p, v)
         gm = (delta @ vw + u @ w).T @ phi
         return ParamVector.zeros(x.layout).with_segment("feat", gm.ravel())
@@ -410,7 +474,7 @@ def make_meta_feature_softmax(
 # ---------------------------------------------------------------------------
 
 
-class MetaInitMlp(BilevelObjective):
+class MetaInitMlp(_TaskAxisObjective):
     """Small tanh MLP trained per task; x carries its initialization.
 
     y holds the network weights (one hidden layer of width `hidden`, or a
@@ -439,86 +503,74 @@ class MetaInitMlp(BilevelObjective):
         self.reg = reg or Regularizer.none()
         self.is_classifier = loss is LossKind.CROSS_ENTROPY
         if hidden > 0:
-            segs = [
-                ("w0", hidden * dim_in),
-                ("b0", hidden),
-                ("w1", dim_out * hidden),
-                ("b1", dim_out),
-            ]
+            shapes = {
+                "w0": (hidden, dim_in),
+                "b0": (1, hidden),
+                "w1": (dim_out, hidden),
+                "b1": (1, dim_out),
+            }
         else:
-            segs = [("w0", dim_out * dim_in), ("b0", dim_out)]
-        self.y_layout = Layout(segs)
+            shapes = {"w0": (dim_out, dim_in), "b0": (1, dim_out)}
+        self.y_layout = Layout([(name, rows * cols) for name, (rows, cols) in shapes.items()])
+        self._y_parts = _parts(self.y_layout, shapes.values())
         self.x_layout = Layout([("init", self.y_layout.dim)])
 
-    def _forward(self, y: ParamVector, phi: np.ndarray):
+    def _forward(self, yv: np.ndarray, phi: np.ndarray):
+        """Network outputs, hidden activations and output weights (the last
+        two None without a hidden layer)."""
         if self.hidden > 0:
-            w0 = y.segment("w0").reshape(self.hidden, self.dim_in)
-            b0 = y.segment("b0")
-            w1 = y.segment("w1").reshape(self.dim_out, self.hidden)
-            b1 = y.segment("b1")
-            a = np.tanh(phi @ w0.T + b0)
-            return a @ w1.T + b1, a
-        w0 = y.segment("w0").reshape(self.dim_out, self.dim_in)
-        b0 = y.segment("b0")
-        return phi @ w0.T + b0, None
+            w0, b0, w1, b1 = _unpack(yv, self._y_parts)
+            a = np.tanh(phi @ w0.swapaxes(-1, -2) + b0)
+            return a @ w1.swapaxes(-1, -2) + b1, a, w1
+        w0, b0 = _unpack(yv, self._y_parts)
+        return phi @ w0.swapaxes(-1, -2) + b0, None, None
 
-    def _targets(self, labels: np.ndarray) -> np.ndarray:
-        onehot = np.zeros((len(labels), self.dim_out))
-        onehot[np.arange(len(labels)), labels] = 1.0
-        return onehot
-
-    def _residual(self, y: ParamVector, task, split):
-        """Inputs, activations, softmax p (None for MSE), residual dloss/dout."""
-        phi, labels = _split_data(task, split)
-        out, act = self._forward(y, phi)
+    def _residual(self, yv: np.ndarray, data, split):
+        """Inputs, activations, output weights, softmax p (None for MSE) and
+        residual dloss/dout."""
+        phi, labels = _split_data(data, split)
+        out, act, w1 = self._forward(yv, phi)
         if self.loss is LossKind.CROSS_ENTROPY:
             p, delta = _softmax_residual(out, labels)
         else:
-            p, delta = None, (out - self._targets(labels)) / len(labels)
-        return phi, act, p, delta
+            p, delta = None, (out - _onehot(labels, self.dim_out)) / labels.shape[-1]
+        return phi, act, w1, p, delta
 
-    def predict(self, x, y, features):
-        out, _ = self._forward(y, np.atleast_2d(features))
-        return out
-
-    def value(self, x, y, task, split):
-        self._check_xy(x, y)
-        phi, labels = _split_data(task, split)
-        out, _ = self._forward(y, phi)
+    def _value(self, x, yv, data, split):
+        phi, labels = _split_data(data, split)
+        out = self._forward(yv, phi)[0]
         if self.loss is LossKind.CROSS_ENTROPY:
-            logp = _log_softmax(out)
-            loss = -float(logp[np.arange(len(labels)), labels].mean())
+            loss = -_at_labels(_log_softmax(out), labels).mean(axis=-1)
         else:
-            r = out - self._targets(labels)
-            loss = 0.5 * float((r * r).sum()) / len(labels)
-        if not np.isfinite(loss):
+            r = out - _onehot(labels, self.dim_out)
+            loss = 0.5 * (r * r).sum(axis=(-2, -1)) / labels.shape[-1]
+        if not np.isfinite(loss).all():
             raise NonFiniteValue("MLP loss is not finite")
         if split is Split.TRAIN:
-            loss += self.reg.value(y.values)
+            loss = loss + self.reg.value(yv)
         return loss
 
-    def grad_y(self, x, y, task, split):
-        self._check_xy(x, y)
-        phi, act, _, delta = self._residual(y, task, split)
+    def _grad_y(self, x, yv, data, split):
+        phi, act, w1, _, delta = self._residual(yv, data, split)
+        delta_t = delta.swapaxes(-1, -2)
         if self.hidden > 0:
-            w1 = y.segment("w1").reshape(self.dim_out, self.hidden)
-            gw1 = delta.T @ act
-            gb1 = delta.sum(axis=0)
             back = (delta @ w1) * (1.0 - act * act)
-            gw0 = back.T @ phi
-            gb0 = back.sum(axis=0)
-            out_vec = np.concatenate([gw0.ravel(), gb0, gw1.ravel(), gb1])
+            out = _join(
+                yv, back.swapaxes(-1, -2) @ phi, back.sum(axis=-2),
+                delta_t @ act, delta.sum(axis=-2),
+            )
         else:
-            gw0 = delta.T @ phi
-            gb0 = delta.sum(axis=0)
-            out_vec = np.concatenate([gw0.ravel(), gb0])
+            out = _join(yv, delta_t @ phi, delta.sum(axis=-2))
         if split is Split.TRAIN:
-            out_vec += self.reg.grad(y.values)
-        return y.like(out_vec)
+            out += self.reg.grad(yv)
+        return out
+
+    def _scores(self, x, yv, phi):
+        return self._forward(yv, phi)[0]
 
     def hvp_yy(self, x, y, task, split, v):
         self._check_xy(x, y)
-        phi, act, p, delta = self._residual(y, task, split)
+        phi, act, w1, p, delta = self._residual(y.values, task, split)
         n = len(delta)
 
         def r_residual(r_out):
@@ -526,20 +578,18 @@ class MetaInitMlp(BilevelObjective):
             return r_out / n if p is None else _softmax_jvp(p, r_out) / n
 
         if self.hidden == 0:
-            v0 = v.segment("w0").reshape(self.dim_out, self.dim_in)
-            r_delta = r_residual(phi @ v0.T + v.segment("b0"))
-            out_vec = np.concatenate([(r_delta.T @ phi).ravel(), r_delta.sum(axis=0)])
+            v0, vb0 = _unpack(v.values, self._y_parts)
+            r_delta = r_residual(phi @ v0.T + vb0)
+            out_vec = _join(v.values, r_delta.T @ phi, r_delta.sum(axis=0))
         else:
-            w1 = y.segment("w1").reshape(self.dim_out, self.hidden)
-            v0 = v.segment("w0").reshape(self.hidden, self.dim_in)
-            v1 = v.segment("w1").reshape(self.dim_out, self.hidden)
+            v0, vb0, v1, vb1 = _unpack(v.values, self._y_parts)
             slope = 1.0 - act * act
-            r_act = (phi @ v0.T + v.segment("b0")) * slope
-            r_delta = r_residual(r_act @ w1.T + act @ v1.T + v.segment("b1"))
+            r_act = (phi @ v0.T + vb0) * slope
+            r_delta = r_residual(r_act @ w1.T + act @ v1.T + vb1)
             r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * (delta @ w1) * act * r_act
             gw1 = r_delta.T @ act + delta.T @ r_act
-            out_vec = np.concatenate(
-                [(r_back.T @ phi).ravel(), r_back.sum(axis=0), gw1.ravel(), r_delta.sum(axis=0)]
+            out_vec = _join(
+                v.values, r_back.T @ phi, r_back.sum(axis=0), gw1, r_delta.sum(axis=0)
             )
         if split is Split.TRAIN:
             out_vec += self.reg.hvp(v.values)

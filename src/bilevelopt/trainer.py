@@ -30,7 +30,7 @@ from .data import (
     SyntheticGaussian,
     sample_task_batch,
 )
-from .errors import ConfigError, NonFiniteValue, UnknownMethod
+from .errors import BilevelError, ConfigError, UnknownMethod
 from .hypergrad import (
     Darts,
     FirstOrder,
@@ -48,6 +48,7 @@ from .inner import (
     init_task_params,
     required_x_segments,
     run_inner,
+    run_inner_batch,
     softplus_inverse,
 )
 from .meta_opt import Adam, MetaOptimizer, Momentum, Sgd, meta_step
@@ -87,6 +88,9 @@ _INIT_STREAM = 102
 _EVAL_TASK_STREAM = 103
 _EVAL_INIT_STREAM = 104
 _PARAM_STREAM = 105
+
+# optional problem methods that let meta_evaluate adapt a whole batch at once
+_BATCH_METHODS = ("grad_y_batch", "value_batch", "predict_batch")
 
 _FEAT_INIT_SD_NUM = 1.0  # feat segment init sd = 1/sqrt(dim_in)
 _INIT_SEGMENT_SD = 0.01
@@ -496,8 +500,9 @@ def meta_train(
 ) -> tuple[TrainState, list[MetricsRecord]]:
     """Run cfg.run.meta_iterations rounds from the given state.
 
-    Returns the advanced state and one MetricsRecord per round. Non-finite
-    values abort with the failing round in the message.
+    Returns the advanced state and one MetricsRecord per round. A
+    BilevelError raised in a round, its evaluation included, is raised again
+    as the same type with the failing round in the message.
     """
     cfg = exp.cfg
     records: list[MetricsRecord] = []
@@ -529,15 +534,17 @@ def meta_train(
 
                 x_next, opt_next = meta_step(state.opt, state.x, g_mean)
                 state = TrainState(x=x_next, opt=opt_next, iteration=it + 1)
-            except NonFiniteValue as e:
-                raise NonFiniteValue(f"run aborted at meta-iteration {it}: {e}") from e
 
-            eval_loss = None
-            eval_acc = None
-            if (it + 1) % cfg.run.eval_every == 0:
-                eval_loss, eval_acc = meta_evaluate(
-                    exp, state, cfg.run.eval_tasks, round_index=it + 1
-                )
+                eval_loss = None
+                eval_acc = None
+                if (it + 1) % cfg.run.eval_every == 0:
+                    eval_loss, eval_acc = meta_evaluate(
+                        exp, state, cfg.run.eval_tasks, round_index=it + 1
+                    )
+            except BilevelError as e:
+                # keeps the type, attributes and traceback of the original
+                e.args = (f"run aborted at meta-iteration {it}: {e}",)
+                raise
             records.append(
                 MetricsRecord(
                     meta_iter=it,
@@ -559,27 +566,41 @@ def meta_evaluate(
 ) -> tuple[float, float | None]:
     """Post-adaptation validation loss (and accuracy, for classifiers) on
     fresh tasks. Reads state.x but never changes it; task draws depend only
-    on the seed and round_index, not on training progress."""
+    on the seed and round_index, not on training progress.
+
+    A problem with the batch methods (grad_y_batch, value_batch and
+    predict_batch) adapts all the tasks at once on stacked arrays; any other
+    problem adapts them one by one."""
     r = state.iteration if round_index is None else round_index
+    problem, x, inner = exp.problem, state.x, exp.inner_config
+    init_root = RngStream(exp.cfg.run.seed, _EVAL_INIT_STREAM).child(r)
+    y0s = [
+        init_task_params(exp.paradigm, problem, x, init_root.child(j)) for j in range(n_tasks)
+    ]
     if exp.source is None:
         tasks: tuple = (None,) * n_tasks
     else:
         spec = replace(exp.episode_spec, batch_size=n_tasks)
         rng = RngStream(exp.cfg.run.seed, _EVAL_TASK_STREAM).child(r)
-        tasks = sample_task_batch(exp.source, spec, rng).tasks
-    init_root = RngStream(exp.cfg.run.seed, _EVAL_INIT_STREAM).child(r)
+        batch = sample_task_batch(exp.source, spec, rng)
+        tasks = batch.tasks
+        if all(hasattr(problem, m) for m in _BATCH_METHODS):
+            ys = np.stack([y0.values for y0 in y0s])
+            ys = run_inner_batch(inner.rule, inner, problem, x, ys, batch)
+            mean_loss = float(np.mean(problem.value_batch(x, ys, batch, Split.VAL)))
+            if not problem.is_classifier:
+                return mean_loss, None
+            scores = problem.predict_batch(x, ys, batch.val_features)
+            hits = np.argmax(scores, axis=-1) == batch.val_labels
+            return mean_loss, float(np.mean(np.mean(hits, axis=-1)))
 
     losses = []
     accuracies = []
-    for j, task in enumerate(tasks):
-        y0 = init_task_params(exp.paradigm, exp.problem, state.x, init_root.child(j))
-        traj = run_inner(
-            exp.inner_config.rule, exp.inner_config, exp.problem, state.x, y0, task,
-            record=False,
-        )
-        losses.append(exp.problem.value(state.x, traj.y_final, task, Split.VAL))
-        if exp.problem.is_classifier and task is not None:
-            scores = exp.problem.predict(state.x, traj.y_final, task.val_features)
+    for task, y0 in zip(tasks, y0s):
+        traj = run_inner(inner.rule, inner, problem, x, y0, task, record=False)
+        losses.append(problem.value(x, traj.y_final, task, Split.VAL))
+        if problem.is_classifier and task is not None:
+            scores = problem.predict(x, traj.y_final, task.val_features)
             accuracies.append(float(np.mean(np.argmax(scores, axis=1) == task.val_labels)))
     mean_loss = float(np.mean(losses))
     mean_acc = float(np.mean(accuracies)) if accuracies else None

@@ -184,6 +184,25 @@ def test_training_error_exits_3_without_a_traceback(tmp_path, capsys, prox_lambd
     assert not (out / "metrics.jsonl").exists()
 
 
+def test_training_error_names_the_failing_meta_iteration(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        problem={"kind": "mlp", "hidden": 16},
+        run={
+            "method": "custom",
+            "paradigm": "meta_init",
+            "inner_rule": "gd",
+            "hypergrad_method": "implicit",
+        },
+        hypergrad={"prox_lambda": 0},
+    )
+    code = entry(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: run aborted at meta-iteration 0: <p, Ap> = ")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_passes_and_writes_report(tmp_path, capsys):
     report = tmp_path / "report.jsonl"
     code = entry(["verify", "--profile", "exact", "--report", str(report)])

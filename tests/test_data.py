@@ -234,3 +234,46 @@ def test_missing_root_raises(tmp_path):
 def test_only_csv_format_supported(tmp_path):
     with pytest.raises(ValueError):
         load_class_directory(tmp_path, file_format="parquet")
+
+
+# --------------------------------------------------------------------------
+# the sampler's random draws, pinned
+# --------------------------------------------------------------------------
+
+
+def _reference_draws(source, spec, rng):
+    """The sampler's RNG calls spelled out: one child stream per task, one
+    class choice, then one draw per chosen class in order."""
+    names = source.class_names()
+    per_task = []
+    for j in range(spec.batch_size):
+        gen = rng.child(j).generator()
+        chosen = gen.choice(len(names), size=spec.way, replace=False)
+        per_task.append([source.draw(names[c], spec.shot + spec.query, gen) for c in chosen])
+    return per_task
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "directory"])
+def test_sampler_matches_a_reconstruction_of_its_draws(tmp_path, kind):
+    if kind == "synthetic":
+        source = _source(num_classes=6)
+    else:
+        _write_corpus(tmp_path, n_per_class=7, classes=("a", "b", "c", "d", "e"))
+        source = ClassDirectory.from_path(tmp_path)
+    spec = EpisodeSpec(way=3, shot=2, query=3, batch_size=4)
+    batch = sample_task_batch(source, spec, RngStream(5, 9))
+    reference = _reference_draws(source, spec, RngStream(5, 9))
+    for task, draws in zip(batch, reference, strict=True):
+        assert np.array_equal(task.train_features, np.concatenate([d[:2] for d in draws]))
+        assert np.array_equal(task.val_features, np.concatenate([d[2:] for d in draws]))
+        assert task.train_labels.tolist() == [0, 0, 1, 1, 2, 2]
+        assert task.val_labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        for examples, features, labels in (
+            (task.train, task.train_features, task.train_labels),
+            (task.val, task.val_features, task.val_labels),
+        ):
+            assert [e.label for e in examples] == labels.tolist()
+            assert all(np.array_equal(e.features, row) for e, row in zip(examples, features))
+    assert batch.train_features.shape == (4, 6, source.feature_dim())
+    assert np.array_equal(batch.val_features, np.stack([t.val_features for t in batch]))
+    assert np.array_equal(batch.train_labels, np.stack([t.train_labels for t in batch]))

@@ -414,3 +414,51 @@ def test_problems_accept_extended_x_but_reject_wrong_y(
     bad_y = ParamVector.zeros(Layout([("w", 2)]))
     with pytest.raises(LayoutMismatch):
         softmax_problem.value(x_ext, bad_y, small_task, Split.TRAIN)
+
+
+# --------------------------------------------------------------------------
+# batch methods over a leading task axis
+# --------------------------------------------------------------------------
+
+
+def _batch_problems():
+    for reg in sorted(_MLP_REGS):
+        yield pytest.param(
+            make_meta_feature_softmax(DIM_IN, 6, WAY, reg=_MLP_REGS[reg]), id=f"softmax-{reg}"
+        )
+        for hidden in (0, 16):
+            for loss in LossKind:
+                yield pytest.param(
+                    make_meta_init_mlp(DIM_IN, hidden, WAY, loss=loss, reg=_MLP_REGS[reg]),
+                    id=f"mlp{hidden}-{loss.value}-{reg}",
+                )
+
+
+def _rel_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("split", [Split.TRAIN, Split.VAL], ids=lambda s: s.value)
+@pytest.mark.parametrize("prob", list(_batch_problems()))
+def test_batch_methods_match_the_per_task_oracles_row_by_row(prob, split, small_batch):
+    x = _randvec(prob.x_layout, 70)
+    ys = [_randvec(prob.y_layout, 71 + j) for j in range(len(small_batch))]
+    stack = np.stack([y.values for y in ys])
+    grads = prob.grad_y_batch(x, stack, small_batch, split)
+    values = prob.value_batch(x, stack, small_batch, split)
+    scores = prob.predict_batch(x, stack, small_batch.val_features)
+    assert grads.shape == stack.shape
+    assert values.shape == (len(small_batch),)
+    for j, (y, task) in enumerate(zip(ys, small_batch)):
+        assert _rel_gap(grads[j], prob.grad_y(x, y, task, split).values) < 1e-12
+        assert values[j] == pytest.approx(prob.value(x, y, task, split), rel=1e-12, abs=0)
+        assert _rel_gap(scores[j], prob.predict(x, y, task.val_features)) < 1e-12
+
+
+def test_batch_methods_reject_a_stack_of_the_wrong_shape(softmax_problem, small_batch):
+    x = _randvec(softmax_problem.x_layout, 80)
+    stack = np.zeros((len(small_batch) + 1, softmax_problem.y_layout.dim))
+    with pytest.raises(LayoutMismatch):
+        softmax_problem.grad_y_batch(x, stack, small_batch, Split.TRAIN)
+    with pytest.raises(LayoutMismatch):
+        softmax_problem.value_batch(x, stack[:, 1:], small_batch, Split.VAL)

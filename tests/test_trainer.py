@@ -2,24 +2,36 @@
 training determinism, and evaluation purity."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bilevelopt import (
+    METHOD_NAMES,
     Adam,
     ConfigError,
     ExperimentConfig,
+    IndefiniteCurvature,
+    LengthMismatch,
     Momentum,
     NonFiniteValue,
+    Paradigm,
+    RngStream,
     Sgd,
+    Split,
     apply_overrides,
     build_experiment,
+    compose_named_method,
+    init_task_params,
     meta_evaluate,
     meta_train,
     metrics_to_jsonl,
+    run_inner,
+    sample_task_batch,
 )
 from bilevelopt.inner import softplus_inverse
+from bilevelopt.trainer import _EVAL_INIT_STREAM, _EVAL_TASK_STREAM
 
 
 def _maml_raw(**run_fields):
@@ -470,3 +482,98 @@ def test_quadratic_evaluation_reports_no_accuracy():
     loss, acc = meta_evaluate(exp, state, 3)
     assert acc is None
     assert np.isfinite(loss)
+
+
+def _per_task_evaluate(exp, state, n_tasks, round_index):
+    """meta_evaluate as a plain loop over tasks: the reference for the
+    batched path."""
+    seed, x, cfg = exp.cfg.run.seed, state.x, exp.inner_config
+    init_root = RngStream(seed, _EVAL_INIT_STREAM).child(round_index)
+    if exp.source is None:
+        tasks = (None,) * n_tasks
+    else:
+        spec = replace(exp.episode_spec, batch_size=n_tasks)
+        rng = RngStream(seed, _EVAL_TASK_STREAM).child(round_index)
+        tasks = sample_task_batch(exp.source, spec, rng).tasks
+    losses, accuracies = [], []
+    for j, task in enumerate(tasks):
+        y0 = init_task_params(exp.paradigm, exp.problem, x, init_root.child(j))
+        y = run_inner(cfg.rule, cfg, exp.problem, x, y0, task).y_final
+        losses.append(exp.problem.value(x, y, task, Split.VAL))
+        if exp.problem.is_classifier and task is not None:
+            scores = exp.problem.predict(x, y, task.val_features)
+            accuracies.append(float(np.mean(np.argmax(scores, axis=1) == task.val_labels)))
+    return float(np.mean(losses)), (float(np.mean(accuracies)) if accuracies else None)
+
+
+def _eval_cases():
+    for name in METHOD_NAMES:
+        meta_init = compose_named_method(name).paradigm is Paradigm.META_INIT
+        yield pytest.param(_maml_raw(method=name) if meta_init else _feature_raw(name), id=name)
+    for rule in ("gd", "meta_sgd", "bda", "mtnet_mask", "warp_grad_diag"):
+        composition = {"paradigm": "meta_init", "inner_rule": rule, "hypergrad_method": "reverse"}
+        yield pytest.param(_maml_raw(method="custom", **composition), id=f"mlp-{rule}")
+    mse = _maml_raw()
+    mse["problem"]["loss"] = "mse"
+    yield pytest.param(mse, id="mlp-mse")
+    yield pytest.param(
+        {
+            "problem": {"kind": "quadratic"},
+            "inner": {"steps": 10, "step_size": 0.25},
+            "run": {"method": "RHG", "meta_iterations": 2},
+        },
+        id="quadratic",
+    )
+
+
+@pytest.mark.parametrize("raw", list(_eval_cases()))
+def test_meta_evaluate_matches_a_per_task_loop(raw):
+    exp, state = build_experiment(ExperimentConfig.from_dict(raw))
+    state, _ = meta_train(exp, state)
+    loss, acc = meta_evaluate(exp, state, 7, round_index=3)
+    ref_loss, ref_acc = _per_task_evaluate(exp, state, 7, round_index=3)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    assert acc == ref_acc
+    if raw["problem"].get("loss") == "mse" or raw["problem"]["kind"] == "quadratic":
+        assert acc is None
+
+
+def test_meta_evaluate_makes_no_per_task_oracle_calls_on_the_classifiers():
+    # cost model: both built-in classifier problems evaluate through their
+    # batch methods, so the per-task oracles below record no calls
+    for raw in (_maml_raw(), _feature_raw()):
+        exp, state = build_experiment(ExperimentConfig.from_dict(raw))
+        calls = []
+        for name in ("grad_y", "value", "predict"):
+
+            def counted(*args, inner=getattr(exp.problem, name), name=name):
+                calls.append(name)
+                return inner(*args)
+
+            setattr(exp.problem, name, counted)
+        meta_evaluate(exp, state, 6)
+        assert calls == []
+        # training keeps the per-task path, and the wrappers see it
+        meta_train(exp, state)
+        assert "grad_y" in calls
+
+
+def test_errors_raised_in_training_name_the_meta_iteration():
+    raw = _maml_raw(method="custom", paradigm="meta_init", inner_rule="gd",
+                    hypergrad_method="implicit")
+    raw["problem"]["hidden"] = 16
+    raw["hypergrad"] = {"prox_lambda": 0}
+    exp, state = build_experiment(ExperimentConfig.from_dict(raw))
+    with pytest.raises(IndefiniteCurvature, match="meta-iteration 0: <p, Ap>"):
+        meta_train(exp, state)
+
+
+def test_errors_raised_in_evaluation_name_the_meta_iteration():
+    exp, state = build_experiment(ExperimentConfig.from_dict(_maml_raw(eval_every=2)))
+
+    def failing(*args):
+        raise LengthMismatch("evaluation broke")
+
+    exp.problem.value_batch = failing
+    with pytest.raises(LengthMismatch, match="meta-iteration 1: evaluation broke"):
+        meta_train(exp, state)
