@@ -51,7 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a config field by dotted path, e.g. inner.steps=10",
     )
-    p_run.add_argument("--threads", type=int, default=None, help="worker threads per batch")
+    p_run.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility and ignored; tasks always run serially",
+    )
 
     p_verify = sub.add_parser("verify", help="run the estimator gradcheck suite")
     p_verify.add_argument(

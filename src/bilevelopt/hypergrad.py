@@ -115,7 +115,6 @@ class HyperGradResult:
 
 def _reverse_sweep(
     problem: BilevelObjective,
-    paradigm: Paradigm,
     traj: InnerTrajectory,
     x: ParamVector,
     task,
@@ -160,7 +159,7 @@ def hypergrad_reverse(
             "reverse hypergradient needs the full trajectory; rerun with record=True"
         )
     g, ul = _reverse_sweep(
-        problem, paradigm, traj, x, task,
+        problem, traj, x, task,
         first_step=1,
         include_init=paradigm is Paradigm.META_INIT,
     )
@@ -191,7 +190,7 @@ def hypergrad_truncated(
             "truncated reverse needs recorded iterates; rerun with record=True"
         )
     g, ul = _reverse_sweep(
-        problem, paradigm, traj, x, task,
+        problem, traj, x, task,
         first_step=t_total - k + 1,
         include_init=(paradigm is Paradigm.META_INIT and k == t_total),
     )

@@ -5,10 +5,10 @@ initialization rule followed by T applications of a step rule. Five step
 rules are supported; every one is an explicit map y_next = Phi(x, y_prev)
 whose Jacobian-transpose products against a vector come from just two
 problem oracles (hvp_yy and cross_hvp), which is what the reverse-mode
-hypergradient needs.
+hypergradient needs. Four rules are y - scale * d(x) * grad_y and differ
+only in the per-coordinate factor d; BDA mixes the gradients of both splits.
 
-Rules beyond plain gradient descent keep their meta-parameters inside extra
-segments of x:
+Rules with a factor keep its meta-parameters inside extra segments of x:
 
   meta_sgd       "rates"        per-coordinate step sizes through softplus
   mtnet_mask     "mask_logits"  one logit per y segment, sigmoid-gated step
@@ -102,8 +102,6 @@ class InnerTrajectory:
 
     iterates: tuple[ParamVector, ...]
     config: InnerConfig
-    task: object
-    x_snapshot: ParamVector
     recorded: bool = True
 
     @property
@@ -160,37 +158,54 @@ def _require_segment(x: ParamVector, name: str, rule: InnerRule) -> np.ndarray:
     return x.segment(name)
 
 
-def _mask_per_coordinate(x: ParamVector, y_layout: Layout, rule: InnerRule) -> np.ndarray:
-    logits = _require_segment(x, "mask_logits", rule)
-    if logits.shape[0] != len(y_layout.segments):
-        raise MissingSegment(
-            f"mask_logits has {logits.shape[0]} entries for "
-            f"{len(y_layout.segments)} y segments"
-        )
-    lengths = [seg.length for seg in y_layout.segments]
-    return np.repeat(sigmoid(logits), lengths)
+def _factor(rule: InnerRule, config: InnerConfig, x: ParamVector, y_layout: Layout):
+    """The rule's step as y - scale * d(x) * g: returns (scale, d, name, pullback).
+
+    d is the per-coordinate factor read from x segment `name` (None, and no
+    segment, for GD and BDA). pullback(c, g, v) is the gradient of
+    c * <d * g, v> with respect to that segment; c comes first so each
+    product keeps its evaluation order.
+    """
+    s = config.step_size
+    if rule is InnerRule.META_SGD:
+        rates = _require_segment(x, "rates", rule)
+        return 1.0, softplus(rates), "rates", lambda c, g, v: c * sigmoid(rates) * g * v
+    if rule is InnerRule.MTNET_MASK:
+        logits = _require_segment(x, "mask_logits", rule)
+        if logits.shape[0] != len(y_layout.segments):
+            raise MissingSegment(
+                f"mask_logits has {logits.shape[0]} entries for "
+                f"{len(y_layout.segments)} y segments"
+            )
+        sig = sigmoid(logits)
+        mask = np.repeat(sig, [seg.length for seg in y_layout.segments])
+        offsets = [seg.offset for seg in y_layout.segments]
+
+        def pullback(c, g, v):
+            return c * sig * (1.0 - sig) * np.add.reduceat(g * v, offsets)
+
+        return s, mask, "mask_logits", pullback
+    if rule is InnerRule.WARP_GRAD_DIAG:
+        d = np.exp(_require_segment(x, "warp_logdiag", rule))
+        return s, d, "warp_logdiag", lambda c, g, v: c * d * g * v
+    return s, None, None, None
+
+
+def _mix(rule: InnerRule, config: InnerConfig, f):
+    """f(Split.TRAIN), or under BDA the bda_alpha-weighted mix of f over
+    the train and val splits."""
+    if rule is not InnerRule.BDA:
+        return f(Split.TRAIN)
+    a = config.bda_alpha
+    return a * f(Split.TRAIN) + (1.0 - a) * f(Split.VAL)
 
 
 def _step(rule: InnerRule, config: InnerConfig, y_layout: Layout, x: ParamVector, y, grad):
     """One step of `rule` on y values of shape (..., dim); grad(split) gives
     grad_y values at y in the same shape."""
-    s = config.step_size
-    g_f = grad(Split.TRAIN)
-
-    if rule is InnerRule.GD:
-        y_next = y - s * g_f
-    elif rule is InnerRule.META_SGD:
-        y_next = y - softplus(_require_segment(x, "rates", rule)) * g_f
-    elif rule is InnerRule.BDA:
-        a = config.bda_alpha
-        y_next = y - s * (a * g_f + (1.0 - a) * grad(Split.VAL))
-    elif rule is InnerRule.MTNET_MASK:
-        y_next = y - s * _mask_per_coordinate(x, y_layout, rule) * g_f
-    elif rule is InnerRule.WARP_GRAD_DIAG:
-        y_next = y - s * np.exp(_require_segment(x, "warp_logdiag", rule)) * g_f
-    else:
-        raise ValueError(f"unhandled rule {rule!r}")
-
+    scale, d, _, _ = _factor(rule, config, x, y_layout)
+    g = _mix(rule, config, grad)
+    y_next = y - scale * g if d is None else y - scale * d * g
     if not np.all(np.isfinite(y_next)):
         raise NonFiniteValue(f"inner step under rule {rule.value} produced non-finite y")
     return y_next
@@ -230,8 +245,6 @@ def run_inner(
     return InnerTrajectory(
         iterates=tuple(kept),
         config=config,
-        task=task,
-        x_snapshot=x,
         recorded=record or config.steps <= 1,
     )
 
@@ -252,11 +265,6 @@ def run_inner_batch(
     return ys
 
 
-def _segment_inner_products(values: np.ndarray, layout: Layout) -> np.ndarray:
-    offsets = [seg.offset for seg in layout.segments]
-    return np.add.reduceat(values, offsets)
-
-
 def step_transposed_jvps(
     rule: InnerRule,
     config: InnerConfig,
@@ -273,48 +281,13 @@ def step_transposed_jvps(
     the adjoint flows backward through aT_v while bT_v accumulates into the
     meta-gradient.
     """
-    s = config.step_size
-
-    def hvp(w: ParamVector, split=Split.TRAIN) -> ParamVector:
-        return problem.hvp_yy(x, y_prev, task, split, w)
-
-    def cross(w: ParamVector, split=Split.TRAIN) -> ParamVector:
-        return problem.cross_hvp(x, y_prev, task, split, w)
-
-    if rule is InnerRule.GD:
-        aT = v - s * hvp(v)
-        bT = -s * cross(v)
-    elif rule is InnerRule.META_SGD:
-        rates = _require_segment(x, "rates", rule)
-        sig = softplus(rates)
-        sv = v.like(sig * v.values)
-        aT = v - hvp(sv)
+    scale, d, name, pullback = _factor(rule, config, x, y_prev.layout)
+    w = v if d is None else v.like(d * v.values)
+    aT = v - scale * _mix(rule, config, lambda split: problem.hvp_yy(x, y_prev, task, split, w))
+    bT = -scale * _mix(rule, config, lambda split: problem.cross_hvp(x, y_prev, task, split, w))
+    if d is not None:
         g_f = problem.grad_y(x, y_prev, task, Split.TRAIN)
-        bT = -cross(sv)
-        bT = bT.add_to_segment("rates", -sigmoid(rates) * g_f.values * v.values)
-    elif rule is InnerRule.BDA:
-        a = config.bda_alpha
-        aT = v - s * (a * hvp(v) + (1.0 - a) * hvp(v, Split.VAL))
-        bT = -s * (a * cross(v) + (1.0 - a) * cross(v, Split.VAL))
-    elif rule is InnerRule.MTNET_MASK:
-        m = _mask_per_coordinate(x, y_prev.layout, rule)
-        mv = v.like(m * v.values)
-        aT = v - s * hvp(mv)
-        g_f = problem.grad_y(x, y_prev, task, Split.TRAIN)
-        logits = x.segment("mask_logits")
-        sig = sigmoid(logits)
-        per_seg = _segment_inner_products(g_f.values * v.values, y_prev.layout)
-        bT = -s * cross(mv)
-        bT = bT.add_to_segment("mask_logits", -s * sig * (1.0 - sig) * per_seg)
-    elif rule is InnerRule.WARP_GRAD_DIAG:
-        d = np.exp(_require_segment(x, "warp_logdiag", rule))
-        dv = v.like(d * v.values)
-        aT = v - s * hvp(dv)
-        g_f = problem.grad_y(x, y_prev, task, Split.TRAIN)
-        bT = -s * cross(dv)
-        bT = bT.add_to_segment("warp_logdiag", -s * d * g_f.values * v.values)
-    else:
-        raise ValueError(f"unhandled rule {rule!r}")
+        bT = bT.add_to_segment(name, pullback(-scale, g_f.values, v.values))
 
     if not (aT.is_finite() and bT.is_finite()):
         raise NonFiniteValue(f"transposed products under rule {rule.value} are non-finite")

@@ -110,7 +110,9 @@ class ParamVector:
     """Immutable float64 vector carrying a segment layout.
 
     Arithmetic is only defined between vectors with identical layouts;
-    anything else raises LayoutMismatch.
+    anything else raises LayoutMismatch. With copy=False a float64 array is
+    not copied but made read-only in place, so the caller hands it over and
+    must not keep writing to it.
     """
 
     __slots__ = ("layout", "values")
@@ -121,7 +123,7 @@ class ParamVector:
             raise LayoutMismatch(
                 f"value shape {arr.shape} does not match layout dim {layout.dim}"
             )
-        if copy or arr.flags.writeable:
+        if copy:
             arr = arr.copy()
         arr.setflags(write=False)
         self.layout = layout

@@ -212,8 +212,6 @@ class QuadraticBilevel(BilevelObjective):
     dF/dx = A^T (A x / (1+lam) - b) / (1 + lam).
     """
 
-    exact_hvp = True
-
     def __init__(self, a, lam: float, b):
         if lam <= 0:
             raise ValueError("lam must be > 0")
@@ -390,7 +388,6 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
     hvp_yy builds. The regularizer never reads x, so it adds nothing there.
     """
 
-    exact_hvp = True
     is_classifier = True
 
     def __init__(self, dim_in: int, dim_feat: int, way: int, reg: Regularizer | None = None):
@@ -483,8 +480,6 @@ class MetaInitMlp(_TaskAxisObjective):
     Gradients are analytic backprop; hvp_yy is Pearlmutter's exact
     R-operator, a forward-mode pass through that backprop.
     """
-
-    exact_hvp = True
 
     def __init__(
         self,

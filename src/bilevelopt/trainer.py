@@ -4,9 +4,9 @@ held-out evaluation.
 One meta-iteration samples a batch of tasks, adapts each task's parameters
 with the configured inner dynamics from a shared immutable snapshot of x,
 estimates the per-task meta-gradients, averages them in task-index order,
-and applies one meta-optimizer step. Per-task work is embarrassingly
-parallel; with threads > 1 it runs on a pool, and the fixed reduction order
-keeps results independent of scheduling.
+and applies one meta-optimizer step. Tasks run serially, in task order.
+run.threads is still accepted and validated but ignored: a thread pool over
+the tasks measured slower than serial on every preset tried.
 
 All randomness derives from the run seed through named counter-based
 streams (task sampling, per-task inits, evaluation, parameter init), so a
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import get_args, get_type_hints
 
@@ -226,7 +225,7 @@ class RunSection:
     eval_every: int = 100
     eval_tasks: int = 50
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # validated but ignored; tasks run serially
 
     def __post_init__(self):
         for name in ("meta_iterations", "eval_every", "eval_tasks", "threads"):
@@ -507,57 +506,47 @@ def meta_train(
     cfg = exp.cfg
     records: list[MetricsRecord] = []
     n_batch = cfg.data.batch_size
-    pool = ThreadPoolExecutor(cfg.run.threads) if cfg.run.threads > 1 else None
-    try:
-        for _ in range(cfg.run.meta_iterations):
-            start = time.perf_counter()
-            it = state.iteration
-            try:
-                tasks = _training_tasks(exp, it)
-                init_root = RngStream(cfg.run.seed, _INIT_STREAM).child(it)
-                x_snap = state.x
+    for _ in range(cfg.run.meta_iterations):
+        start = time.perf_counter()
+        it = state.iteration
+        try:
+            tasks = _training_tasks(exp, it)
+            init_root = RngStream(cfg.run.seed, _INIT_STREAM).child(it)
+            results = [
+                _adapt_and_grade(exp, state.x, task, init_root.child(j))
+                for j, task in enumerate(tasks)
+            ]
 
-                def work(j: int):
-                    return _adapt_and_grade(exp, x_snap, tasks[j], init_root.child(j))
+            g_total = results[0][0]
+            for grad, _, _ in results[1:]:
+                g_total = g_total + grad
+            g_mean = g_total * (1.0 / n_batch)
+            ul_loss = sum(r[1] for r in results) / n_batch
+            inner_loss = sum(r[2] for r in results) / n_batch
 
-                if pool is None:
-                    results = [work(j) for j in range(n_batch)]
-                else:
-                    results = list(pool.map(work, range(n_batch)))
+            x_next, opt_next = meta_step(state.opt, state.x, g_mean)
+            state = TrainState(x=x_next, opt=opt_next, iteration=it + 1)
 
-                g_total = results[0][0]
-                for grad, _, _ in results[1:]:
-                    g_total = g_total + grad
-                g_mean = g_total * (1.0 / n_batch)
-                ul_loss = sum(r[1] for r in results) / n_batch
-                inner_loss = sum(r[2] for r in results) / n_batch
-
-                x_next, opt_next = meta_step(state.opt, state.x, g_mean)
-                state = TrainState(x=x_next, opt=opt_next, iteration=it + 1)
-
-                eval_loss = None
-                eval_acc = None
-                if (it + 1) % cfg.run.eval_every == 0:
-                    eval_loss, eval_acc = meta_evaluate(
-                        exp, state, cfg.run.eval_tasks, round_index=it + 1
-                    )
-            except BilevelError as e:
-                # keeps the type, attributes and traceback of the original
-                e.args = (f"run aborted at meta-iteration {it}: {e}",)
-                raise
-            records.append(
-                MetricsRecord(
-                    meta_iter=it,
-                    ul_loss=ul_loss,
-                    mean_inner_final_loss=inner_loss,
-                    eval_post_adapt_loss=eval_loss,
-                    eval_post_adapt_accuracy=eval_acc,
-                    wall_ms=(time.perf_counter() - start) * 1e3,
+            eval_loss = None
+            eval_acc = None
+            if (it + 1) % cfg.run.eval_every == 0:
+                eval_loss, eval_acc = meta_evaluate(
+                    exp, state, cfg.run.eval_tasks, round_index=it + 1
                 )
+        except BilevelError as e:
+            # keeps the type, attributes and traceback of the original
+            e.args = (f"run aborted at meta-iteration {it}: {e}",)
+            raise
+        records.append(
+            MetricsRecord(
+                meta_iter=it,
+                ul_loss=ul_loss,
+                mean_inner_final_loss=inner_loss,
+                eval_post_adapt_loss=eval_loss,
+                eval_post_adapt_accuracy=eval_acc,
+                wall_ms=(time.perf_counter() - start) * 1e3,
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        )
     return state, records
 
 

@@ -110,8 +110,6 @@ class ZeroCurvatureInner(BilevelObjective):
     plain quadratic pull toward a target. Exists to isolate estimator
     behavior when all curvature terms vanish."""
 
-    exact_hvp = True
-
     def __init__(self, c, b):
         c_arr = np.atleast_1d(np.asarray(c, dtype=np.float64))
         b_arr = np.atleast_1d(np.asarray(b, dtype=np.float64))

@@ -96,6 +96,21 @@ def test_paramvector_is_immutable():
     assert w.values[0] == 1.0
 
 
+def test_paramvector_without_copy_freezes_the_given_array():
+    lay = Layout([("a", 3)])
+    src = np.array([1.0, 2.0, 3.0])
+    v = ParamVector(lay, src, copy=False)
+    assert np.shares_memory(v.values, src)
+    assert not src.flags.writeable
+    with pytest.raises(ValueError):
+        src[0] = 99.0
+    # the default still copies and leaves the source writable
+    src2 = np.array([1.0, 2.0, 3.0])
+    w = ParamVector(lay, src2)
+    assert not np.shares_memory(w.values, src2)
+    assert src2.flags.writeable
+
+
 def test_paramvector_shape_must_match_layout():
     with pytest.raises(LayoutMismatch):
         ParamVector(Layout([("a", 3)]), [1.0, 2.0])

@@ -2,6 +2,7 @@
 training determinism, and evaluation purity."""
 
 import copy
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -389,6 +390,16 @@ def test_thread_pool_matches_serial_execution():
     for a, b in zip(rec_s, rec_p):
         assert abs(a.ul_loss - b.ul_loss) <= 1e-12
         assert abs(a.mean_inner_final_loss - b.mean_inner_final_loss) <= 1e-12
+
+
+def test_threads_setting_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("meta_train started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    exp, state = build_experiment(ExperimentConfig.from_dict(_maml_raw(threads=4)))
+    final, records = meta_train(exp, state)
+    assert final.iteration == 4 and len(records) == 4
 
 
 def test_training_resumes_from_returned_state():
