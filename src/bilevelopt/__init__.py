@@ -30,7 +30,6 @@ from .numerics import (
     Layout,
     ParamVector,
     RngStream,
-    Segment,
     conjugate_gradient,
     fd_gradient,
     fd_hvp,
@@ -43,7 +42,6 @@ from .data import (
     TaskBatch,
     TaskDataset,
     load_class_directory,
-    make_synthetic_classes,
     sample_task_batch,
 )
 from .objectives import (

@@ -29,7 +29,6 @@ __all__ = [
     "DatasetSource",
     "SyntheticGaussian",
     "ClassDirectory",
-    "make_synthetic_classes",
     "load_class_directory",
     "sample_task_batch",
 ]
@@ -213,16 +212,6 @@ class ClassDirectory(DatasetSource):
         rows = self._table[name]
         idx = gen.choice(rows.shape[0], size=count, replace=False)
         return rows[idx]
-
-
-def make_synthetic_classes(
-    num_classes: int,
-    dim: int,
-    cluster_spread: float = 10.0,
-    noise_sd: float = 0.1,
-    seed: int = 0,
-) -> SyntheticGaussian:
-    return SyntheticGaussian(num_classes, dim, cluster_spread, noise_sd, seed)
 
 
 def load_class_directory(root, file_format: str = "csv") -> dict[str, np.ndarray]:

@@ -11,6 +11,10 @@ Five strategies with different cost/accuracy trade-offs:
   * darts-style: one-step estimate whose curvature term is a central
     difference of gradients, costing two extra gradient evaluations.
 
+Each estimator is written once, for a batch of tasks stacked on a leading
+axis (compute_hypergradient_batch); the per-task functions run it on a
+batch of one, so a task's estimate never depends on the rest of its batch.
+
 Named compositions of (paradigm, inner rule, estimator) for ten methods from
 the meta-learning literature are exposed through compose_named_method.
 """
@@ -21,15 +25,24 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
+import numpy as np
+
+from .data import TaskBatch
 from .errors import (
     InsufficientIterates,
     NonFiniteValue,
     TrajectoryNotRecorded,
     UnknownMethod,
 )
-from .inner import InnerRule, InnerTrajectory, step_transposed_jvps
-from .numerics import ParamVector, conjugate_gradient
-from .objectives import BilevelObjective, Paradigm, Split
+from .inner import InnerConfig, InnerRule, InnerTrajectory, step_transposed_jvps_batch
+from .numerics import (
+    ParamVector,
+    conjugate_gradient_batch,
+    row_dots,
+    segment_add,
+    segment_rows,
+)
+from .objectives import BilevelObjective, Paradigm, Split, batch_oracle
 
 __all__ = [
     "Reverse",
@@ -39,12 +52,14 @@ __all__ = [
     "Darts",
     "HyperGradMethod",
     "HyperGradResult",
+    "HyperGradBatch",
     "hypergrad_reverse",
     "hypergrad_truncated",
     "hypergrad_implicit",
     "hypergrad_first_order",
     "hypergrad_darts",
     "compute_hypergradient",
+    "compute_hypergradient_batch",
     "needs_full_trajectory",
     "compose_named_method",
     "ComposedMethod",
@@ -113,35 +128,158 @@ class HyperGradResult:
             raise NonFiniteValue("hypergradient result is not finite")
 
 
+@dataclass(frozen=True)
+class HyperGradBatch:
+    """HyperGradResults of a task batch, stacked on a leading task axis:
+    grad_x is (tasks, dim_x) in x's layout; ul_value, cg_iters and
+    cg_residual are (tasks,)."""
+
+    grad_x: np.ndarray
+    ul_value: np.ndarray
+    cg_iters: np.ndarray | None = None
+    cg_residual: np.ndarray | None = None
+    truncation_k: int | None = None
+
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.grad_x)) and np.all(np.isfinite(self.ul_value))):
+            raise NonFiniteValue("hypergradient result is not finite")
+
+    def row(self, j: int, x_layout) -> HyperGradResult:
+        """The result of task j alone."""
+        return HyperGradResult(
+            grad_x=ParamVector(x_layout, self.grad_x[j]),
+            ul_value=float(self.ul_value[j]),
+            cg_iters=None if self.cg_iters is None else int(self.cg_iters[j]),
+            cg_residual=None if self.cg_residual is None else float(self.cg_residual[j]),
+            truncation_k=self.truncation_k,
+        )
+
+
+def _rows(traj: InnerTrajectory) -> np.ndarray:
+    """One task's trajectory as a batch of one: the (steps + 1, 1, dim_y)
+    stack when recorded, else its final iterate as a (1, dim_y) stack."""
+    if traj.recorded:
+        return np.stack([y.values for y in traj.iterates])[:, None]
+    return traj.y_final.values[None]
+
+
 def _reverse_sweep(
     problem: BilevelObjective,
-    traj: InnerTrajectory,
+    config: InnerConfig,
     x: ParamVector,
-    task,
+    traj: np.ndarray,
+    batch,
     first_step: int,
     include_init: bool,
-) -> tuple[ParamVector, float]:
-    """Adjoint recurrence over steps T..first_step of the trajectory.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint recurrence over steps T..first_step of a (T + 1, tasks, dim_y)
+    trajectory, every task at once.
 
     lam starts as the validation gradient at y_T; each visited step t adds
     the x-coupling term and pulls lam back through the step Jacobian. When
     include_init is set (meta-init paradigm, sweep reaching y_0), what is
     left of lam is exactly the gradient through the initialization.
     """
-    y_final = traj.y_final
-    ul = problem.value(x, y_final, task, Split.VAL)
-    lam = problem.grad_y(x, y_final, task, Split.VAL)
-    g = problem.grad_x(x, y_final, task, Split.VAL)
-    for t in range(traj.steps, first_step - 1, -1):
-        y_prev = traj.iterate(t - 1)
-        aT, bT = step_transposed_jvps(
-            traj.config.rule, traj.config, problem, x, y_prev, task, lam
-        )
-        g = g + bT
-        lam = aT
+    y_final = traj[-1]
+    ul = batch_oracle(problem, "value")(x, y_final, batch, Split.VAL)
+    lam = batch_oracle(problem, "grad_y")(x, y_final, batch, Split.VAL)
+    g = batch_oracle(problem, "grad_x")(x, y_final, batch, Split.VAL)
+    for t in range(config.steps, first_step - 1, -1):
+        a_t, b_t = step_transposed_jvps_batch(config, problem, x, traj[t - 1], batch, lam)
+        g = g + b_t
+        lam = a_t
     if include_init:
-        g = g.add_to_segment("init", lam.values)
+        g = segment_add(g, x.layout, "init", lam)
     return g, ul
+
+
+def _reverse(problem, paradigm, config, x, traj, batch) -> HyperGradBatch:
+    if traj.ndim != 3:
+        raise TrajectoryNotRecorded(
+            "reverse hypergradient needs the full trajectory; rerun with record=True"
+        )
+    g, ul = _reverse_sweep(
+        problem, config, x, traj, batch,
+        first_step=1,
+        include_init=paradigm is Paradigm.META_INIT,
+    )
+    return HyperGradBatch(grad_x=g, ul_value=ul)
+
+
+def _truncated(problem, paradigm, config, x, traj, batch, k) -> HyperGradBatch:
+    t_total = config.steps
+    if k is None:
+        k = max(1, math.ceil(t_total / 2))
+    if t_total < 1 or not 1 <= k <= t_total:
+        raise InsufficientIterates(f"truncation k={k} outside 1..{t_total}")
+    if traj.ndim != 3:
+        raise InsufficientIterates(
+            "truncated reverse needs recorded iterates; rerun with record=True"
+        )
+    g, ul = _reverse_sweep(
+        problem, config, x, traj, batch,
+        first_step=t_total - k + 1,
+        include_init=(paradigm is Paradigm.META_INIT and k == t_total),
+    )
+    return HyperGradBatch(grad_x=g, ul_value=ul, truncation_k=k)
+
+
+def _resolve_prox(cfg: Implicit, paradigm: Paradigm) -> float:
+    if cfg.prox_lambda is not None:
+        return cfg.prox_lambda
+    return 1.0 if paradigm is Paradigm.META_INIT else 0.0
+
+
+def _implicit(problem, paradigm, x, ys, batch, cfg: Implicit) -> HyperGradBatch:
+    prox = _resolve_prox(cfg, paradigm)
+    hvp_yy = batch_oracle(problem, "hvp_yy")
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        hv = hvp_yy(x, ys, batch, Split.TRAIN, v)
+        if prox != 0.0:
+            hv = hv + prox * v
+        return hv
+
+    rhs = batch_oracle(problem, "grad_y")(x, ys, batch, Split.VAL)
+    q, iters, residual, _ = conjugate_gradient_batch(
+        apply, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter
+    )
+    grad_x, cross_hvp = batch_oracle(problem, "grad_x"), batch_oracle(problem, "cross_hvp")
+    g = grad_x(x, ys, batch, Split.VAL) - cross_hvp(x, ys, batch, Split.TRAIN, q)
+    if paradigm is Paradigm.META_INIT and prox != 0.0:
+        g = segment_add(g, x.layout, "init", prox * q)
+    ul = batch_oracle(problem, "value")(x, ys, batch, Split.VAL)
+    return HyperGradBatch(grad_x=g, ul_value=ul, cg_iters=iters, cg_residual=residual)
+
+
+def _first_order(problem, paradigm, x, ys, batch) -> HyperGradBatch:
+    ul = batch_oracle(problem, "value")(x, ys, batch, Split.VAL)
+    if paradigm is Paradigm.META_INIT:
+        g_init = batch_oracle(problem, "grad_y")(x, ys, batch, Split.VAL)
+        g = segment_rows(x.layout, "init", g_init)
+    else:
+        g = batch_oracle(problem, "grad_x")(x, ys, batch, Split.VAL)
+    return HyperGradBatch(grad_x=g, ul_value=ul)
+
+
+def _darts(problem, paradigm, x, ys, batch, delta: float, step_size: float) -> HyperGradBatch:
+    if delta <= 0:
+        raise ValueError("delta must be > 0")
+    grad_y, grad_x = batch_oracle(problem, "grad_y"), batch_oracle(problem, "grad_x")
+    v = grad_y(x, ys, batch, Split.VAL)
+    ul = batch_oracle(problem, "value")(x, ys, batch, Split.VAL)
+    # each task's own difference step, from its own direction's norm
+    eps = (delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
+    y_plus = ys + eps * v
+    y_minus = ys - eps * v
+    scale = step_size / (2.0 * eps)
+    if paradigm is Paradigm.META_INIT:
+        bracket = grad_y(x, y_plus, batch, Split.TRAIN) - grad_y(x, y_minus, batch, Split.TRAIN)
+        g = segment_rows(x.layout, "init", v - scale * bracket)
+    else:
+        bracket = grad_x(x, y_plus, batch, Split.TRAIN) - grad_x(x, y_minus, batch, Split.TRAIN)
+        g = grad_x(x, ys, batch, Split.VAL) - scale * bracket
+    return HyperGradBatch(grad_x=g, ul_value=ul)
 
 
 def hypergrad_reverse(
@@ -154,16 +292,8 @@ def hypergrad_reverse(
     """Exact meta-gradient for the realized trajectory by backpropagating
     through every inner step (and through the initialization under the
     meta-init paradigm)."""
-    if not traj.recorded:
-        raise TrajectoryNotRecorded(
-            "reverse hypergradient needs the full trajectory; rerun with record=True"
-        )
-    g, ul = _reverse_sweep(
-        problem, traj, x, task,
-        first_step=1,
-        include_init=paradigm is Paradigm.META_INIT,
-    )
-    return HyperGradResult(grad_x=g, ul_value=ul)
+    res = _reverse(problem, paradigm, traj.config, x, _rows(traj), TaskBatch((task,)))
+    return res.row(0, x.layout)
 
 
 def hypergrad_truncated(
@@ -180,27 +310,8 @@ def hypergrad_truncated(
     through the initialization is cut, so under meta-init only the step
     couplings survive.
     """
-    t_total = traj.steps
-    if k is None:
-        k = max(1, math.ceil(t_total / 2))
-    if t_total < 1 or not 1 <= k <= t_total:
-        raise InsufficientIterates(f"truncation k={k} outside 1..{t_total}")
-    if not traj.recorded:
-        raise InsufficientIterates(
-            "truncated reverse needs recorded iterates; rerun with record=True"
-        )
-    g, ul = _reverse_sweep(
-        problem, traj, x, task,
-        first_step=t_total - k + 1,
-        include_init=(paradigm is Paradigm.META_INIT and k == t_total),
-    )
-    return HyperGradResult(grad_x=g, ul_value=ul, truncation_k=k)
-
-
-def _resolve_prox(cfg: Implicit, paradigm: Paradigm) -> float:
-    if cfg.prox_lambda is not None:
-        return cfg.prox_lambda
-    return 1.0 if paradigm is Paradigm.META_INIT else 0.0
+    res = _truncated(problem, paradigm, traj.config, x, _rows(traj), TaskBatch((task,)), k)
+    return res.row(0, x.layout)
 
 
 def hypergrad_implicit(
@@ -220,25 +331,8 @@ def hypergrad_implicit(
     (prox/2)*||y - x["init"]||^2 supplies the missing dependence; prox = 0
     there degenerates to a zero init gradient.
     """
-    prox = _resolve_prox(cfg, paradigm)
-
-    def apply(v: ParamVector) -> ParamVector:
-        hv = problem.hvp_yy(x, y_final, task, Split.TRAIN, v)
-        if prox != 0.0:
-            hv = hv + prox * v
-        return hv
-
-    rhs = problem.grad_y(x, y_final, task, Split.VAL)
-    sol = conjugate_gradient(apply, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
-    g = problem.grad_x(x, y_final, task, Split.VAL) - problem.cross_hvp(
-        x, y_final, task, Split.TRAIN, sol.q
-    )
-    if paradigm is Paradigm.META_INIT and prox != 0.0:
-        g = g.add_to_segment("init", prox * sol.q.values)
-    ul = problem.value(x, y_final, task, Split.VAL)
-    return HyperGradResult(
-        grad_x=g, ul_value=ul, cg_iters=sol.iters, cg_residual=sol.residual
-    )
+    res = _implicit(problem, paradigm, x, y_final.values[None], TaskBatch((task,)), cfg)
+    return res.row(0, x.layout)
 
 
 def hypergrad_first_order(
@@ -249,13 +343,8 @@ def hypergrad_first_order(
     task,
 ) -> HyperGradResult:
     """Curvature-free estimate: y_final is treated as a constant."""
-    ul = problem.value(x, y_final, task, Split.VAL)
-    if paradigm is Paradigm.META_INIT:
-        gy = problem.grad_y(x, y_final, task, Split.VAL)
-        g = ParamVector.zeros(x.layout).with_segment("init", gy.values)
-    else:
-        g = problem.grad_x(x, y_final, task, Split.VAL)
-    return HyperGradResult(grad_x=g, ul_value=ul)
+    res = _first_order(problem, paradigm, x, y_final.values[None], TaskBatch((task,)))
+    return res.row(0, x.layout)
 
 
 def hypergrad_darts(
@@ -274,27 +363,10 @@ def hypergrad_darts(
     delta controls absolute perturbation size. Cost is two gradient
     evaluations regardless of dimension.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    s = step_size
-    v = problem.grad_y(x, y_final, task, Split.VAL)
-    ul = problem.value(x, y_final, task, Split.VAL)
-    eps = delta / max(v.norm(), 1e-12)
-    y_plus = y_final + eps * v
-    y_minus = y_final - eps * v
-    scale = s / (2.0 * eps)
-    if paradigm is Paradigm.META_INIT:
-        bracket = problem.grad_y(x, y_plus, task, Split.TRAIN) - problem.grad_y(
-            x, y_minus, task, Split.TRAIN
-        )
-        g_init = v.values - scale * bracket.values
-        g = ParamVector.zeros(x.layout).with_segment("init", g_init)
-    else:
-        bracket = problem.grad_x(x, y_plus, task, Split.TRAIN) - problem.grad_x(
-            x, y_minus, task, Split.TRAIN
-        )
-        g = problem.grad_x(x, y_final, task, Split.VAL) - scale * bracket
-    return HyperGradResult(grad_x=g, ul_value=ul)
+    res = _darts(
+        problem, paradigm, x, y_final.values[None], TaskBatch((task,)), delta, step_size
+    )
+    return res.row(0, x.layout)
 
 
 def needs_full_trajectory(method: HyperGradMethod) -> bool:
@@ -311,19 +383,38 @@ def compute_hypergradient(
 ) -> HyperGradResult:
     """Dispatch on the method type; trajectory-free estimators read only the
     final iterate (and the step size, for the darts estimator)."""
+    res = compute_hypergradient_batch(
+        method, problem, paradigm, traj.config, x, _rows(traj), TaskBatch((task,))
+    )
+    return res.row(0, x.layout)
+
+
+def compute_hypergradient_batch(
+    method: HyperGradMethod,
+    problem: BilevelObjective,
+    paradigm: Paradigm,
+    config: InnerConfig,
+    x: ParamVector,
+    ys: np.ndarray,
+    batch: TaskBatch,
+) -> HyperGradBatch:
+    """compute_hypergradient for every task of `batch` at once.
+
+    ys is the (steps + 1, tasks, dim_y) trajectory that run_inner_batch
+    records under `config`; the estimators that read only the final iterate
+    also take that (tasks, dim_y) stack alone.
+    """
     if isinstance(method, Reverse):
-        return hypergrad_reverse(problem, paradigm, traj, x, task)
+        return _reverse(problem, paradigm, config, x, ys, batch)
     if isinstance(method, TruncatedReverse):
-        return hypergrad_truncated(problem, paradigm, traj, x, task, method.k)
+        return _truncated(problem, paradigm, config, x, ys, batch, method.k)
+    y_final = ys[-1] if ys.ndim == 3 else ys
     if isinstance(method, Implicit):
-        return hypergrad_implicit(problem, paradigm, x, traj.y_final, task, method)
+        return _implicit(problem, paradigm, x, y_final, batch, method)
     if isinstance(method, FirstOrder):
-        return hypergrad_first_order(problem, paradigm, x, traj.y_final, task)
+        return _first_order(problem, paradigm, x, y_final, batch)
     if isinstance(method, Darts):
-        return hypergrad_darts(
-            problem, paradigm, x, traj.y_final, task,
-            method.delta, traj.config.step_size,
-        )
+        return _darts(problem, paradigm, x, y_final, batch, method.delta, config.step_size)
     raise TypeError(f"unknown hypergradient method {method!r}")
 
 

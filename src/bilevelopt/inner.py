@@ -1,4 +1,4 @@
-"""Per-task inner dynamics.
+"""Inner dynamics, for one task or for a batch of tasks at once.
 
 An inner run is a short optimization of the task parameters y: an
 initialization rule followed by T applications of a step rule. Five step
@@ -13,20 +13,24 @@ Rules with a factor keep its meta-parameters inside extra segments of x:
   meta_sgd       "rates"        per-coordinate step sizes through softplus
   mtnet_mask     "mask_logits"  one logit per y segment, sigmoid-gated step
   warp_grad_diag "warp_logdiag" elementwise log of a diagonal warp
+
+The steps and their transposed products are written once, on (tasks, dim_y)
+stacks of y with one row per task; the per-task functions run them on a
+batch of one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .data import TaskBatch
 from .errors import MissingSegment, NonFiniteValue
-from .numerics import Layout, ParamVector, RngStream
-from .objectives import BilevelObjective, Paradigm, Split
+from .numerics import Layout, ParamVector, RngStream, segment_add
+from .objectives import BilevelObjective, Paradigm, Split, batch_oracle
 
 __all__ = [
     "InnerRule",
@@ -37,6 +41,7 @@ __all__ = [
     "run_inner",
     "run_inner_batch",
     "step_transposed_jvps",
+    "step_transposed_jvps_batch",
     "required_x_segments",
     "softplus",
     "softplus_inverse",
@@ -152,21 +157,28 @@ def init_task_params(
     return ParamVector(problem.y_layout, values, copy=False)
 
 
+def _with_rule(config: InnerConfig, rule: InnerRule) -> InnerConfig:
+    """config set to run `rule`. The public functions take both and the rule
+    wins, so a trajectory records the rule that was run."""
+    return config if config.rule is rule else replace(config, rule=rule)
+
+
 def _require_segment(x: ParamVector, name: str, rule: InnerRule) -> np.ndarray:
     if not x.layout.has(name):
         raise MissingSegment(f"rule {rule.value} needs x segment {name!r}")
     return x.segment(name)
 
 
-def _factor(rule: InnerRule, config: InnerConfig, x: ParamVector, y_layout: Layout):
+def _factor(config: InnerConfig, x: ParamVector, y_layout: Layout):
     """The rule's step as y - scale * d(x) * g: returns (scale, d, name, pullback).
 
     d is the per-coordinate factor read from x segment `name` (None, and no
     segment, for GD and BDA). pullback(c, g, v) is the gradient of
-    c * <d * g, v> with respect to that segment; c comes first so each
-    product keeps its evaluation order.
+    c * <d * g, v> with respect to that segment, one row per row of the
+    (tasks, dim_y) stacks g and v; c comes first so each product keeps its
+    evaluation order.
     """
-    s = config.step_size
+    rule, s = config.rule, config.step_size
     if rule is InnerRule.META_SGD:
         rates = _require_segment(x, "rates", rule)
         return 1.0, softplus(rates), "rates", lambda c, g, v: c * sigmoid(rates) * g * v
@@ -182,7 +194,7 @@ def _factor(rule: InnerRule, config: InnerConfig, x: ParamVector, y_layout: Layo
         offsets = [seg.offset for seg in y_layout.segments]
 
         def pullback(c, g, v):
-            return c * sig * (1.0 - sig) * np.add.reduceat(g * v, offsets)
+            return c * sig * (1.0 - sig) * np.add.reduceat(g * v, offsets, axis=-1)
 
         return s, mask, "mask_logits", pullback
     if rule is InnerRule.WARP_GRAD_DIAG:
@@ -191,24 +203,35 @@ def _factor(rule: InnerRule, config: InnerConfig, x: ParamVector, y_layout: Layo
     return s, None, None, None
 
 
-def _mix(rule: InnerRule, config: InnerConfig, f):
+def _mix(config: InnerConfig, f):
     """f(Split.TRAIN), or under BDA the bda_alpha-weighted mix of f over
     the train and val splits."""
-    if rule is not InnerRule.BDA:
+    if config.rule is not InnerRule.BDA:
         return f(Split.TRAIN)
     a = config.bda_alpha
     return a * f(Split.TRAIN) + (1.0 - a) * f(Split.VAL)
 
 
-def _step(rule: InnerRule, config: InnerConfig, y_layout: Layout, x: ParamVector, y, grad):
-    """One step of `rule` on y values of shape (..., dim); grad(split) gives
-    grad_y values at y in the same shape."""
-    scale, d, _, _ = _factor(rule, config, x, y_layout)
-    g = _mix(rule, config, grad)
-    y_next = y - scale * g if d is None else y - scale * d * g
+def _step(config: InnerConfig, problem: BilevelObjective, x: ParamVector, ys, batch):
+    """One step of config.rule on every row of the (tasks, dim_y) stack ys."""
+    scale, d, _, _ = _factor(config, x, problem.y_layout)
+    g = _mix(config, partial(batch_oracle(problem, "grad_y"), x, ys, batch))
+    y_next = ys - scale * g if d is None else ys - scale * d * g
     if not np.all(np.isfinite(y_next)):
-        raise NonFiniteValue(f"inner step under rule {rule.value} produced non-finite y")
+        raise NonFiniteValue(f"inner step under rule {config.rule.value} produced non-finite y")
     return y_next
+
+
+def _run(config: InnerConfig, problem, x, ys, batch, record: bool) -> list[np.ndarray]:
+    """Stacks y_0..y_T when recording, else y_0 and (after any step) y_T."""
+    kept = [ys]
+    for _ in range(config.steps):
+        ys = _step(config, problem, x, ys, batch)
+        if record:
+            kept.append(ys)
+    if not record and config.steps >= 1:
+        kept.append(ys)
+    return kept
 
 
 def inner_step(
@@ -219,10 +242,8 @@ def inner_step(
     y_prev: ParamVector,
     task,
 ) -> ParamVector:
-    def grad(split: Split) -> np.ndarray:
-        return problem.grad_y(x, y_prev, task, split).values
-
-    return y_prev.like(_step(rule, config, y_prev.layout, x, y_prev.values, grad))
+    ys = _step(_with_rule(config, rule), problem, x, y_prev.values[None], TaskBatch((task,)))
+    return y_prev.like(ys[0])
 
 
 def run_inner(
@@ -234,16 +255,10 @@ def run_inner(
     task,
     record: bool = True,
 ) -> InnerTrajectory:
-    y = y_0
-    kept = [y_0]
-    for _ in range(config.steps):
-        y = inner_step(rule, config, problem, x, y, task)
-        if record:
-            kept.append(y)
-    if not record and config.steps >= 1:
-        kept.append(y)
+    config = _with_rule(config, rule)
+    kept = _run(config, problem, x, y_0.values[None], TaskBatch((task,)), record)
     return InnerTrajectory(
-        iterates=tuple(kept),
+        iterates=(y_0,) + tuple(y_0.like(ys[0]) for ys in kept[1:]),
         config=config,
         recorded=record or config.steps <= 1,
     )
@@ -256,13 +271,15 @@ def run_inner_batch(
     x: ParamVector,
     ys: np.ndarray,
     batch: TaskBatch,
+    record: bool = False,
 ) -> np.ndarray:
-    """Final iterates of the inner runs of every task of `batch` at once,
-    from the rows of ys. Needs the problem's grad_y_batch."""
-    for _ in range(config.steps):
-        grad = partial(problem.grad_y_batch, x, ys, batch)
-        ys = _step(rule, config, problem.y_layout, x, ys, grad)
-    return ys
+    """The inner runs of every task of `batch` at once, from the rows of ys.
+
+    Returns the final iterates as a (tasks, dim_y) stack or, with record,
+    the whole (steps + 1, tasks, dim_y) trajectory y_0..y_T.
+    """
+    kept = _run(_with_rule(config, rule), problem, x, ys, batch, record)
+    return np.stack(kept) if record else kept[-1]
 
 
 def step_transposed_jvps(
@@ -281,14 +298,36 @@ def step_transposed_jvps(
     the adjoint flows backward through aT_v while bT_v accumulates into the
     meta-gradient.
     """
-    scale, d, name, pullback = _factor(rule, config, x, y_prev.layout)
-    w = v if d is None else v.like(d * v.values)
-    aT = v - scale * _mix(rule, config, lambda split: problem.hvp_yy(x, y_prev, task, split, w))
-    bT = -scale * _mix(rule, config, lambda split: problem.cross_hvp(x, y_prev, task, split, w))
-    if d is not None:
-        g_f = problem.grad_y(x, y_prev, task, Split.TRAIN)
-        bT = bT.add_to_segment(name, pullback(-scale, g_f.values, v.values))
+    a_t, b_t = step_transposed_jvps_batch(
+        _with_rule(config, rule), problem, x, y_prev.values[None], TaskBatch((task,)),
+        v.values[None],
+    )
+    return v.like(a_t[0]), x.like(b_t[0])
 
-    if not (aT.is_finite() and bT.is_finite()):
-        raise NonFiniteValue(f"transposed products under rule {rule.value} are non-finite")
-    return aT, bT
+
+def step_transposed_jvps_batch(
+    config: InnerConfig,
+    problem: BilevelObjective,
+    x: ParamVector,
+    ys: np.ndarray,
+    batch: TaskBatch,
+    vs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """step_transposed_jvps for every task of `batch` at once, at the rows
+    of the (tasks, dim_y) stacks ys and vs, under config.rule; returns the
+    (tasks, dim_y) and (tasks, dim_x) stacks."""
+    scale, d, name, pullback = _factor(config, x, problem.y_layout)
+    w = vs if d is None else d * vs
+
+    def products(oracle):
+        return _mix(config, lambda split: batch_oracle(problem, oracle)(x, ys, batch, split, w))
+
+    a_t = vs - scale * products("hvp_yy")
+    b_t = -scale * products("cross_hvp")
+    if d is not None:
+        g_f = batch_oracle(problem, "grad_y")(x, ys, batch, Split.TRAIN)
+        b_t = segment_add(b_t, x.layout, name, pullback(-scale, g_f, vs))
+
+    if not (np.all(np.isfinite(a_t)) and np.all(np.isfinite(b_t))):
+        raise NonFiniteValue(f"transposed products under rule {config.rule.value} are non-finite")
+    return a_t, b_t

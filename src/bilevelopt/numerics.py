@@ -19,12 +19,15 @@ from .errors import (
 )
 
 __all__ = [
-    "Segment",
     "Layout",
     "ParamVector",
     "RngStream",
     "CgSolve",
     "conjugate_gradient",
+    "conjugate_gradient_batch",
+    "segment_add",
+    "segment_rows",
+    "row_dots",
     "fd_gradient",
     "fd_hvp",
 ]
@@ -152,9 +155,7 @@ class ParamVector:
         return ParamVector(self.layout, out, copy=False)
 
     def add_to_segment(self, name: str, values) -> "ParamVector":
-        sl = self.layout.slice_of(name)
-        out = self.values.copy()
-        out[sl] += np.asarray(values, dtype=np.float64)
+        out = segment_add(self.values, self.layout, name, np.asarray(values, dtype=np.float64))
         return ParamVector(self.layout, out, copy=False)
 
     def _check_same_layout(self, other: "ParamVector"):
@@ -204,6 +205,28 @@ class ParamVector:
 
     def __repr__(self) -> str:
         return f"ParamVector({self.layout}, {self.values!r})"
+
+
+def segment_add(rows: np.ndarray, layout: Layout, name: str, part) -> np.ndarray:
+    """A copy of rows, (..., layout.dim), with part added to segment `name`
+    of each row."""
+    out = rows.copy()
+    out[..., layout.slice_of(name)] += part
+    return out
+
+
+def segment_rows(layout: Layout, name: str, part: np.ndarray) -> np.ndarray:
+    """Rows (..., layout.dim) that hold part, (..., length), in segment
+    `name` and zero elsewhere."""
+    out = np.zeros(part.shape[:-1] + (layout.dim,))
+    out[..., layout.slice_of(name)] = part
+    return out
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> of each pair of rows of two (..., dim) stacks, each taken
+    exactly as a 1-D a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 _MASK64 = (1 << 64) - 1
@@ -264,61 +287,94 @@ def conjugate_gradient(
     Raises NonFiniteValue if any inner product turns NaN/Inf and
     IndefiniteCurvature when a search direction has <p, Ap> <= 0.
     """
+
+    def apply_row(rows: np.ndarray) -> np.ndarray:
+        out = apply(b.like(rows[0]))
+        if out.layout != b.layout:
+            raise LayoutMismatch("linear-map output layout differs from b")
+        return out.values[None]
+
+    q, iters, residual, converged = conjugate_gradient_batch(
+        apply_row, b.values[None], tol, max_iter
+    )
+    return CgSolve(b.like(q[0]), int(iters[0]), float(residual[0]), bool(converged[0]))
+
+
+def conjugate_gradient_batch(
+    apply: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    tol: float = 1e-10,
+    max_iter: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """conjugate_gradient on each row of a (rows, dim) stack at once, for a
+    map that acts on each row alone.
+
+    Every row keeps its own step sizes, restarts and stopping test, so its
+    solution, iteration count and residual are those of its solve alone.
+    The map is applied to the whole stack, finished rows included, whose
+    answers are ignored. Returns (q, iters, residual, converged), one entry
+    per row. Raises what the first row, in row order, to fail would raise
+    alone, at the iteration where it would.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter is None:
-        max_iter = 10 * b.layout.dim
+        max_iter = 10 * b.shape[-1]
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    bound = tol * max(1.0, b.norm())
-    q = ParamVector.zeros(b.layout)
-    r = b
-    if r.norm() <= bound:
-        return CgSolve(q, 0, r.norm(), True)
-
-    p = r
-    rs = r.dot(r)
-    iters = 0
-    while iters < max_iter:
+    # fmax and the negated test keep a NaN row live, so it raises below
+    bound = tol * np.fmax(1.0, np.sqrt(row_dots(b, b)))
+    q = np.zeros_like(b)
+    r = b.copy()
+    p = b.copy()
+    rs = row_dots(r, r)
+    residual = np.sqrt(rs)
+    live = ~(residual <= bound)  # rows still iterating; they share the count
+    iters = np.zeros(len(b), dtype=int)
+    count = 0
+    while live.any() and count < max_iter:
         ap = apply(p)
-        if ap.layout != b.layout:
-            raise LayoutMismatch("linear-map output layout differs from b")
-        pap = p.dot(ap)
-        if not math.isfinite(pap) or not math.isfinite(rs):
-            raise NonFiniteValue("non-finite inner product in CG")
-        if pap <= 0.0:
+        pap = row_dots(p, ap)
+        failed = live & ~(np.isfinite(pap) & np.isfinite(rs) & (pap > 0.0))
+        if failed.any():
+            j = int(np.argmax(failed))
+            if not (np.isfinite(pap[j]) and np.isfinite(rs[j])):
+                raise NonFiniteValue("non-finite inner product in CG")
             raise IndefiniteCurvature(
-                f"<p, Ap> = {pap:.3e} <= 0: map is not positive definite"
+                f"<p, Ap> = {pap[j]:.3e} <= 0: map is not positive definite"
             )
-        alpha = rs / pap
-        q = q + alpha * p
-        r = r - alpha * ap
-        iters += 1
+        idx = np.flatnonzero(live)
+        alpha = (rs[idx] / pap[idx])[:, None]
+        q[idx] = q[idx] + alpha * p[idx]
+        r[idx] = r[idx] - alpha * ap[idx]
+        count += 1
 
-        rs_new = r.dot(r)
-        if not math.isfinite(rs_new):
+        rs_new = row_dots(r, r)
+        if not np.isfinite(rs_new[idx]).all():
             raise NonFiniteValue("non-finite residual in CG")
-        if math.sqrt(rs_new) <= bound:
+        small = live & (np.sqrt(rs_new) <= bound)
+        # the recursive residual grew 10x: restart from the true one
+        grown = live & ~small & (rs_new > 10.0 * rs)
+        if small.any() or grown.any():
             true_r = b - apply(q)
-            true_norm = true_r.norm()
-            if true_norm <= bound:
-                return CgSolve(q, iters, true_norm, True)
-            # recursive residual was optimistic: restart from the true one
-            r = true_r
-            p = r
-            rs = r.dot(r)
-            continue
-        if rs_new > 10.0 * rs:
-            r = b - apply(q)
-            p = r
-            rs = r.dot(r)
-            continue
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+            true_norm = np.sqrt(row_dots(true_r, true_r))
+            done = small & (true_norm <= bound)
+            iters[done], residual[done] = count, true_norm[done]
+            live &= ~done
+            # a recursive residual that was optimistic restarts too
+            restart = (small & ~done) | grown
+            r[restart] = true_r[restart]
+            p[restart] = true_r[restart]
+            rs[restart] = row_dots(r[restart], r[restart])
+        onward = np.flatnonzero(live & ~small & ~grown)
+        p[onward] = r[onward] + (rs_new[onward] / rs[onward])[:, None] * p[onward]
+        rs[onward] = rs_new[onward]
 
-    residual = (b - apply(q)).norm()
-    return CgSolve(q, iters, residual, residual <= bound)
+    if live.any():
+        tail = b - apply(q)
+        iters[live], residual[live] = count, np.sqrt(row_dots(tail, tail))[live]
+    return q, iters, residual, residual <= bound
 
 
 def fd_gradient(

@@ -12,18 +12,25 @@ Three concrete problems are provided: an analytic quadratic (closed-form
 minimizer and meta-gradient, used as a correctness oracle), a shared linear
 feature map with a per-task softmax head, and a per-task MLP whose
 initialization is the meta-parameter.
+
+The trainer runs a whole batch of tasks at once on (tasks, dim) stacks. It
+finds each oracle's batch form through batch_oracle: the problem's own
+<oracle>_batch method where its class has one that does not skip an
+override of the per-task oracle (the two classifier problems do), else the
+per-task oracle looped over the tasks.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .data import TaskBatch, TaskDataset
 from .errors import LayoutMismatch, LengthMismatch, NonFiniteValue
-from .numerics import Layout, ParamVector
+from .numerics import Layout, ParamVector, segment_rows
 
 __all__ = [
     "Split",
@@ -162,6 +169,15 @@ class BilevelObjective:
     def predict(self, x: ParamVector, y: ParamVector, features: np.ndarray):
         """Class scores for classifier problems; None otherwise."""
         return None
+
+    def val_losses_and_scores(self, x: ParamVector, ys: np.ndarray, batch: TaskBatch):
+        """Each task's validation loss at its row of the (tasks, dim_y) stack
+        ys and, for a classifier, its class scores on the validation
+        features (None otherwise)."""
+        losses = batch_oracle(self, "value")(x, ys, batch, Split.VAL)
+        if not self.is_classifier:
+            return losses, None
+        return losses, batch_oracle(self, "predict")(x, ys, batch.val_features)
 
     def _check_xy(self, x: ParamVector, y: ParamVector):
         for seg in self.x_layout.segments:
@@ -302,6 +318,11 @@ def _at_labels(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
 
 
+def _cross_entropy(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy of softmax(scores) over the rows, per task."""
+    return -_at_labels(_log_softmax(scores), labels).mean(axis=-1)
+
+
 def _softmax_residual(z: np.ndarray, labels: np.ndarray):
     """Softmax p of the logits and the cross-entropy residual (p - onehot) / n."""
     p = np.exp(_log_softmax(z))
@@ -336,14 +357,15 @@ def _join(like: np.ndarray, *parts: np.ndarray) -> np.ndarray:
 
 
 class _TaskAxisObjective(BilevelObjective):
-    """value, grad_y and predict from kernels _value, _grad_y and _scores
-    that take y as a (..., dim_y) array and broadcast over leading task axes,
-    plus batch forms of the three that run a stack of tasks in one call; each
-    row of a batch answer matches the per-task oracle to rounding.
+    """The five oracles, predict and their batch forms from kernels that take
+    y (and v) as (..., dim_y) arrays and broadcast over leading task axes:
+    _scores and _loss (behind value), _grad_y, _hvp_yy, and for a problem
+    whose loss reads x, _grad_x and _cross_hvp. Each row of a batch answer
+    matches the per-task oracle bit for bit.
 
-    meta_evaluate uses the batch methods wherever it finds them by name.
-    They stay off BilevelObjective, so a problem without such kernels, or a
-    wrapper that forwards to another problem, never inherits them."""
+    The trainer finds the batch methods by name through batch_oracle. They
+    stay off BilevelObjective, so a problem without such kernels never
+    inherits them."""
 
     def value(self, x, y, task, split):
         self._check_xy(x, y)
@@ -353,28 +375,125 @@ class _TaskAxisObjective(BilevelObjective):
         self._check_xy(x, y)
         return y.like(self._grad_y(x, y.values, task, split))
 
+    def grad_x(self, x, y, task, split):
+        self._check_xy(x, y)
+        return x.like(self._grad_x(x, y.values, task, split))
+
+    def hvp_yy(self, x, y, task, split, v):
+        self._check_xy(x, y)
+        return v.like(self._hvp_yy(x, y.values, task, split, v.values))
+
+    def cross_hvp(self, x, y, task, split, v):
+        self._check_xy(x, y)
+        return x.like(self._cross_hvp(x, y.values, task, split, v.values))
+
     def predict(self, x, y, features):
         return self._scores(x, y.values, np.atleast_2d(features))
 
-    def _check_stack(self, ys: np.ndarray, batch: TaskBatch):
-        if ys.shape != (len(batch), self.y_layout.dim):
-            raise LayoutMismatch(
-                f"y stack shape {ys.shape} != ({len(batch)}, {self.y_layout.dim})"
-            )
+    def _value(self, x, yv, data, split):
+        phi, labels = _split_data(data, split)
+        loss = self._loss(self._scores(x, yv, phi), labels)
+        if split is Split.TRAIN:
+            loss = loss + self.reg.value(yv)
+        return loss
+
+    def _x_free(self, x, yv, *_):
+        """Zero in every row: _grad_x and _cross_hvp of a loss that never reads x."""
+        return np.zeros(yv.shape[:-1] + (x.layout.dim,))
+
+    _grad_x = _cross_hvp = _x_free
+
+    def _check_stack(self, batch: TaskBatch, *stacks: np.ndarray):
+        for ys in stacks:
+            if ys.shape != (len(batch), self.y_layout.dim):
+                raise LayoutMismatch(
+                    f"y stack shape {ys.shape} != ({len(batch)}, {self.y_layout.dim})"
+                )
 
     def value_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
         """value of each task of `batch` at the matching row of ys."""
-        self._check_stack(ys, batch)
+        self._check_stack(batch, ys)
         return self._value(x, ys, batch, split)
 
     def grad_y_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
         """grad_y values of each task of `batch` at the matching row of ys."""
-        self._check_stack(ys, batch)
+        self._check_stack(batch, ys)
         return self._grad_y(x, ys, batch, split)
+
+    def grad_x_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
+        """grad_x values of each task of `batch` at the matching row of ys."""
+        self._check_stack(batch, ys)
+        return self._grad_x(x, ys, batch, split)
+
+    def hvp_yy_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
+        """hvp_yy values of each task of `batch` at the matching rows of ys and vs."""
+        self._check_stack(batch, ys, vs)
+        return self._hvp_yy(x, ys, batch, split, vs)
+
+    def cross_hvp_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
+        """cross_hvp values of each task of `batch` at the matching rows of ys and vs."""
+        self._check_stack(batch, ys, vs)
+        return self._cross_hvp(x, ys, batch, split, vs)
 
     def predict_batch(self, x, ys: np.ndarray, features: np.ndarray) -> np.ndarray:
         """predict on a (tasks, rows, dim) feature stack, task by task."""
         return self._scores(x, ys, features)
+
+    def val_losses_and_scores(self, x, ys: np.ndarray, batch: TaskBatch):
+        """value_batch on the val split and, for a classifier, predict_batch
+        on its features, from one forward pass; where either batch method
+        would skip an override (see batch_oracle), BilevelObjective's answer."""
+        if not all(_batch_form_applies(type(self), o) for o in ("value", "predict")):
+            return super().val_losses_and_scores(x, ys, batch)
+        self._check_stack(batch, ys)
+        scores = self._scores(x, ys, batch.val_features)
+        return self._loss(scores, batch.val_labels), scores if self.is_classifier else None
+
+
+@cache
+def _batch_form_applies(cls: type, oracle: str) -> bool:
+    """Whether <oracle>_batch answers for <oracle> on problems of class cls:
+    it must be defined by the class that defines <oracle> or by a subclass
+    of it. One that cls reaches only through __getattr__ counts as defined
+    on BilevelObjective."""
+
+    def owner(name):
+        return next((k for k in cls.__mro__ if name in vars(k)), BilevelObjective)
+
+    return issubclass(owner(f"{oracle}_batch"), owner(oracle))
+
+
+def batch_oracle(problem: BilevelObjective, oracle: str):
+    """The batch form of a per-task oracle: problem.<oracle>_batch when the
+    problem has one, else the per-task oracle called task by task in order.
+
+    A batch method never skips an override of the per-task oracle: a
+    subclass, or a wrapper that forwards other attributes through
+    __getattr__, that overrides <oracle> without its own <oracle>_batch gets
+    the loop over its <oracle>.
+
+    Batch forms take (x, ys, batch, split), plus a v stack for hvp_yy and
+    cross_hvp, with ys and v (tasks, dim_y) stacks; predict's takes
+    (x, ys, features). They answer with the per-task answers stacked on a
+    leading task axis.
+    """
+    if _batch_form_applies(type(problem), oracle):
+        batched = getattr(problem, f"{oracle}_batch", None)
+        if batched is not None:
+            return batched
+    per_task, layout = getattr(problem, oracle), problem.y_layout
+
+    def loop(x, ys, tasks, *args):
+        if len(ys) != len(tasks):
+            raise LengthMismatch(f"{len(ys)} parameter rows for {len(tasks)} tasks")
+        answers = []
+        for j, (y, task) in enumerate(zip(ys, tasks)):
+            rest = [a if isinstance(a, Split) else ParamVector(layout, a[j]) for a in args]
+            answer = per_task(x, ParamVector(layout, y), task, *rest)
+            answers.append(answer.values if isinstance(answer, ParamVector) else answer)
+        return np.array(answers)
+
+    return loop
 
 
 class MetaFeatureSoftmax(_TaskAxisObjective):
@@ -416,15 +535,11 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
 
     def _head_jvp(self, h, p, v):
         """Head direction Vw and the softmax-Jacobian product u, over n."""
-        vw, vb = _unpack(v.values, self._y_parts)
-        return vw, _softmax_jvp(p, h @ vw.T + vb) / len(h)
+        vw, vb = _unpack(v, self._y_parts)
+        return vw, _softmax_jvp(p, h @ vw.swapaxes(-1, -2) + vb) / h.shape[-2]
 
-    def _value(self, x, yv, data, split):
-        phi, labels = _split_data(data, split)
-        loss = -_at_labels(_log_softmax(self._scores(x, yv, phi)), labels).mean(axis=-1)
-        if split is Split.TRAIN:
-            loss = loss + self.reg.value(yv)
-        return loss
+    def _loss(self, scores, labels):
+        return _cross_entropy(scores, labels)
 
     def _grad_y(self, x, yv, data, split):
         _, _, h, _, delta = self._forward(x, yv, data, split)
@@ -436,28 +551,26 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
     def _scores(self, x, yv, phi):
         return self._logits(x, yv, phi)[2]
 
-    def grad_x(self, x, y, task, split):
-        self._check_xy(x, y)
-        phi, w, _, _, delta = self._forward(x, y.values, task, split)
-        gm = (delta @ w).T @ phi
-        out = ParamVector.zeros(x.layout)
-        return out.with_segment("feat", gm.ravel())
+    def _feat_gradient(self, x, gm):
+        """Rows in x's layout with gm, (..., dim_feat, dim_in), in segment "feat"."""
+        return segment_rows(x.layout, "feat", gm.reshape(gm.shape[:-2] + (-1,)))
 
-    def hvp_yy(self, x, y, task, split, v):
-        self._check_xy(x, y)
-        _, _, h, p, _ = self._forward(x, y.values, task, split)
+    def _grad_x(self, x, yv, data, split):
+        phi, w, _, _, delta = self._forward(x, yv, data, split)
+        return self._feat_gradient(x, (delta @ w).swapaxes(-1, -2) @ phi)
+
+    def _hvp_yy(self, x, yv, data, split, v):
+        _, _, h, p, _ = self._forward(x, yv, data, split)
         _, u = self._head_jvp(h, p, v)
-        out = _join(v.values, u.T @ h, u.sum(axis=0))
+        out = _join(v, u.swapaxes(-1, -2) @ h, u.sum(axis=-2))
         if split is Split.TRAIN:
-            out += self.reg.hvp(v.values)
-        return v.like(out)
+            out += self.reg.hvp(v)
+        return out
 
-    def cross_hvp(self, x, y, task, split, v):
-        self._check_xy(x, y)
-        phi, w, h, p, delta = self._forward(x, y.values, task, split)
+    def _cross_hvp(self, x, yv, data, split, v):
+        phi, w, h, p, delta = self._forward(x, yv, data, split)
         vw, u = self._head_jvp(h, p, v)
-        gm = (delta @ vw + u @ w).T @ phi
-        return ParamVector.zeros(x.layout).with_segment("feat", gm.ravel())
+        return self._feat_gradient(x, (delta @ vw + u @ w).swapaxes(-1, -2) @ phi)
 
 
 def make_meta_feature_softmax(
@@ -531,18 +644,14 @@ class MetaInitMlp(_TaskAxisObjective):
             p, delta = None, (out - _onehot(labels, self.dim_out)) / labels.shape[-1]
         return phi, act, w1, p, delta
 
-    def _value(self, x, yv, data, split):
-        phi, labels = _split_data(data, split)
-        out = self._forward(yv, phi)[0]
+    def _loss(self, scores, labels):
         if self.loss is LossKind.CROSS_ENTROPY:
-            loss = -_at_labels(_log_softmax(out), labels).mean(axis=-1)
+            loss = _cross_entropy(scores, labels)
         else:
-            r = out - _onehot(labels, self.dim_out)
+            r = scores - _onehot(labels, self.dim_out)
             loss = 0.5 * (r * r).sum(axis=(-2, -1)) / labels.shape[-1]
         if not np.isfinite(loss).all():
             raise NonFiniteValue("MLP loss is not finite")
-        if split is Split.TRAIN:
-            loss = loss + self.reg.value(yv)
         return loss
 
     def _grad_y(self, x, yv, data, split):
@@ -563,32 +672,34 @@ class MetaInitMlp(_TaskAxisObjective):
     def _scores(self, x, yv, phi):
         return self._forward(yv, phi)[0]
 
-    def hvp_yy(self, x, y, task, split, v):
-        self._check_xy(x, y)
-        phi, act, w1, p, delta = self._residual(y.values, task, split)
-        n = len(delta)
+    def _hvp_yy(self, x, yv, data, split, v):
+        phi, act, w1, p, delta = self._residual(yv, data, split)
+        n = delta.shape[-2]
 
         def r_residual(r_out):
             # directional derivative of delta along r_out = R{out}
             return r_out / n if p is None else _softmax_jvp(p, r_out) / n
 
         if self.hidden == 0:
-            v0, vb0 = _unpack(v.values, self._y_parts)
-            r_delta = r_residual(phi @ v0.T + vb0)
-            out_vec = _join(v.values, r_delta.T @ phi, r_delta.sum(axis=0))
+            v0, vb0 = _unpack(v, self._y_parts)
+            r_delta = r_residual(phi @ v0.swapaxes(-1, -2) + vb0)
+            out = _join(v, r_delta.swapaxes(-1, -2) @ phi, r_delta.sum(axis=-2))
         else:
-            v0, vb0, v1, vb1 = _unpack(v.values, self._y_parts)
+            v0, vb0, v1, vb1 = _unpack(v, self._y_parts)
             slope = 1.0 - act * act
-            r_act = (phi @ v0.T + vb0) * slope
-            r_delta = r_residual(r_act @ w1.T + act @ v1.T + vb1)
+            r_act = (phi @ v0.swapaxes(-1, -2) + vb0) * slope
+            r_delta = r_residual(
+                r_act @ w1.swapaxes(-1, -2) + act @ v1.swapaxes(-1, -2) + vb1
+            )
             r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * (delta @ w1) * act * r_act
-            gw1 = r_delta.T @ act + delta.T @ r_act
-            out_vec = _join(
-                v.values, r_back.T @ phi, r_back.sum(axis=0), gw1, r_delta.sum(axis=0)
+            gw1 = r_delta.swapaxes(-1, -2) @ act + delta.swapaxes(-1, -2) @ r_act
+            out = _join(
+                v, r_back.swapaxes(-1, -2) @ phi, r_back.sum(axis=-2), gw1,
+                r_delta.sum(axis=-2),
             )
         if split is Split.TRAIN:
-            out_vec += self.reg.hvp(v.values)
-        return v.like(out_vec)
+            out += self.reg.hvp(v)
+        return out
 
 
 def make_meta_init_mlp(

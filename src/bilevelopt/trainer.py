@@ -1,10 +1,12 @@
 """Experiment orchestration: configuration, the meta-training loop, and
 held-out evaluation.
 
-One meta-iteration samples a batch of tasks, adapts each task's parameters
-with the configured inner dynamics from a shared immutable snapshot of x,
-estimates the per-task meta-gradients, averages them in task-index order,
-and applies one meta-optimizer step. Tasks run serially, in task order.
+One meta-iteration samples a batch of tasks, adapts the parameters of all
+of them at once with the configured inner dynamics from a shared immutable
+snapshot of x, estimates the per-task meta-gradients, averages them in
+task-index order, and applies one meta-optimizer step. The tasks ride a
+leading axis of stacked arrays through the problem's batch oracles (see
+objectives.batch_oracle); each task's numbers are those of its run alone.
 run.threads is still accepted and validated but ignored: a thread pool over
 the tasks measured slower than serial on every preset tried.
 
@@ -27,6 +29,7 @@ from .data import (
     ClassDirectory,
     EpisodeSpec,
     SyntheticGaussian,
+    TaskBatch,
     sample_task_batch,
 )
 from .errors import BilevelError, ConfigError, UnknownMethod
@@ -38,7 +41,7 @@ from .hypergrad import (
     Reverse,
     TruncatedReverse,
     compose_named_method,
-    compute_hypergradient,
+    compute_hypergradient_batch,
     needs_full_trajectory,
 )
 from .inner import (
@@ -46,7 +49,6 @@ from .inner import (
     InnerRule,
     init_task_params,
     required_x_segments,
-    run_inner,
     run_inner_batch,
     softplus_inverse,
 )
@@ -58,6 +60,7 @@ from .objectives import (
     Paradigm,
     Regularizer,
     Split,
+    batch_oracle,
     make_meta_feature_softmax,
     make_meta_init_mlp,
     make_quadratic,
@@ -87,9 +90,6 @@ _INIT_STREAM = 102
 _EVAL_TASK_STREAM = 103
 _EVAL_INIT_STREAM = 104
 _PARAM_STREAM = 105
-
-# optional problem methods that let meta_evaluate adapt a whole batch at once
-_BATCH_METHODS = ("grad_y_batch", "value_batch", "predict_batch")
 
 _FEAT_INIT_SD_NUM = 1.0  # feat segment init sd = 1/sqrt(dim_in)
 _INIT_SEGMENT_SD = 0.01
@@ -475,22 +475,36 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[Experiment, TrainState]:
     return exp, TrainState(x=x, opt=opt, iteration=0)
 
 
-def _training_tasks(exp: Experiment, iteration: int) -> tuple:
+def _task_batch(exp: Experiment, n_tasks: int, stream: int, index: int) -> TaskBatch:
+    """n_tasks tasks drawn from the run's stream `stream`, child `index`;
+    n_tasks None tasks for the quadratic, which has no data."""
     if exp.source is None:
-        return (None,) * exp.cfg.data.batch_size
-    rng = RngStream(exp.cfg.run.seed, _TASK_STREAM).child(iteration)
-    return sample_task_batch(exp.source, exp.episode_spec, rng).tasks
+        return TaskBatch((None,) * n_tasks)
+    spec = replace(exp.episode_spec, batch_size=n_tasks)
+    return sample_task_batch(exp.source, spec, RngStream(exp.cfg.run.seed, stream).child(index))
 
 
-def _adapt_and_grade(exp: Experiment, x: ParamVector, task, init_rng: RngStream):
-    """Inner run plus hypergradient for one task against a fixed x."""
-    y0 = init_task_params(exp.paradigm, exp.problem, x, init_rng)
+def _initial_ys(exp: Experiment, x: ParamVector, root: RngStream, n_tasks: int) -> np.ndarray:
+    """y_0 of each task, task j's from child j of `root`, as a (tasks, dim_y) stack."""
+    return np.stack([
+        init_task_params(exp.paradigm, exp.problem, x, root.child(j)).values
+        for j in range(n_tasks)
+    ])
+
+
+def _adapt_and_grade(exp: Experiment, x: ParamVector, batch: TaskBatch, init_root: RngStream):
+    """Inner runs plus hypergradients for every task of the batch against a
+    fixed x: the (tasks, dim_x) gradients, and each task's validation loss
+    and final inner loss."""
+    problem, inner = exp.problem, exp.inner_config
     record = needs_full_trajectory(exp.method)
-    traj = run_inner(
-        exp.inner_config.rule, exp.inner_config, exp.problem, x, y0, task, record=record
+    ys = run_inner_batch(
+        inner.rule, inner, problem, x, _initial_ys(exp, x, init_root, len(batch)), batch,
+        record=record,
     )
-    res = compute_hypergradient(exp.method, exp.problem, exp.paradigm, traj, x, task)
-    inner_final = exp.problem.value(x, traj.y_final, task, Split.TRAIN)
+    res = compute_hypergradient_batch(exp.method, problem, exp.paradigm, inner, x, ys, batch)
+    y_final = ys[-1] if record else ys
+    inner_final = batch_oracle(problem, "value")(x, y_final, batch, Split.TRAIN)
     return res.grad_x, res.ul_value, inner_final
 
 
@@ -510,19 +524,17 @@ def meta_train(
         start = time.perf_counter()
         it = state.iteration
         try:
-            tasks = _training_tasks(exp, it)
+            batch = _task_batch(exp, n_batch, _TASK_STREAM, it)
             init_root = RngStream(cfg.run.seed, _INIT_STREAM).child(it)
-            results = [
-                _adapt_and_grade(exp, state.x, task, init_root.child(j))
-                for j, task in enumerate(tasks)
-            ]
+            grads, ul, inner_final = _adapt_and_grade(exp, state.x, batch, init_root)
 
-            g_total = results[0][0]
-            for grad, _, _ in results[1:]:
+            # task order, one addition at a time, as a loop over tasks would
+            g_total = grads[0]
+            for grad in grads[1:]:
                 g_total = g_total + grad
-            g_mean = g_total * (1.0 / n_batch)
-            ul_loss = sum(r[1] for r in results) / n_batch
-            inner_loss = sum(r[2] for r in results) / n_batch
+            g_mean = ParamVector(state.x.layout, g_total * (1.0 / n_batch), copy=False)
+            ul_loss = sum(ul.tolist()) / n_batch
+            inner_loss = sum(inner_final.tolist()) / n_batch
 
             x_next, opt_next = meta_step(state.opt, state.x, g_mean)
             state = TrainState(x=x_next, opt=opt_next, iteration=it + 1)
@@ -554,43 +566,18 @@ def meta_evaluate(
     exp: Experiment, state: TrainState, n_tasks: int, round_index: int | None = None
 ) -> tuple[float, float | None]:
     """Post-adaptation validation loss (and accuracy, for classifiers) on
-    fresh tasks. Reads state.x but never changes it; task draws depend only
-    on the seed and round_index, not on training progress.
-
-    A problem with the batch methods (grad_y_batch, value_batch and
-    predict_batch) adapts all the tasks at once on stacked arrays; any other
-    problem adapts them one by one."""
+    fresh tasks, all adapted at once on stacked arrays. Reads state.x but
+    never changes it; task draws depend only on the seed and round_index,
+    not on training progress."""
     r = state.iteration if round_index is None else round_index
     problem, x, inner = exp.problem, state.x, exp.inner_config
     init_root = RngStream(exp.cfg.run.seed, _EVAL_INIT_STREAM).child(r)
-    y0s = [
-        init_task_params(exp.paradigm, problem, x, init_root.child(j)) for j in range(n_tasks)
-    ]
-    if exp.source is None:
-        tasks: tuple = (None,) * n_tasks
-    else:
-        spec = replace(exp.episode_spec, batch_size=n_tasks)
-        rng = RngStream(exp.cfg.run.seed, _EVAL_TASK_STREAM).child(r)
-        batch = sample_task_batch(exp.source, spec, rng)
-        tasks = batch.tasks
-        if all(hasattr(problem, m) for m in _BATCH_METHODS):
-            ys = np.stack([y0.values for y0 in y0s])
-            ys = run_inner_batch(inner.rule, inner, problem, x, ys, batch)
-            mean_loss = float(np.mean(problem.value_batch(x, ys, batch, Split.VAL)))
-            if not problem.is_classifier:
-                return mean_loss, None
-            scores = problem.predict_batch(x, ys, batch.val_features)
-            hits = np.argmax(scores, axis=-1) == batch.val_labels
-            return mean_loss, float(np.mean(np.mean(hits, axis=-1)))
-
-    losses = []
-    accuracies = []
-    for task, y0 in zip(tasks, y0s):
-        traj = run_inner(inner.rule, inner, problem, x, y0, task, record=False)
-        losses.append(problem.value(x, traj.y_final, task, Split.VAL))
-        if problem.is_classifier and task is not None:
-            scores = problem.predict(x, traj.y_final, task.val_features)
-            accuracies.append(float(np.mean(np.argmax(scores, axis=1) == task.val_labels)))
+    ys = _initial_ys(exp, x, init_root, n_tasks)
+    batch = _task_batch(exp, n_tasks, _EVAL_TASK_STREAM, r)
+    ys = run_inner_batch(inner.rule, inner, problem, x, ys, batch)
+    losses, scores = problem.val_losses_and_scores(x, ys, batch)
     mean_loss = float(np.mean(losses))
-    mean_acc = float(np.mean(accuracies)) if accuracies else None
-    return mean_loss, mean_acc
+    if scores is None:
+        return mean_loss, None
+    hits = np.argmax(scores, axis=-1) == batch.val_labels
+    return mean_loss, float(np.mean(np.mean(hits, axis=-1)))

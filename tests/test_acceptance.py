@@ -144,7 +144,7 @@ def test_criterion_2_reverse_matches_fd_oracle():
     setups = [
         ("quadratic", quad, Paradigm.META_FEATURE, None, 0.2, 1e-4),
         ("softmax", softmax, Paradigm.META_FEATURE, _episode(0), 0.5, 1e-4),
-        ("mlp", mlp, Paradigm.META_INIT, _episode(3), 0.3, 1e-2),
+        ("mlp", mlp, Paradigm.META_INIT, _episode(3), 0.3, 1e-4),
     ]
     worst = {}
     for label, problem, paradigm, task, step, tol in setups:

@@ -1,6 +1,8 @@
 """Inner adaptation dynamics: update rules, trajectory storage, and the
 transposed-Jacobian products that drive reverse-mode estimators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from bilevelopt import (
     RngStream,
     Split,
     fd_gradient,
+    fd_hypergradient,
+    hypergrad_reverse,
     init_task_params,
     inner_step,
     make_quadratic,
@@ -366,3 +370,23 @@ def test_gd_adjoint_vanishes_at_the_critical_step_size():
     v = ParamVector(prob.y_layout, [1.0])
     aT, _ = step_transposed_jvps(InnerRule.GD, cfg, prob, x, y, None, v)
     assert aT.values[0] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    (InnerRule.META_SGD, InnerRule.BDA, InnerRule.MTNET_MASK, InnerRule.WARP_GRAD_DIAG),
+    ids=lambda r: r.value,
+)
+def test_the_rule_passed_beside_a_config_is_the_rule_run_and_recorded(
+    rule, softmax_problem, small_task
+):
+    x = _extended_x(softmax_problem, rule, seed=8)
+    gd_cfg = InnerConfig(steps=3, step_size=0.3)
+    y0 = init_task_params(Paradigm.META_FEATURE, softmax_problem, x, RngStream(4))
+    traj = run_inner(rule, gd_cfg, softmax_problem, x, y0, small_task)
+    assert traj.config.rule is rule
+    agreeing = run_inner(rule, replace(gd_cfg, rule=rule), softmax_problem, x, y0, small_task)
+    assert traj.iterates == agreeing.iterates
+    rev = hypergrad_reverse(softmax_problem, Paradigm.META_FEATURE, traj, x, small_task)
+    fd = fd_hypergradient(softmax_problem, Paradigm.META_FEATURE, rule, gd_cfg, x, 4, small_task)
+    assert (rev.grad_x - fd).norm() <= 1e-6 * fd.norm()

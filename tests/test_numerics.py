@@ -10,12 +10,14 @@ from bilevelopt import (
     Layout,
     LayoutMismatch,
     MissingSegment,
+    NonFiniteValue,
     ParamVector,
     RngStream,
     conjugate_gradient,
     fd_gradient,
     fd_hvp,
 )
+from bilevelopt.numerics import conjugate_gradient_batch
 
 # --------------------------------------------------------------------------
 # Layout
@@ -253,6 +255,65 @@ def test_cg_iteration_cap_reports_nonconvergence():
     assert sol.iters == 2
     assert not sol.converged
     assert sol.residual > 0
+
+
+def _row_map(mats):
+    """A linear map acting on each row of a stack with its own matrix."""
+    return lambda v: np.stack([m @ row for m, row in zip(mats, v)])
+
+
+@pytest.mark.parametrize("max_iter", (None, 3))
+def test_cg_batch_rows_match_their_solves_alone(max_iter):
+    gen = np.random.default_rng(8)
+    n = 10
+    m = gen.standard_normal((n, n))
+    mats = [_spd_matrix(gen, n), m @ m.T + 1e-2 * np.eye(n), 3.0 * np.eye(n), _spd_matrix(gen, n)]
+    b = gen.standard_normal((len(mats), n))
+    b[3] = 0.0
+    q, iters, residual, converged = conjugate_gradient_batch(
+        _row_map(mats), b, tol=1e-12, max_iter=max_iter
+    )
+    lay = Layout([("q", n)])
+    for j, a in enumerate(mats):
+        solo = conjugate_gradient(
+            lambda v, a=a: v.like(a @ v.values), ParamVector(lay, b[j]),
+            tol=1e-12, max_iter=max_iter,
+        )
+        assert np.array_equal(q[j], solo.q.values)
+        assert (iters[j], residual[j], converged[j]) == (
+            solo.iters, solo.residual, solo.converged
+        )
+    # the rows stop at iterations of their own
+    assert len(set(iters.tolist())) >= 3
+
+
+def test_cg_batch_raises_what_the_failing_row_raises_alone():
+    gen = np.random.default_rng(9)
+    n = 4
+    indefinite = np.diag([3.0, 2.0, 1.0, -0.5])
+    mats = [_spd_matrix(gen, n), indefinite, _spd_matrix(gen, n)]
+    b = np.ones((3, n))
+    with pytest.raises(IndefiniteCurvature) as alone:
+        conjugate_gradient(
+            lambda v: v.like(indefinite @ v.values), ParamVector(Layout([("q", n)]), b[1])
+        )
+    with pytest.raises(IndefiniteCurvature) as batched:
+        conjugate_gradient_batch(_row_map(mats), b)
+    assert str(batched.value) == str(alone.value)
+
+
+def test_cg_raises_on_a_nan_right_hand_side_row():
+    gen = np.random.default_rng(10)
+    n = 4
+    mats = [_spd_matrix(gen, n) for _ in range(3)]
+    b = gen.standard_normal((3, n))
+    b[1, 2] = np.nan
+    with pytest.raises(NonFiniteValue):
+        conjugate_gradient(
+            lambda v: v.like(mats[1] @ v.values), ParamVector(Layout([("q", n)]), b[1])
+        )
+    with pytest.raises(NonFiniteValue):
+        conjugate_gradient_batch(_row_map(mats), b)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -564,9 +564,25 @@ def test_meta_evaluate_makes_no_per_task_oracle_calls_on_the_classifiers():
             setattr(exp.problem, name, counted)
         meta_evaluate(exp, state, 6)
         assert calls == []
-        # training keeps the per-task path, and the wrappers see it
+        # training runs through the batch methods too
         meta_train(exp, state)
-        assert "grad_y" in calls
+        assert calls == []
+
+
+def test_meta_evaluate_runs_the_validation_forward_pass_once():
+    # the forward kernel of each classifier, whose last argument is the input
+    for raw, kernel in ((_maml_raw(), "_forward"), (_feature_raw(), "_logits")):
+        exp, state = build_experiment(ExperimentConfig.from_dict(raw))
+        rows = []
+
+        def counted(*args, inner=getattr(exp.problem, kernel)):
+            rows.append(args[-1].shape[-2])
+            return inner(*args)
+
+        setattr(exp.problem, kernel, counted)
+        meta_evaluate(exp, state, 6)
+        data = raw["data"]
+        assert rows.count(data["way"] * data["query"]) == 1
 
 
 def test_errors_raised_in_training_name_the_meta_iteration():
@@ -585,6 +601,7 @@ def test_errors_raised_in_evaluation_name_the_meta_iteration():
     def failing(*args):
         raise LengthMismatch("evaluation broke")
 
-    exp.problem.value_batch = failing
+    # training never grades the validation split's scores, evaluation does
+    exp.problem.val_losses_and_scores = failing
     with pytest.raises(LengthMismatch, match="meta-iteration 1: evaluation broke"):
         meta_train(exp, state)
