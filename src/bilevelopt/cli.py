@@ -8,7 +8,8 @@ Three subcommands:
   list-methods  print the ten built-in method compositions
 
 Exit codes: 0 success; 1 verification failures; 2 bad configuration or
-arguments; 3 training aborted by any library error.
+arguments, an unwritable --out or --report included; 3 training aborted by
+any library error.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ def _cmd_run(args) -> int:
         print(f"error: {config_path}: invalid JSON: {e}", file=sys.stderr)
         return 2
 
+    overrides = args.overrides
+    if args.threads is not None:
+        overrides = overrides + [f"run.threads={args.threads}"]
     try:
-        raw = apply_overrides(raw, args.overrides)
-        if args.threads is not None:
-            raw.setdefault("run", {})["threads"] = args.threads
+        raw = apply_overrides(raw, overrides)
         cfg = ExperimentConfig.from_dict(raw)
         exp, state = build_experiment(cfg)
     except BilevelError as e:
@@ -96,18 +98,26 @@ def _cmd_run(args) -> int:
         return 2
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create output directory: {e}", file=sys.stderr)
+        return 2
     try:
         state, records = meta_train(exp, state)
     except BilevelError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 
-    (out_dir / "metrics.jsonl").write_text(metrics_to_jsonl(records))
-    (out_dir / "config.resolved.json").write_text(
-        json.dumps(cfg.to_dict(), indent=2) + "\n"
-    )
-    write_params(out_dir / "final_params.bin", state.x)
+    try:
+        (out_dir / "metrics.jsonl").write_text(metrics_to_jsonl(records))
+        (out_dir / "config.resolved.json").write_text(
+            json.dumps(cfg.to_dict(), indent=2) + "\n"
+        )
+        write_params(out_dir / "final_params.bin", state.x)
+    except OSError as e:
+        print(f"error: cannot write artifacts: {e}", file=sys.stderr)
+        return 2
     last = records[-1]
     print(
         f"finished {len(records)} meta-iterations; "
@@ -119,7 +129,11 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     results = run_gradcheck_suite(profile=args.profile)
     if args.report:
-        Path(args.report).write_text(report_to_jsonl(results))
+        try:
+            Path(args.report).write_text(report_to_jsonl(results))
+        except OSError as e:
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return 2
     width = max(len(r.metric) for r in results) if results else 0
     for r in results:
         status = "pass" if r.passed else "FAIL"

@@ -42,7 +42,7 @@ from .numerics import (
     segment_add,
     segment_rows,
 )
-from .objectives import BilevelObjective, Paradigm, Split, batch_oracle
+from .objectives import BilevelObjective, Paradigm, Split
 
 __all__ = [
     "Reverse",
@@ -181,9 +181,9 @@ def _reverse_sweep(
     left of lam is exactly the gradient through the initialization.
     """
     y_final = traj[-1]
-    ul = batch_oracle(problem, "value")(x, y_final, batch, Split.VAL)
-    lam = batch_oracle(problem, "grad_y")(x, y_final, batch, Split.VAL)
-    g = batch_oracle(problem, "grad_x")(x, y_final, batch, Split.VAL)
+    ul = problem.value_batch(x, y_final, batch, Split.VAL)
+    lam = problem.grad_y_batch(x, y_final, batch, Split.VAL)
+    g = problem.grad_x_batch(x, y_final, batch, Split.VAL)
     for t in range(config.steps, first_step - 1, -1):
         a_t, b_t = step_transposed_jvps_batch(config, problem, x, traj[t - 1], batch, lam)
         g = g + b_t
@@ -232,42 +232,40 @@ def _resolve_prox(cfg: Implicit, paradigm: Paradigm) -> float:
 
 def _implicit(problem, paradigm, x, ys, batch, cfg: Implicit) -> HyperGradBatch:
     prox = _resolve_prox(cfg, paradigm)
-    hvp_yy = batch_oracle(problem, "hvp_yy")
-
     def apply(v: np.ndarray) -> np.ndarray:
-        hv = hvp_yy(x, ys, batch, Split.TRAIN, v)
+        hv = problem.hvp_yy_batch(x, ys, batch, Split.TRAIN, v)
         if prox != 0.0:
             hv = hv + prox * v
         return hv
 
-    rhs = batch_oracle(problem, "grad_y")(x, ys, batch, Split.VAL)
+    rhs = problem.grad_y_batch(x, ys, batch, Split.VAL)
     q, iters, residual, _ = conjugate_gradient_batch(
         apply, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter
     )
-    grad_x, cross_hvp = batch_oracle(problem, "grad_x"), batch_oracle(problem, "cross_hvp")
-    g = grad_x(x, ys, batch, Split.VAL) - cross_hvp(x, ys, batch, Split.TRAIN, q)
+    g = problem.grad_x_batch(x, ys, batch, Split.VAL)
+    g = g - problem.cross_hvp_batch(x, ys, batch, Split.TRAIN, q)
     if paradigm is Paradigm.META_INIT and prox != 0.0:
         g = segment_add(g, x.layout, "init", prox * q)
-    ul = batch_oracle(problem, "value")(x, ys, batch, Split.VAL)
+    ul = problem.value_batch(x, ys, batch, Split.VAL)
     return HyperGradBatch(grad_x=g, ul_value=ul, cg_iters=iters, cg_residual=residual)
 
 
 def _first_order(problem, paradigm, x, ys, batch) -> HyperGradBatch:
-    ul = batch_oracle(problem, "value")(x, ys, batch, Split.VAL)
+    ul = problem.value_batch(x, ys, batch, Split.VAL)
     if paradigm is Paradigm.META_INIT:
-        g_init = batch_oracle(problem, "grad_y")(x, ys, batch, Split.VAL)
+        g_init = problem.grad_y_batch(x, ys, batch, Split.VAL)
         g = segment_rows(x.layout, "init", g_init)
     else:
-        g = batch_oracle(problem, "grad_x")(x, ys, batch, Split.VAL)
+        g = problem.grad_x_batch(x, ys, batch, Split.VAL)
     return HyperGradBatch(grad_x=g, ul_value=ul)
 
 
 def _darts(problem, paradigm, x, ys, batch, delta: float, step_size: float) -> HyperGradBatch:
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    grad_y, grad_x = batch_oracle(problem, "grad_y"), batch_oracle(problem, "grad_x")
+    grad_y, grad_x = problem.grad_y_batch, problem.grad_x_batch
     v = grad_y(x, ys, batch, Split.VAL)
-    ul = batch_oracle(problem, "value")(x, ys, batch, Split.VAL)
+    ul = problem.value_batch(x, ys, batch, Split.VAL)
     # each task's own difference step, from its own direction's norm
     eps = (delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
     y_plus = ys + eps * v

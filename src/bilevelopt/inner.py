@@ -30,7 +30,7 @@ import numpy as np
 from .data import TaskBatch
 from .errors import MissingSegment, NonFiniteValue
 from .numerics import Layout, ParamVector, RngStream, segment_add
-from .objectives import BilevelObjective, Paradigm, Split, batch_oracle
+from .objectives import BilevelObjective, Paradigm, Split
 
 __all__ = [
     "InnerRule",
@@ -215,7 +215,7 @@ def _mix(config: InnerConfig, f):
 def _step(config: InnerConfig, problem: BilevelObjective, x: ParamVector, ys, batch):
     """One step of config.rule on every row of the (tasks, dim_y) stack ys."""
     scale, d, _, _ = _factor(config, x, problem.y_layout)
-    g = _mix(config, partial(batch_oracle(problem, "grad_y"), x, ys, batch))
+    g = _mix(config, partial(problem.grad_y_batch, x, ys, batch))
     y_next = ys - scale * g if d is None else ys - scale * d * g
     if not np.all(np.isfinite(y_next)):
         raise NonFiniteValue(f"inner step under rule {config.rule.value} produced non-finite y")
@@ -319,13 +319,13 @@ def step_transposed_jvps_batch(
     scale, d, name, pullback = _factor(config, x, problem.y_layout)
     w = vs if d is None else d * vs
 
-    def products(oracle):
-        return _mix(config, lambda split: batch_oracle(problem, oracle)(x, ys, batch, split, w))
+    def products(batch_form):
+        return _mix(config, lambda split: batch_form(x, ys, batch, split, w))
 
-    a_t = vs - scale * products("hvp_yy")
-    b_t = -scale * products("cross_hvp")
+    a_t = vs - scale * products(problem.hvp_yy_batch)
+    b_t = -scale * products(problem.cross_hvp_batch)
     if d is not None:
-        g_f = batch_oracle(problem, "grad_y")(x, ys, batch, Split.TRAIN)
+        g_f = problem.grad_y_batch(x, ys, batch, Split.TRAIN)
         b_t = segment_add(b_t, x.layout, name, pullback(-scale, g_f, vs))
 
     if not (np.all(np.isfinite(a_t)) and np.all(np.isfinite(b_t))):

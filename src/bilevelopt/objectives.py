@@ -13,18 +13,16 @@ minimizer and meta-gradient, used as a correctness oracle), a shared linear
 feature map with a per-task softmax head, and a per-task MLP whose
 initialization is the meta-parameter.
 
-The trainer runs a whole batch of tasks at once on (tasks, dim) stacks. It
-finds each oracle's batch form through batch_oracle: the problem's own
-<oracle>_batch method where its class has one that does not skip an
-override of the per-task oracle (the two classifier problems do), else the
-per-task oracle looped over the tasks.
+The trainer runs a whole batch of tasks at once on (tasks, dim) stacks
+through each oracle's batch form, <oracle>_batch. BilevelObjective's batch
+forms call the per-task oracle task by task; the two classifier problems
+override them with stacked kernels.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -134,11 +132,21 @@ def _split_data(
 
 class BilevelObjective:
     """Oracle bundle: value, grad_y, grad_x, hvp_yy, and the transposed
-    cross second-order product, all per task and split.
+    cross second-order product, all per task and split, and their batch
+    forms. A classifier also defines predict(x, y, features), its class
+    scores.
 
     grad_x / cross_hvp answer in the layout of the x argument (which may
     carry extra method-specific segments beyond the problem's own); segments
     the problem does not read are zero.
+
+    Batch forms take (x, ys, batch, split), plus a vs stack for hvp_yy and
+    cross_hvp, with ys and vs (tasks, dim_y) stacks; predict_batch takes
+    (x, ys, features) with a (tasks, rows, dim) feature stack. They answer
+    with the per-task answers stacked on a leading task axis. The ones here
+    call the per-task oracle task by task; a problem overrides them for
+    speed, and a subclass that changes a per-task oracle overrides its batch
+    form as well.
     """
 
     x_layout: Layout
@@ -166,18 +174,45 @@ class BilevelObjective:
         """Gradient with respect to x of <grad_y(x, y), v>."""
         return ParamVector.zeros(x.layout)
 
-    def predict(self, x: ParamVector, y: ParamVector, features: np.ndarray):
-        """Class scores for classifier problems; None otherwise."""
-        return None
+    def _per_task(self, oracle, x: ParamVector, ys: np.ndarray, tasks, *args) -> np.ndarray:
+        """oracle at each row of ys with the matching task, and the matching
+        row of each stack in args, in task order; the answers stacked."""
+        if len(ys) != len(tasks):
+            raise LengthMismatch(f"{len(ys)} parameter rows for {len(tasks)} tasks")
+        layout = self.y_layout
+        answers = []
+        for j, (y, task) in enumerate(zip(ys, tasks)):
+            rest = [a if isinstance(a, Split) else ParamVector(layout, a[j]) for a in args]
+            answer = oracle(x, ParamVector(layout, y), task, *rest)
+            answers.append(answer.values if isinstance(answer, ParamVector) else answer)
+        return np.array(answers)
+
+    def value_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
+        return self._per_task(self.value, x, ys, batch, split)
+
+    def grad_y_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
+        return self._per_task(self.grad_y, x, ys, batch, split)
+
+    def grad_x_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
+        return self._per_task(self.grad_x, x, ys, batch, split)
+
+    def hvp_yy_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
+        return self._per_task(self.hvp_yy, x, ys, batch, split, vs)
+
+    def cross_hvp_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
+        return self._per_task(self.cross_hvp, x, ys, batch, split, vs)
+
+    def predict_batch(self, x, ys: np.ndarray, features: np.ndarray) -> np.ndarray:
+        return self._per_task(self.predict, x, ys, features)
 
     def val_losses_and_scores(self, x: ParamVector, ys: np.ndarray, batch: TaskBatch):
         """Each task's validation loss at its row of the (tasks, dim_y) stack
         ys and, for a classifier, its class scores on the validation
         features (None otherwise)."""
-        losses = batch_oracle(self, "value")(x, ys, batch, Split.VAL)
+        losses = self.value_batch(x, ys, batch, Split.VAL)
         if not self.is_classifier:
             return losses, None
-        return losses, batch_oracle(self, "predict")(x, ys, batch.val_features)
+        return losses, self.predict_batch(x, ys, batch.val_features)
 
     def _check_xy(self, x: ParamVector, y: ParamVector):
         for seg in self.x_layout.segments:
@@ -363,9 +398,10 @@ class _TaskAxisObjective(BilevelObjective):
     whose loss reads x, _grad_x and _cross_hvp. Each row of a batch answer
     matches the per-task oracle bit for bit.
 
-    The trainer finds the batch methods by name through batch_oracle. They
-    stay off BilevelObjective, so a problem without such kernels never
-    inherits them."""
+    The batch forms, and val_losses_and_scores with its single forward pass,
+    run the kernels rather than the per-task oracles. A subclass that changes
+    an oracle therefore overrides its batch form too (and, for value or
+    predict, val_losses_and_scores)."""
 
     def value(self, x, y, task, split):
         self._check_xy(x, y)
@@ -411,89 +447,34 @@ class _TaskAxisObjective(BilevelObjective):
                 )
 
     def value_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        """value of each task of `batch` at the matching row of ys."""
         self._check_stack(batch, ys)
         return self._value(x, ys, batch, split)
 
     def grad_y_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        """grad_y values of each task of `batch` at the matching row of ys."""
         self._check_stack(batch, ys)
         return self._grad_y(x, ys, batch, split)
 
     def grad_x_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        """grad_x values of each task of `batch` at the matching row of ys."""
         self._check_stack(batch, ys)
         return self._grad_x(x, ys, batch, split)
 
     def hvp_yy_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
-        """hvp_yy values of each task of `batch` at the matching rows of ys and vs."""
         self._check_stack(batch, ys, vs)
         return self._hvp_yy(x, ys, batch, split, vs)
 
     def cross_hvp_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
-        """cross_hvp values of each task of `batch` at the matching rows of ys and vs."""
         self._check_stack(batch, ys, vs)
         return self._cross_hvp(x, ys, batch, split, vs)
 
     def predict_batch(self, x, ys: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """predict on a (tasks, rows, dim) feature stack, task by task."""
         return self._scores(x, ys, features)
 
     def val_losses_and_scores(self, x, ys: np.ndarray, batch: TaskBatch):
         """value_batch on the val split and, for a classifier, predict_batch
-        on its features, from one forward pass; where either batch method
-        would skip an override (see batch_oracle), BilevelObjective's answer."""
-        if not all(_batch_form_applies(type(self), o) for o in ("value", "predict")):
-            return super().val_losses_and_scores(x, ys, batch)
+        on its features, from one forward pass."""
         self._check_stack(batch, ys)
         scores = self._scores(x, ys, batch.val_features)
         return self._loss(scores, batch.val_labels), scores if self.is_classifier else None
-
-
-@cache
-def _batch_form_applies(cls: type, oracle: str) -> bool:
-    """Whether <oracle>_batch answers for <oracle> on problems of class cls:
-    it must be defined by the class that defines <oracle> or by a subclass
-    of it. One that cls reaches only through __getattr__ counts as defined
-    on BilevelObjective."""
-
-    def owner(name):
-        return next((k for k in cls.__mro__ if name in vars(k)), BilevelObjective)
-
-    return issubclass(owner(f"{oracle}_batch"), owner(oracle))
-
-
-def batch_oracle(problem: BilevelObjective, oracle: str):
-    """The batch form of a per-task oracle: problem.<oracle>_batch when the
-    problem has one, else the per-task oracle called task by task in order.
-
-    A batch method never skips an override of the per-task oracle: a
-    subclass, or a wrapper that forwards other attributes through
-    __getattr__, that overrides <oracle> without its own <oracle>_batch gets
-    the loop over its <oracle>.
-
-    Batch forms take (x, ys, batch, split), plus a v stack for hvp_yy and
-    cross_hvp, with ys and v (tasks, dim_y) stacks; predict's takes
-    (x, ys, features). They answer with the per-task answers stacked on a
-    leading task axis.
-    """
-    if _batch_form_applies(type(problem), oracle):
-        batched = getattr(problem, f"{oracle}_batch", None)
-        if batched is not None:
-            return batched
-    per_task, layout = getattr(problem, oracle), problem.y_layout
-
-    def loop(x, ys, tasks, *args):
-        if len(ys) != len(tasks):
-            raise LengthMismatch(f"{len(ys)} parameter rows for {len(tasks)} tasks")
-        answers = []
-        for j, (y, task) in enumerate(zip(ys, tasks)):
-            rest = [a if isinstance(a, Split) else ParamVector(layout, a[j]) for a in args]
-            answer = per_task(x, ParamVector(layout, y), task, *rest)
-            answers.append(answer.values if isinstance(answer, ParamVector) else answer)
-        return np.array(answers)
-
-    return loop
 
 
 class MetaFeatureSoftmax(_TaskAxisObjective):

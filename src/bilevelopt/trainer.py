@@ -5,8 +5,9 @@ One meta-iteration samples a batch of tasks, adapts the parameters of all
 of them at once with the configured inner dynamics from a shared immutable
 snapshot of x, estimates the per-task meta-gradients, averages them in
 task-index order, and applies one meta-optimizer step. The tasks ride a
-leading axis of stacked arrays through the problem's batch oracles (see
-objectives.batch_oracle); each task's numbers are those of its run alone.
+leading axis of stacked arrays through the problem's batch oracles
+(<oracle>_batch, see objectives.BilevelObjective); each task's numbers are
+those of its run alone.
 run.threads is still accepted and validated but ignored: a thread pool over
 the tasks measured slower than serial on every preset tried.
 
@@ -60,7 +61,6 @@ from .objectives import (
     Paradigm,
     Regularizer,
     Split,
-    batch_oracle,
     make_meta_feature_softmax,
     make_meta_init_mlp,
     make_quadratic,
@@ -306,6 +306,8 @@ class ExperimentConfig:
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply "section.field=json_value" strings to a raw config dict."""
     out = json.loads(json.dumps(raw))  # deep copy, JSON types only
+    if not isinstance(out, dict):
+        raise ConfigError("config root must be a JSON object")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -317,7 +319,10 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        out.setdefault(keys[0], {})[keys[1]] = value
+        section = out.setdefault(keys[0], {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{keys[0]}: section must be an object")
+        section[keys[1]] = value
     return out
 
 
@@ -504,7 +509,7 @@ def _adapt_and_grade(exp: Experiment, x: ParamVector, batch: TaskBatch, init_roo
     )
     res = compute_hypergradient_batch(exp.method, problem, exp.paradigm, inner, x, ys, batch)
     y_final = ys[-1] if record else ys
-    inner_final = batch_oracle(problem, "value")(x, y_final, batch, Split.TRAIN)
+    inner_final = problem.value_batch(x, y_final, batch, Split.TRAIN)
     return res.grad_x, res.ul_value, inner_final
 
 

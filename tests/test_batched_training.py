@@ -1,5 +1,6 @@
 """Batched meta-training: every task of a stacked batch gets the numbers of
-its run alone, whichever way the problem's batch oracles are found."""
+its run alone, whether the problem's batch oracles are stacked kernels or
+the per-task loops of BilevelObjective."""
 
 from collections import Counter
 from dataclasses import replace
@@ -237,17 +238,19 @@ def test_a_forwarding_wrapper_sees_the_calls_of_a_per_task_loop(raw):
     assert batched.problem.calls["grad_y"] > 0
 
 
-def test_a_subclass_keeps_the_batch_methods_of_the_oracles_it_does_not_override():
+def test_a_subclass_that_overrides_batch_methods_trains_to_the_same_bytes():
+    # a subclass that changes an oracle of a built-in problem overrides its
+    # batch form, which the trainer calls once per stacked call
     calls = []
 
     class Counted(MetaFeatureSoftmax):
-        def grad_y(self, *args):
-            calls.append(args[-1])
-            return super().grad_y(*args)
+        def grad_y_batch(self, x, ys, batch, split):
+            calls.append((split, len(ys)))
+            return super().grad_y_batch(x, ys, batch, split)
 
-        def predict(self, *args):
-            calls.append("predict")
-            return super().predict(*args)
+        def predict_batch(self, x, ys, features):
+            calls.append(("predict", len(ys)))
+            return super().predict_batch(x, ys, features)
 
     exp, state = build_experiment(ExperimentConfig.from_dict(_raw("RHG")))
     sub = replace(exp, problem=Counted(DATA["dim"], 16, DATA["way"], Regularizer.l2(0.01)))
@@ -255,12 +258,16 @@ def test_a_subclass_keeps_the_batch_methods_of_the_oracles_it_does_not_override(
     sub_state, sub_records = meta_train(sub, state)
     assert sub_state.x.values.tobytes() == plain_state.x.values.tobytes()
     assert metrics_to_jsonl(sub_records) == metrics_to_jsonl(plain_records)
-    # per task: T inner steps and the validation gradient at y_T; plus one
-    # evaluation of 6 tasks after meta-iteration 2, which predicts each task
+    # per meta-iteration: T inner steps and the validation gradient at y_T,
+    # each over the whole batch; plus the T inner steps of one evaluation of
+    # 6 tasks after meta-iteration 2, whose scores come from the forward pass
+    # of val_losses_and_scores rather than from predict_batch
     steps, tasks = exp.inner_config.steps, DATA["batch_size"]
-    assert calls.count("predict") == 6
-    assert calls.count(Split.VAL) == 3 * tasks
-    assert calls.count(Split.TRAIN) == 3 * tasks * steps + 6 * steps
+    assert Counter(calls) == {
+        (Split.TRAIN, tasks): 3 * steps,
+        (Split.VAL, tasks): 3,
+        (Split.TRAIN, 6): steps,
+    }
 
 
 def test_the_quadratic_trains_and_evaluates_through_its_per_task_oracles():

@@ -142,6 +142,38 @@ def test_values_rejected_while_building_exit_2(tmp_path, capsys, updates, sectio
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("root", [{"run": 5}, [1]], ids=["section", "root"])
+@pytest.mark.parametrize("flag", [["--set", "run.seed=1"], ["--threads", "2"]], ids=["set", "threads"])
+def test_overriding_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, root, flag):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(root))
+    code = entry(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *flag])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_an_output_directory_under_a_file_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code = entry(["run", "--config", str(cfg), "--out", str(afile / "sub")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_an_unwritable_verify_report_exits_2(tmp_path, capsys):
+    report = tmp_path / "nodir" / "r.jsonl"
+    code = entry(["verify", "--profile", "exact", "--report", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_abort_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"

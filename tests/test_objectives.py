@@ -422,6 +422,10 @@ def test_problems_accept_extended_x_but_reject_wrong_y(
 
 
 def _batch_problems():
+    # the quadratic has no batch methods of its own: BilevelObjective's loops
+    yield pytest.param(
+        make_quadratic([[2.0, -0.7], [0.4, 1.5]], 1.0, [1.0, -0.5]), id="quadratic"
+    )
     for reg in sorted(_MLP_REGS):
         yield pytest.param(
             make_meta_feature_softmax(DIM_IN, 6, WAY, reg=_MLP_REGS[reg]), id=f"softmax-{reg}"
@@ -438,21 +442,51 @@ def _rel_gap(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
+def _stacked(layout, seed, n):
+    vecs = [_randvec(layout, seed + j) for j in range(n)]
+    return vecs, np.stack([v.values for v in vecs])
+
+
 @pytest.mark.parametrize("split", [Split.TRAIN, Split.VAL], ids=lambda s: s.value)
 @pytest.mark.parametrize("prob", list(_batch_problems()))
 def test_batch_methods_match_the_per_task_oracles_row_by_row(prob, split, small_batch):
     x = _randvec(prob.x_layout, 70)
-    ys = [_randvec(prob.y_layout, 71 + j) for j in range(len(small_batch))]
-    stack = np.stack([y.values for y in ys])
-    grads = prob.grad_y_batch(x, stack, small_batch, split)
+    ys, stack = _stacked(prob.y_layout, 71, len(small_batch))
+    vs, v_stack = _stacked(prob.y_layout, 81, len(small_batch))
     values = prob.value_batch(x, stack, small_batch, split)
-    scores = prob.predict_batch(x, stack, small_batch.val_features)
-    assert grads.shape == stack.shape
     assert values.shape == (len(small_batch),)
-    for j, (y, task) in enumerate(zip(ys, small_batch)):
-        assert _rel_gap(grads[j], prob.grad_y(x, y, task, split).values) < 1e-12
+    batched = {
+        "grad_y": prob.grad_y_batch(x, stack, small_batch, split),
+        "grad_x": prob.grad_x_batch(x, stack, small_batch, split),
+        "hvp_yy": prob.hvp_yy_batch(x, stack, small_batch, split, v_stack),
+        "cross_hvp": prob.cross_hvp_batch(x, stack, small_batch, split, v_stack),
+    }
+    for j, (y, v, task) in enumerate(zip(ys, vs, small_batch)):
         assert values[j] == pytest.approx(prob.value(x, y, task, split), rel=1e-12, abs=0)
-        assert _rel_gap(scores[j], prob.predict(x, y, task.val_features)) < 1e-12
+        per_task = {
+            "grad_y": prob.grad_y(x, y, task, split),
+            "grad_x": prob.grad_x(x, y, task, split),
+            "hvp_yy": prob.hvp_yy(x, y, task, split, v),
+            "cross_hvp": prob.cross_hvp(x, y, task, split, v),
+        }
+        for name, rows in batched.items():
+            want = per_task[name].values
+            assert rows.shape == (len(small_batch), want.size), name
+            # grad_x and cross_hvp are zero where the loss never reads x
+            assert np.linalg.norm(rows[j] - want) <= 1e-12 * np.linalg.norm(want), name
+    if hasattr(prob, "predict"):
+        scores = prob.predict_batch(x, stack, small_batch.val_features)
+        for j, (y, task) in enumerate(zip(ys, small_batch)):
+            assert _rel_gap(scores[j], prob.predict(x, y, task.val_features)) < 1e-12
+
+
+def test_a_default_batch_method_rejects_a_row_count_unlike_the_task_count(quad2, small_batch):
+    x = _randvec(quad2.x_layout, 90)
+    stack = np.zeros((len(small_batch) + 1, quad2.y_layout.dim))
+    with pytest.raises(LengthMismatch):
+        quad2.grad_y_batch(x, stack, small_batch, Split.TRAIN)
+    with pytest.raises(LengthMismatch):
+        quad2.hvp_yy_batch(x, stack[:1], small_batch, Split.TRAIN, stack[:1])
 
 
 def test_batch_methods_reject_a_stack_of_the_wrong_shape(softmax_problem, small_batch):
