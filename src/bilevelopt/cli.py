@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import BilevelError
@@ -127,13 +128,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_gradcheck_suite(profile=args.profile)
-    if args.report:
-        try:
-            Path(args.report).write_text(report_to_jsonl(results))
-        except OSError as e:
-            print(f"error: cannot write report: {e}", file=sys.stderr)
-            return 2
+    # opened first, so an unwritable path fails before the suite runs
+    try:
+        report = open(args.report, "w") if args.report else nullcontext()
+    except OSError as e:
+        print(f"error: cannot write report: {e}", file=sys.stderr)
+        return 2
+    with report:
+        results = run_gradcheck_suite(profile=args.profile)
+        if args.report:
+            report.write(report_to_jsonl(results))
     width = max(len(r.metric) for r in results) if results else 0
     for r in results:
         status = "pass" if r.passed else "FAIL"

@@ -55,9 +55,6 @@ class TaskDataset:
     train_labels: np.ndarray
     val_features: np.ndarray
     val_labels: np.ndarray
-    way: int
-    shot: int
-    query: int
 
     @cached_property
     def train(self) -> tuple[Example, ...]:
@@ -293,9 +290,6 @@ def sample_task_batch(
                 train_labels.copy(),
                 np.concatenate([d[spec.shot :] for d in draws], dtype=np.float64),
                 val_labels.copy(),
-                spec.way,
-                spec.shot,
-                spec.query,
             )
         )
     return TaskBatch(tuple(tasks))

@@ -14,6 +14,9 @@ Five strategies with different cost/accuracy trade-offs:
 Each estimator is written once, for a batch of tasks stacked on a leading
 axis (compute_hypergradient_batch); the per-task functions run it on a
 batch of one, so a task's estimate never depends on the rest of its batch.
+Every estimator takes the iterates an inner run kept, as (tasks, dim_y)
+stacks; the two reverse sweeps need them recorded (inner.is_recorded), and
+the others read only the last one, y_T.
 
 Named compositions of (paradigm, inner rule, estimator) for ten methods from
 the meta-learning literature are exposed through compose_named_method.
@@ -34,7 +37,13 @@ from .errors import (
     TrajectoryNotRecorded,
     UnknownMethod,
 )
-from .inner import InnerConfig, InnerRule, InnerTrajectory, step_transposed_jvps_batch
+from .inner import (
+    InnerConfig,
+    InnerRule,
+    InnerTrajectory,
+    is_recorded,
+    step_transposed_jvps_batch,
+)
 from .numerics import (
     ParamVector,
     conjugate_gradient_batch,
@@ -155,25 +164,22 @@ class HyperGradBatch:
         )
 
 
-def _rows(traj: InnerTrajectory) -> np.ndarray:
-    """One task's trajectory as a batch of one: the (steps + 1, 1, dim_y)
-    stack when recorded, else its final iterate as a (1, dim_y) stack."""
-    if traj.recorded:
-        return np.stack([y.values for y in traj.iterates])[:, None]
-    return traj.y_final.values[None]
+def _rows(traj: InnerTrajectory) -> tuple[np.ndarray, ...]:
+    """One task's kept iterates as a batch of one: (1, dim_y) stacks."""
+    return tuple(y.values[None] for y in traj.iterates)
 
 
 def _reverse_sweep(
     problem: BilevelObjective,
     config: InnerConfig,
     x: ParamVector,
-    traj: np.ndarray,
+    traj: tuple[np.ndarray, ...],
     batch,
     first_step: int,
     include_init: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint recurrence over steps T..first_step of a (T + 1, tasks, dim_y)
-    trajectory, every task at once.
+    """Adjoint recurrence over steps T..first_step of a recorded trajectory,
+    the (tasks, dim_y) stacks y_0..y_T, every task at once.
 
     lam starts as the validation gradient at y_T; each visited step t adds
     the x-coupling term and pulls lam back through the step Jacobian. When
@@ -194,7 +200,7 @@ def _reverse_sweep(
 
 
 def _reverse(problem, paradigm, config, x, traj, batch) -> HyperGradBatch:
-    if traj.ndim != 3:
+    if not is_recorded(config, traj):
         raise TrajectoryNotRecorded(
             "reverse hypergradient needs the full trajectory; rerun with record=True"
         )
@@ -212,7 +218,7 @@ def _truncated(problem, paradigm, config, x, traj, batch, k) -> HyperGradBatch:
         k = max(1, math.ceil(t_total / 2))
     if t_total < 1 or not 1 <= k <= t_total:
         raise InsufficientIterates(f"truncation k={k} outside 1..{t_total}")
-    if traj.ndim != 3:
+    if not is_recorded(config, traj):
         raise InsufficientIterates(
             "truncated reverse needs recorded iterates; rerun with record=True"
         )
@@ -260,14 +266,12 @@ def _first_order(problem, paradigm, x, ys, batch) -> HyperGradBatch:
     return HyperGradBatch(grad_x=g, ul_value=ul)
 
 
-def _darts(problem, paradigm, x, ys, batch, delta: float, step_size: float) -> HyperGradBatch:
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+def _darts(problem, paradigm, x, ys, batch, cfg: Darts, step_size: float) -> HyperGradBatch:
     grad_y, grad_x = problem.grad_y_batch, problem.grad_x_batch
     v = grad_y(x, ys, batch, Split.VAL)
     ul = problem.value_batch(x, ys, batch, Split.VAL)
     # each task's own difference step, from its own direction's norm
-    eps = (delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
+    eps = (cfg.delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
     y_plus = ys + eps * v
     y_minus = ys - eps * v
     scale = step_size / (2.0 * eps)
@@ -362,7 +366,7 @@ def hypergrad_darts(
     evaluations regardless of dimension.
     """
     res = _darts(
-        problem, paradigm, x, y_final.values[None], TaskBatch((task,)), delta, step_size
+        problem, paradigm, x, y_final.values[None], TaskBatch((task,)), Darts(delta), step_size
     )
     return res.row(0, x.layout)
 
@@ -398,21 +402,21 @@ def compute_hypergradient_batch(
 ) -> HyperGradBatch:
     """compute_hypergradient for every task of `batch` at once.
 
-    ys is the (steps + 1, tasks, dim_y) trajectory that run_inner_batch
-    records under `config`; the estimators that read only the final iterate
-    also take that (tasks, dim_y) stack alone.
+    ys is the tuple of (tasks, dim_y) stacks that run_inner_batch kept under
+    `config`; the reverse sweeps need it recorded, and the other estimators
+    read only its last stack, y_T.
     """
     if isinstance(method, Reverse):
         return _reverse(problem, paradigm, config, x, ys, batch)
     if isinstance(method, TruncatedReverse):
         return _truncated(problem, paradigm, config, x, ys, batch, method.k)
-    y_final = ys[-1] if ys.ndim == 3 else ys
+    y_final = ys[-1]
     if isinstance(method, Implicit):
         return _implicit(problem, paradigm, x, y_final, batch, method)
     if isinstance(method, FirstOrder):
         return _first_order(problem, paradigm, x, y_final, batch)
     if isinstance(method, Darts):
-        return _darts(problem, paradigm, x, y_final, batch, method.delta, config.step_size)
+        return _darts(problem, paradigm, x, y_final, batch, method, config.step_size)
     raise TypeError(f"unknown hypergradient method {method!r}")
 
 

@@ -16,7 +16,9 @@ Rules with a factor keep its meta-parameters inside extra segments of x:
 
 The steps and their transposed products are written once, on (tasks, dim_y)
 stacks of y with one row per task; the per-task functions run them on a
-batch of one.
+batch of one. A run keeps either every iterate y_0..y_T or only y_0 and
+y_T; it is recorded when it kept all T + 1 (is_recorded), as the reverse
+sweeps need, which a run of at most one step always is.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "InnerRule",
     "InnerConfig",
     "InnerTrajectory",
+    "is_recorded",
     "init_task_params",
     "inner_step",
     "run_inner",
@@ -96,18 +99,22 @@ class InnerConfig:
             raise ValueError("bda_alpha must be in [0, 1]")
 
 
+def is_recorded(config: InnerConfig, kept) -> bool:
+    """Whether the iterates kept by a run under config are all of y_0..y_T."""
+    return len(kept) == config.steps + 1
+
+
 @dataclass(frozen=True)
 class InnerTrajectory:
-    """Iterates of one inner run.
-
-    When recorded, iterates holds y_0..y_T; otherwise only (y_0, y_T) was
-    kept and the reverse pass cannot revisit intermediate steps. Runs of at
-    most one step are always effectively recorded.
-    """
+    """Iterates of one inner run: y_0..y_T when recorded (is_recorded),
+    otherwise only y_0 and y_T, which the reverse sweeps cannot run on."""
 
     iterates: tuple[ParamVector, ...]
     config: InnerConfig
-    recorded: bool = True
+
+    @property
+    def recorded(self) -> bool:
+        return is_recorded(self.config, self.iterates)
 
     @property
     def steps(self) -> int:
@@ -222,18 +229,6 @@ def _step(config: InnerConfig, problem: BilevelObjective, x: ParamVector, ys, ba
     return y_next
 
 
-def _run(config: InnerConfig, problem, x, ys, batch, record: bool) -> list[np.ndarray]:
-    """Stacks y_0..y_T when recording, else y_0 and (after any step) y_T."""
-    kept = [ys]
-    for _ in range(config.steps):
-        ys = _step(config, problem, x, ys, batch)
-        if record:
-            kept.append(ys)
-    if not record and config.steps >= 1:
-        kept.append(ys)
-    return kept
-
-
 def inner_step(
     rule: InnerRule,
     config: InnerConfig,
@@ -256,30 +251,32 @@ def run_inner(
     record: bool = True,
 ) -> InnerTrajectory:
     config = _with_rule(config, rule)
-    kept = _run(config, problem, x, y_0.values[None], TaskBatch((task,)), record)
+    kept = run_inner_batch(config, problem, x, y_0.values[None], TaskBatch((task,)), record)
     return InnerTrajectory(
-        iterates=(y_0,) + tuple(y_0.like(ys[0]) for ys in kept[1:]),
-        config=config,
-        recorded=record or config.steps <= 1,
+        iterates=(y_0,) + tuple(y_0.like(ys[0]) for ys in kept[1:]), config=config
     )
 
 
 def run_inner_batch(
-    rule: InnerRule,
     config: InnerConfig,
     problem: BilevelObjective,
     x: ParamVector,
     ys: np.ndarray,
     batch: TaskBatch,
     record: bool = False,
-) -> np.ndarray:
-    """The inner runs of every task of `batch` at once, from the rows of ys.
+) -> tuple[np.ndarray, ...]:
+    """The inner runs of every task of `batch` at once under config.rule,
+    from the rows of the (tasks, dim_y) stack ys.
 
-    Returns the final iterates as a (tasks, dim_y) stack or, with record,
-    the whole (steps + 1, tasks, dim_y) trajectory y_0..y_T.
+    Returns the (tasks, dim_y) stacks it kept: y_0..y_T with record, else
+    y_0 and (after any step) y_T. Either way the last one is y_T.
     """
-    kept = _run(_with_rule(config, rule), problem, x, ys, batch, record)
-    return np.stack(kept) if record else kept[-1]
+    kept = [ys]
+    for t in range(1, config.steps + 1):
+        ys = _step(config, problem, x, ys, batch)
+        if record or t == config.steps:
+            kept.append(ys)
+    return tuple(kept)
 
 
 def step_transposed_jvps(

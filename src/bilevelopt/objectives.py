@@ -15,8 +15,9 @@ initialization is the meta-parameter.
 
 The trainer runs a whole batch of tasks at once on (tasks, dim) stacks
 through each oracle's batch form, <oracle>_batch. BilevelObjective's batch
-forms call the per-task oracle task by task; the two classifier problems
-override them with stacked kernels.
+forms, and val_losses_and_scores (the validation losses and classifier
+scores of an evaluation), call the per-task oracle task by task; the two
+classifier problems override them with stacked kernels.
 """
 
 from __future__ import annotations
@@ -141,12 +142,12 @@ class BilevelObjective:
     the problem does not read are zero.
 
     Batch forms take (x, ys, batch, split), plus a vs stack for hvp_yy and
-    cross_hvp, with ys and vs (tasks, dim_y) stacks; predict_batch takes
-    (x, ys, features) with a (tasks, rows, dim) feature stack. They answer
-    with the per-task answers stacked on a leading task axis. The ones here
-    call the per-task oracle task by task; a problem overrides them for
-    speed, and a subclass that changes a per-task oracle overrides its batch
-    form as well.
+    cross_hvp, with ys and vs (tasks, dim_y) stacks. They answer with the
+    per-task answers stacked on a leading task axis. val_losses_and_scores
+    gives each task's validation loss and, for a classifier, its predict
+    scores on the validation features. The ones here call the per-task
+    oracle task by task; a problem overrides them for speed, and a subclass
+    that changes a per-task oracle overrides its batch form as well.
     """
 
     x_layout: Layout
@@ -202,9 +203,6 @@ class BilevelObjective:
     def cross_hvp_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
         return self._per_task(self.cross_hvp, x, ys, batch, split, vs)
 
-    def predict_batch(self, x, ys: np.ndarray, features: np.ndarray) -> np.ndarray:
-        return self._per_task(self.predict, x, ys, features)
-
     def val_losses_and_scores(self, x: ParamVector, ys: np.ndarray, batch: TaskBatch):
         """Each task's validation loss at its row of the (tasks, dim_y) stack
         ys and, for a classifier, its class scores on the validation
@@ -212,7 +210,7 @@ class BilevelObjective:
         losses = self.value_batch(x, ys, batch, Split.VAL)
         if not self.is_classifier:
             return losses, None
-        return losses, self.predict_batch(x, ys, batch.val_features)
+        return losses, self._per_task(self.predict, x, ys, batch.val_features)
 
     def _check_xy(self, x: ParamVector, y: ParamVector):
         for seg in self.x_layout.segments:
@@ -392,7 +390,7 @@ def _join(like: np.ndarray, *parts: np.ndarray) -> np.ndarray:
 
 
 class _TaskAxisObjective(BilevelObjective):
-    """The five oracles, predict and their batch forms from kernels that take
+    """The five oracles, their batch forms and predict from kernels that take
     y (and v) as (..., dim_y) arrays and broadcast over leading task axes:
     _scores and _loss (behind value), _grad_y, _hvp_yy, and for a problem
     whose loss reads x, _grad_x and _cross_hvp. Each row of a batch answer
@@ -466,12 +464,9 @@ class _TaskAxisObjective(BilevelObjective):
         self._check_stack(batch, ys, vs)
         return self._cross_hvp(x, ys, batch, split, vs)
 
-    def predict_batch(self, x, ys: np.ndarray, features: np.ndarray) -> np.ndarray:
-        return self._scores(x, ys, features)
-
     def val_losses_and_scores(self, x, ys: np.ndarray, batch: TaskBatch):
-        """value_batch on the val split and, for a classifier, predict_batch
-        on its features, from one forward pass."""
+        """value_batch on the val split and, for a classifier, the predict
+        scores on its features, from one forward pass."""
         self._check_stack(batch, ys)
         scores = self._scores(x, ys, batch.val_features)
         return self._loss(scores, batch.val_labels), scores if self.is_classifier else None

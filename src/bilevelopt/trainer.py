@@ -502,14 +502,12 @@ def _adapt_and_grade(exp: Experiment, x: ParamVector, batch: TaskBatch, init_roo
     fixed x: the (tasks, dim_x) gradients, and each task's validation loss
     and final inner loss."""
     problem, inner = exp.problem, exp.inner_config
-    record = needs_full_trajectory(exp.method)
-    ys = run_inner_batch(
-        inner.rule, inner, problem, x, _initial_ys(exp, x, init_root, len(batch)), batch,
-        record=record,
+    kept = run_inner_batch(
+        inner, problem, x, _initial_ys(exp, x, init_root, len(batch)), batch,
+        record=needs_full_trajectory(exp.method),
     )
-    res = compute_hypergradient_batch(exp.method, problem, exp.paradigm, inner, x, ys, batch)
-    y_final = ys[-1] if record else ys
-    inner_final = problem.value_batch(x, y_final, batch, Split.TRAIN)
+    res = compute_hypergradient_batch(exp.method, problem, exp.paradigm, inner, x, kept, batch)
+    inner_final = problem.value_batch(x, kept[-1], batch, Split.TRAIN)
     return res.grad_x, res.ul_value, inner_final
 
 
@@ -579,7 +577,7 @@ def meta_evaluate(
     init_root = RngStream(exp.cfg.run.seed, _EVAL_INIT_STREAM).child(r)
     ys = _initial_ys(exp, x, init_root, n_tasks)
     batch = _task_batch(exp, n_tasks, _EVAL_TASK_STREAM, r)
-    ys = run_inner_batch(inner.rule, inner, problem, x, ys, batch)
+    ys = run_inner_batch(inner, problem, x, ys, batch)[-1]
     losses, scores = problem.val_losses_and_scores(x, ys, batch)
     mean_loss = float(np.mean(losses))
     if scores is None:

@@ -13,16 +13,22 @@ from bilevelopt import (
     BilevelObjective,
     ExperimentConfig,
     Implicit,
+    InsufficientIterates,
     MetaFeatureSoftmax,
     Paradigm,
     ParamVector,
     Regularizer,
+    Reverse,
     RngStream,
     Split,
     TaskBatch,
+    TrajectoryNotRecorded,
+    TruncatedReverse,
     build_experiment,
     compose_named_method,
     compute_hypergradient,
+    hypergrad_reverse,
+    hypergrad_truncated,
     init_task_params,
     meta_evaluate,
     meta_step,
@@ -126,23 +132,29 @@ def test_meta_train_matches_a_per_task_loop(raw):
         assert rec.mean_inner_final_loss == pytest.approx(inner, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("raw", list(_cases()))
-def test_each_row_of_a_batch_matches_its_one_row_run(raw):
-    exp, state = _trained(raw)
-    problem, inner, x = exp.problem, exp.inner_config, state.x
+def _batch_and_ys0(exp, x):
+    """A batch of 4 tasks and their y_0s as a (tasks, dim_y) stack."""
     if exp.source is None:
         batch = TaskBatch((None,) * 4)
     else:
         batch = sample_task_batch(exp.source, exp.episode_spec, RngStream(5, 6))
     root = RngStream(5, 7)
     ys0 = np.stack([
-        init_task_params(exp.paradigm, problem, x, root.child(j)).values
+        init_task_params(exp.paradigm, exp.problem, x, root.child(j)).values
         for j in range(len(batch))
     ])
+    return batch, ys0
+
+
+@pytest.mark.parametrize("raw", list(_cases()))
+def test_each_row_of_a_batch_matches_its_one_row_run(raw):
+    exp, state = _trained(raw)
+    problem, inner, x = exp.problem, exp.inner_config, state.x
+    batch, ys0 = _batch_and_ys0(exp, x)
     record = needs_full_trajectory(exp.method)
-    ys = run_inner_batch(inner.rule, inner, problem, x, ys0, batch, record=record)
-    res = compute_hypergradient_batch(exp.method, problem, exp.paradigm, inner, x, ys, batch)
-    y_final = ys[-1] if record else ys
+    kept = run_inner_batch(inner, problem, x, ys0, batch, record=record)
+    res = compute_hypergradient_batch(exp.method, problem, exp.paradigm, inner, x, kept, batch)
+    y_final = kept[-1]
     for j, task in enumerate(batch):
         traj = run_inner(
             inner.rule, inner, problem, x, ParamVector(problem.y_layout, ys0[j]), task,
@@ -157,6 +169,59 @@ def test_each_row_of_a_batch_matches_its_one_row_run(raw):
         if isinstance(exp.method, Implicit):
             assert res.cg_iters[j] == solo.cg_iters
             assert res.cg_residual[j] == pytest.approx(solo.cg_residual, rel=1e-12, abs=0)
+
+
+_SWEEP_CASES = ("RHG", "MAML", "quadratic")
+
+
+def _sweep_experiment(name, steps):
+    raw = _raw("RHG", QUADRATIC) if name == "quadratic" else _raw(name)
+    raw["inner"]["steps"] = steps
+    return build_experiment(ExperimentConfig.from_dict(raw))
+
+
+@pytest.mark.parametrize(
+    "method, steps", [(Reverse(), 0), (Reverse(), 1), (TruncatedReverse(), 1)],
+    ids=["reverse-0", "reverse-1", "truncated-1"],
+)
+@pytest.mark.parametrize("name", _SWEEP_CASES)
+def test_an_unrecorded_run_of_at_most_one_step_feeds_the_batched_sweeps(name, method, steps):
+    # such a run keeps all T + 1 iterates, so it counts as recorded in a
+    # batch as it does for one task
+    exp, state = _sweep_experiment(name, steps)
+    problem, inner, x = exp.problem, exp.inner_config, state.x
+    batch, ys0 = _batch_and_ys0(exp, x)
+    kept = run_inner_batch(inner, problem, x, ys0, batch)
+    assert len(kept) == steps + 1
+    res = compute_hypergradient_batch(method, problem, exp.paradigm, inner, x, kept, batch)
+    solo_sweep = hypergrad_reverse if isinstance(method, Reverse) else hypergrad_truncated
+    for j, task in enumerate(batch):
+        traj = run_inner(
+            inner.rule, inner, problem, x, ParamVector(problem.y_layout, ys0[j]), task,
+            record=False,
+        )
+        solo = solo_sweep(problem, exp.paradigm, traj, x, task)
+        assert _rel(res.grad_x[j], solo.grad_x.values) <= 1e-12
+        assert res.ul_value[j] == pytest.approx(solo.ul_value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "method, error",
+    [(Reverse(), TrajectoryNotRecorded), (TruncatedReverse(), InsufficientIterates)],
+    ids=["reverse", "truncated"],
+)
+@pytest.mark.parametrize("steps", (2, 5))
+@pytest.mark.parametrize("name", _SWEEP_CASES)
+def test_an_unrecorded_run_of_two_or_more_steps_cannot_feed_the_batched_sweeps(
+    name, steps, method, error
+):
+    exp, state = _sweep_experiment(name, steps)
+    problem, inner, x = exp.problem, exp.inner_config, state.x
+    batch, ys0 = _batch_and_ys0(exp, x)
+    kept = run_inner_batch(inner, problem, x, ys0, batch)
+    assert len(kept) == 2
+    with pytest.raises(error):
+        compute_hypergradient_batch(method, problem, exp.paradigm, inner, x, kept, batch)
 
 
 class _Forwarding(BilevelObjective):
@@ -248,10 +313,6 @@ def test_a_subclass_that_overrides_batch_methods_trains_to_the_same_bytes():
             calls.append((split, len(ys)))
             return super().grad_y_batch(x, ys, batch, split)
 
-        def predict_batch(self, x, ys, features):
-            calls.append(("predict", len(ys)))
-            return super().predict_batch(x, ys, features)
-
     exp, state = build_experiment(ExperimentConfig.from_dict(_raw("RHG")))
     sub = replace(exp, problem=Counted(DATA["dim"], 16, DATA["way"], Regularizer.l2(0.01)))
     plain_state, plain_records = meta_train(exp, state)
@@ -260,8 +321,7 @@ def test_a_subclass_that_overrides_batch_methods_trains_to_the_same_bytes():
     assert metrics_to_jsonl(sub_records) == metrics_to_jsonl(plain_records)
     # per meta-iteration: T inner steps and the validation gradient at y_T,
     # each over the whole batch; plus the T inner steps of one evaluation of
-    # 6 tasks after meta-iteration 2, whose scores come from the forward pass
-    # of val_losses_and_scores rather than from predict_batch
+    # 6 tasks after meta-iteration 2
     steps, tasks = exp.inner_config.steps, DATA["batch_size"]
     assert Counter(calls) == {
         (Split.TRAIN, tasks): 3 * steps,

@@ -174,6 +174,22 @@ def test_an_unwritable_verify_report_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_an_unwritable_verify_report_exits_2_before_the_suite_runs(
+    tmp_path, monkeypatch, capsys
+):
+    import bilevelopt.cli as cli
+
+    def never(**_):
+        raise AssertionError("the gradcheck suite ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_gradcheck_suite", never)
+    code = entry(["verify", "--report", str(tmp_path / "nodir" / "r.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_abort_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bilevelopt import (
+    BilevelObjective,
     Layout,
     LayoutMismatch,
     LengthMismatch,
@@ -474,9 +475,37 @@ def test_batch_methods_match_the_per_task_oracles_row_by_row(prob, split, small_
             assert rows.shape == (len(small_batch), want.size), name
             # grad_x and cross_hvp are zero where the loss never reads x
             assert np.linalg.norm(rows[j] - want) <= 1e-12 * np.linalg.norm(want), name
-    if hasattr(prob, "predict"):
-        scores = prob.predict_batch(x, stack, small_batch.val_features)
-        for j, (y, task) in enumerate(zip(ys, small_batch)):
+
+
+class _PerTaskOnly(BilevelObjective):
+    """A problem's value and predict alone, so val_losses_and_scores runs
+    BilevelObjective's per-task loop."""
+
+    def __init__(self, problem):
+        self._problem = problem
+        self.x_layout, self.y_layout = problem.x_layout, problem.y_layout
+        self.is_classifier = problem.is_classifier
+
+    def value(self, *args):
+        return self._problem.value(*args)
+
+    def predict(self, *args):
+        return self._problem.predict(*args)
+
+
+@pytest.mark.parametrize("loop", (False, True), ids=("own", "per-task-loop"))
+@pytest.mark.parametrize("prob", list(_batch_problems()))
+def test_val_losses_and_scores_match_the_per_task_oracles_row_by_row(prob, loop, small_batch):
+    x = _randvec(prob.x_layout, 70)
+    ys, stack = _stacked(prob.y_layout, 71, len(small_batch))
+    losses, scores = (_PerTaskOnly(prob) if loop else prob).val_losses_and_scores(
+        x, stack, small_batch
+    )
+    assert losses.shape == (len(small_batch),)
+    assert (scores is None) is not prob.is_classifier
+    for j, (y, task) in enumerate(zip(ys, small_batch)):
+        assert losses[j] == pytest.approx(prob.value(x, y, task, Split.VAL), rel=1e-12, abs=0)
+        if scores is not None:
             assert _rel_gap(scores[j], prob.predict(x, y, task.val_features)) < 1e-12
 
 
