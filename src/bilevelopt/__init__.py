@@ -31,8 +31,6 @@ from .numerics import (
     ParamVector,
     RngStream,
     conjugate_gradient,
-    fd_gradient,
-    fd_hvp,
 )
 from .data import (
     ClassDirectory,
@@ -103,6 +101,8 @@ from .trainer import (
 from .verify import (
     CheckResult,
     analytic_quadratic_hypergrad,
+    fd_gradient,
+    fd_hvp,
     fd_hypergradient,
     make_zero_curvature,
     report_to_jsonl,

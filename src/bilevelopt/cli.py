@@ -2,8 +2,9 @@
 
 Three subcommands:
 
-  run           train from a JSON config, writing metrics.jsonl,
-                config.resolved.json, and final_params.bin to --out
+  run           train from a JSON config, writing to --out metrics.jsonl
+                (a line per completed meta-iteration, kept on exit 3),
+                config.resolved.json and final_params.bin
   verify        run the gradcheck suite and print a summary table
   list-methods  print the ten built-in method compositions
 
@@ -25,12 +26,12 @@ from .hypergrad import METHOD_NAMES, compose_named_method
 from .params_io import write_params
 from .trainer import (
     ExperimentConfig,
+    _train_rounds,
     apply_overrides,
     build_experiment,
-    meta_train,
     metrics_to_jsonl,
 )
-from .verify import report_to_jsonl, run_gradcheck_suite
+from .verify import PROFILES, report_to_jsonl, run_gradcheck_suite
 
 __all__ = ["entry", "main"]
 
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the estimator gradcheck suite")
     p_verify.add_argument(
         "--profile",
-        choices=("exact", "fd", "all"),
+        choices=tuple(PROFILES),
         default="all",
         help="problems to check: exact (quadratic, feature softmax, zero "
         "curvature), fd (the tanh MLP; the name is kept for compatibility) or all",
@@ -104,14 +105,22 @@ def _cmd_run(args) -> int:
     except OSError as e:
         print(f"error: cannot create output directory: {e}", file=sys.stderr)
         return 2
+    done = 0
     try:
-        state, records = meta_train(exp, state)
+        for state, record in _train_rounds(exp, state):
+            # one line per completed meta-iteration, so an abort keeps them
+            try:
+                with open(out_dir / "metrics.jsonl", "a" if done else "w") as metrics:
+                    metrics.write(metrics_to_jsonl([record]))
+            except OSError as e:
+                print(f"error: cannot write artifacts: {e}", file=sys.stderr)
+                return 2
+            done += 1
     except BilevelError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 
     try:
-        (out_dir / "metrics.jsonl").write_text(metrics_to_jsonl(records))
         (out_dir / "config.resolved.json").write_text(
             json.dumps(cfg.to_dict(), indent=2) + "\n"
         )
@@ -119,10 +128,9 @@ def _cmd_run(args) -> int:
     except OSError as e:
         print(f"error: cannot write artifacts: {e}", file=sys.stderr)
         return 2
-    last = records[-1]
     print(
-        f"finished {len(records)} meta-iterations; "
-        f"final ul_loss {last.ul_loss:.6f}; artifacts in {out_dir}"
+        f"finished {done} meta-iterations; "
+        f"final ul_loss {record.ul_loss:.6f}; artifacts in {out_dir}"
     )
     return 0
 
@@ -153,22 +161,12 @@ def _cmd_verify(args) -> int:
 def _cmd_list_methods() -> int:
     rows = []
     for name in METHOD_NAMES:
-        composed = compose_named_method(name)
-        rows.append(
-            (
-                name,
-                composed.paradigm.value,
-                composed.inner_rule.value,
-                type(composed.hypergrad_method).__name__,
-                composed.notes,
-            )
-        )
-    name_w = max(len(r[0]) for r in rows)
-    par_w = max(len(r[1]) for r in rows)
-    rule_w = max(len(r[2]) for r in rows)
-    hg_w = max(len(r[3]) for r in rows)
-    for name, par, rule, hg_name, notes in rows:
-        print(f"{name:<{name_w}}  {par:<{par_w}}  {rule:<{rule_w}}  {hg_name:<{hg_w}}  {notes}")
+        c = compose_named_method(name)
+        hg_name = type(c.hypergrad_method).__name__
+        rows.append((name, c.paradigm.value, c.inner_rule.value, hg_name, c.notes))
+    widths = [max(len(row[i]) for row in rows) for i in range(4)]
+    for *cells, notes in rows:
+        print("".join(f"{cell:<{w}}  " for cell, w in zip(cells, widths)) + notes)
     return 0
 
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .data import TaskBatch
 from .errors import (
+    IndefiniteCurvature,
     InsufficientIterates,
     NonFiniteValue,
     TrajectoryNotRecorded,
@@ -245,9 +246,16 @@ def _implicit(problem, paradigm, x, ys, batch, cfg: Implicit) -> HyperGradBatch:
         return hv
 
     rhs = problem.grad_y_batch(x, ys, batch, Split.VAL)
-    q, iters, residual, _ = conjugate_gradient_batch(
-        apply, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter
-    )
+    try:
+        q, iters, residual, _ = conjugate_gradient_batch(
+            apply, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter
+        )
+    except IndefiniteCurvature as e:
+        e.args = (
+            f"{e}; hint: H + prox_lambda*I is not positive definite at the inner "
+            f"solution, so raise hypergrad.prox_lambda (now {prox:g})",
+        )
+        raise
     g = problem.grad_x_batch(x, ys, batch, Split.VAL)
     g = g - problem.cross_hvp_batch(x, ys, batch, Split.TRAIN, q)
     if paradigm is Paradigm.META_INIT and prox != 0.0:
@@ -428,67 +436,57 @@ class ComposedMethod(NamedTuple):
 
 
 _TABLE: dict[str, ComposedMethod] = {
-    "rhg": ComposedMethod(
+    "RHG": ComposedMethod(
         Paradigm.META_FEATURE, InnerRule.GD, Reverse(),
         "shared features, full reverse sweep",
     ),
-    "trhg": ComposedMethod(
+    "TRHG": ComposedMethod(
         Paradigm.META_FEATURE, InnerRule.GD, TruncatedReverse(),
         "shared features, reverse sweep over the last K steps",
     ),
-    "hoag": ComposedMethod(
+    "HOAG": ComposedMethod(
         Paradigm.META_FEATURE, InnerRule.GD, Implicit(),
         "shared features, implicit gradient via conjugate-gradient solve",
     ),
-    "maml": ComposedMethod(
+    "MAML": ComposedMethod(
         Paradigm.META_INIT, InnerRule.GD, Reverse(),
         "learned initialization, exact backprop through adaptation",
     ),
-    "fmaml": ComposedMethod(
+    "FMAML": ComposedMethod(
         Paradigm.META_INIT, InnerRule.GD, FirstOrder(),
         "learned initialization, curvature terms dropped",
     ),
-    "mt-net": ComposedMethod(
+    "MT-net": ComposedMethod(
         Paradigm.META_INIT, InnerRule.MTNET_MASK, Reverse(),
         "learned initialization plus per-segment step masks",
     ),
-    "meta-sgd": ComposedMethod(
+    "Meta-SGD": ComposedMethod(
         Paradigm.META_INIT, InnerRule.META_SGD, Reverse(),
         "learned initialization plus per-coordinate step sizes",
     ),
-    "warpgrad": ComposedMethod(
+    "WarpGrad": ComposedMethod(
         Paradigm.META_INIT, InnerRule.WARP_GRAD_DIAG, Reverse(),
         "learned initialization plus a diagonal gradient warp",
     ),
-    "darts": ComposedMethod(
+    "DARTS": ComposedMethod(
         Paradigm.META_FEATURE, InnerRule.GD, Darts(),
         "shared features, finite-difference curvature term",
     ),
-    "bda": ComposedMethod(
+    "BDA": ComposedMethod(
         Paradigm.META_FEATURE, InnerRule.BDA, Reverse(),
         "shared features, inner steps aggregate train and val gradients",
     ),
 }
 
-METHOD_NAMES = (
-    "RHG",
-    "TRHG",
-    "HOAG",
-    "MAML",
-    "FMAML",
-    "MT-net",
-    "Meta-SGD",
-    "WarpGrad",
-    "DARTS",
-    "BDA",
-)
+METHOD_NAMES = tuple(_TABLE)
+_BY_KEY = {name.lower(): composed for name, composed in _TABLE.items()}
 
 
 def compose_named_method(name: str) -> ComposedMethod:
     """Look up a method by name (case-insensitive; '_' and '-' interchangeable)."""
     key = name.strip().lower().replace("_", "-")
-    if key not in _TABLE:
+    if key not in _BY_KEY:
         raise UnknownMethod(
             f"unknown method {name!r}; valid names: {', '.join(METHOD_NAMES)}"
         )
-    return _TABLE[key]
+    return _BY_KEY[key]

@@ -152,7 +152,6 @@ def init_task_params(
     problem: BilevelObjective,
     x: ParamVector,
     rng: RngStream,
-    init_sd: float = DEFAULT_INIT_SD,
 ) -> ParamVector:
     """y_0 for one task: a copy of x["init"], or a small Gaussian draw."""
     if paradigm is Paradigm.META_INIT:
@@ -160,7 +159,7 @@ def init_task_params(
             raise MissingSegment("meta-init paradigm needs x segment 'init'")
         return ParamVector(problem.y_layout, x.segment("init"))
     gen = rng.generator()
-    values = init_sd * gen.standard_normal(problem.y_layout.dim)
+    values = DEFAULT_INIT_SD * gen.standard_normal(problem.y_layout.dim)
     return ParamVector(problem.y_layout, values, copy=False)
 
 

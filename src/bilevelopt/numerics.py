@@ -1,11 +1,9 @@
 """Flat parameter vectors with named segments, deterministic counter-based
-RNG streams, a matrix-free conjugate-gradient solver, and the
-central-difference helpers that verify.py uses as independent oracles.
+RNG streams, and a matrix-free conjugate-gradient solver.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -28,8 +26,6 @@ __all__ = [
     "segment_add",
     "segment_rows",
     "row_dots",
-    "fd_gradient",
-    "fd_hvp",
 ]
 
 
@@ -375,49 +371,3 @@ def conjugate_gradient_batch(
         tail = b - apply(q)
         iters[live], residual[live] = count, np.sqrt(row_dots(tail, tail))[live]
     return q, iters, residual, residual <= bound
-
-
-def fd_gradient(
-    h: Callable[[ParamVector], float], p: ParamVector, eps: float = 1e-5
-) -> ParamVector:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    base = p.values
-    out = np.empty(p.layout.dim)
-    for k in range(p.layout.dim):
-        work = base.copy()
-        work[k] = base[k] + eps
-        hp = float(h(ParamVector(p.layout, work, copy=False)))
-        work = base.copy()
-        work[k] = base[k] - eps
-        hm = float(h(ParamVector(p.layout, work, copy=False)))
-        if not (math.isfinite(hp) and math.isfinite(hm)):
-            raise NonFiniteValue(f"fd_gradient: non-finite evaluation at coordinate {k}")
-        out[k] = (hp - hm) / (2.0 * eps)
-    return ParamVector(p.layout, out, copy=False)
-
-
-def fd_hvp(
-    g: Callable[[ParamVector], ParamVector],
-    p: ParamVector,
-    v: ParamVector,
-    eps: float | None = None,
-) -> ParamVector:
-    """Hessian-vector product by central differences of a gradient oracle.
-
-    Default step balances truncation against round-off at double precision:
-    eps = 1e-4 * (1 + ||p||_inf) / (1 + ||v||_inf).
-    """
-    if p.layout != v.layout:
-        raise LayoutMismatch("p and v layouts differ in fd_hvp")
-    if eps is None:
-        eps = 1e-4 * (1.0 + p.inf_norm()) / (1.0 + v.inf_norm())
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    gp = g(p + eps * v)
-    gm = g(p - eps * v)
-    out = (1.0 / (2.0 * eps)) * (gp - gm)
-    if not out.is_finite():
-        raise NonFiniteValue("fd_hvp: non-finite gradient evaluation")
-    return out

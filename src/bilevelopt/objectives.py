@@ -326,8 +326,7 @@ class QuadraticBilevel(BilevelObjective):
         return out
 
 
-def make_quadratic(a, lam: float, b) -> QuadraticBilevel:
-    return QuadraticBilevel(a, lam, b)
+make_quadratic = QuadraticBilevel
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +548,7 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
         return self._feat_gradient(x, (delta @ vw + u @ w).swapaxes(-1, -2) @ phi)
 
 
-def make_meta_feature_softmax(
-    dim_in: int, dim_feat: int, way: int, reg: Regularizer | None = None
-) -> MetaFeatureSoftmax:
-    return MetaFeatureSoftmax(dim_in, dim_feat, way, reg)
+make_meta_feature_softmax = MetaFeatureSoftmax
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +674,4 @@ class MetaInitMlp(_TaskAxisObjective):
         return out
 
 
-def make_meta_init_mlp(
-    dim_in: int,
-    hidden: int,
-    dim_out: int,
-    loss: LossKind = LossKind.CROSS_ENTROPY,
-    reg: Regularizer | None = None,
-) -> MetaInitMlp:
-    return MetaInitMlp(dim_in, hidden, dim_out, loss, reg)
+make_meta_init_mlp = MetaInitMlp

@@ -4,12 +4,15 @@ held-out evaluation.
 One meta-iteration samples a batch of tasks, adapts the parameters of all
 of them at once with the configured inner dynamics from a shared immutable
 snapshot of x, estimates the per-task meta-gradients, averages them in
-task-index order, and applies one meta-optimizer step. The tasks ride a
-leading axis of stacked arrays through the problem's batch oracles
-(<oracle>_batch, see objectives.BilevelObjective); each task's numbers are
-those of its run alone.
+task-index order, and applies one meta-optimizer step; evaluation adapts
+fresh tasks through the same path (_adapt). The tasks ride a leading axis
+of stacked arrays through the problem's batch oracles (<oracle>_batch, see
+objectives.BilevelObjective); each task's numbers are those of its run
+alone. The command line takes the metrics round by round (_train_rounds),
+so the rounds that completed outlive an error.
 run.threads is still accepted and validated but ignored: a thread pool over
-the tasks measured slower than serial on every preset tried.
+the tasks measured slower than serial on every preset tried. A section
+field that feeds one runtime field reads its default from the runtime type.
 
 All randomness derives from the run seed through named counter-based
 streams (task sampling, per-task inits, evaluation, parameter init), so a
@@ -58,12 +61,12 @@ from .numerics import ParamVector, RngStream
 from .objectives import (
     BilevelObjective,
     LossKind,
+    MetaFeatureSoftmax,
+    MetaInitMlp,
     Paradigm,
+    QuadraticBilevel,
     Regularizer,
     Split,
-    make_meta_feature_softmax,
-    make_meta_init_mlp,
-    make_quadratic,
 )
 
 __all__ = [
@@ -100,14 +103,14 @@ class DataSection:
     source: str = "synthetic"
     num_classes: int = 20
     dim: int = 8
-    cluster_spread: float = 10.0
-    noise_sd: float = 0.5
+    cluster_spread: float = SyntheticGaussian.cluster_spread
+    noise_sd: float = 0.5  # noisier than SyntheticGaussian's default, on purpose
     root: str | None = None
     file_format: str = "csv"
     way: int = 5
     shot: int = 1
     query: int = 15
-    batch_size: int = 4
+    batch_size: int = 4  # EpisodeSpec's default is one task
 
     def __post_init__(self):
         if self.source not in ("synthetic", "directory"):
@@ -127,9 +130,9 @@ class DataSection:
 class ProblemSection:
     kind: str = "mlp"
     hidden: int = 0
-    loss: str = "cross_entropy"
-    reg: str = "none"
-    reg_coef: float = 0.0
+    loss: str = LossKind.CROSS_ENTROPY.value
+    reg: str = Regularizer.kind
+    reg_coef: float = Regularizer.coef
     dim_feat: int = 16
     quad_a: object = 2.0
     quad_lam: float = 1.0
@@ -153,7 +156,7 @@ class ProblemSection:
 class InnerSection:
     steps: int = 5
     step_size: float = 0.1
-    bda_alpha: float = 0.5
+    bda_alpha: float = InnerConfig.bda_alpha
 
     def __post_init__(self):
         self.inner_config(InnerRule.GD)
@@ -164,11 +167,11 @@ class InnerSection:
 
 @dataclass(frozen=True)
 class HypergradSection:
-    truncation_k: int | None = None
-    cg_tol: float = 1e-8
-    cg_max_iter: int | None = None
-    prox_lambda: float | None = None
-    darts_delta: float = 1e-2
+    truncation_k: int | None = TruncatedReverse.k
+    cg_tol: float = Implicit.cg_tol
+    cg_max_iter: int | None = Implicit.cg_max_iter
+    prox_lambda: float | None = Implicit.prox_lambda
+    darts_delta: float = Darts.delta
 
     def __post_init__(self):
         self.estimators()
@@ -187,11 +190,11 @@ class HypergradSection:
 @dataclass(frozen=True)
 class MetaOptSection:
     kind: str = "momentum"
-    lr: float = 1e-2
-    mu: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
+    lr: float = 1e-2  # feeds all three optimizers, whose own defaults differ
+    mu: float = Momentum.mu
+    beta1: float = Adam.beta1
+    beta2: float = Adam.beta2
+    eps_hat: float = Adam.eps_hat
 
     def __post_init__(self):
         if self.kind not in self.optimizers():
@@ -422,7 +425,7 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[Experiment, TrainState]:
     if prob.kind == "quadratic":
         source = None
         episode = None
-        problem = _build("problem", make_quadratic, prob.quad_a, prob.quad_lam, prob.quad_b)
+        problem = _build("problem", QuadraticBilevel, prob.quad_a, prob.quad_lam, prob.quad_b)
     else:
         if data.source == "synthetic":
             source = _build(
@@ -441,12 +444,12 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[Experiment, TrainState]:
         reg = Regularizer(prob.reg, prob.reg_coef)
         if prob.kind == "mlp":
             problem = _build(
-                "problem", make_meta_init_mlp,
+                "problem", MetaInitMlp,
                 dim_in, prob.hidden, data.way, LossKind(prob.loss), reg,
             )
         else:
             problem = _build(
-                "problem", make_meta_feature_softmax, dim_in, prob.dim_feat, data.way, reg
+                "problem", MetaFeatureSoftmax, dim_in, prob.dim_feat, data.way, reg
             )
 
     if paradigm is Paradigm.META_INIT and not problem.x_layout.has("init"):
@@ -480,35 +483,27 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[Experiment, TrainState]:
     return exp, TrainState(x=x, opt=opt, iteration=0)
 
 
-def _task_batch(exp: Experiment, n_tasks: int, stream: int, index: int) -> TaskBatch:
-    """n_tasks tasks drawn from the run's stream `stream`, child `index`;
-    n_tasks None tasks for the quadratic, which has no data."""
-    if exp.source is None:
-        return TaskBatch((None,) * n_tasks)
-    spec = replace(exp.episode_spec, batch_size=n_tasks)
-    return sample_task_batch(exp.source, spec, RngStream(exp.cfg.run.seed, stream).child(index))
-
-
-def _initial_ys(exp: Experiment, x: ParamVector, root: RngStream, n_tasks: int) -> np.ndarray:
-    """y_0 of each task, task j's from child j of `root`, as a (tasks, dim_y) stack."""
-    return np.stack([
-        init_task_params(exp.paradigm, exp.problem, x, root.child(j)).values
+def _adapt(
+    exp: Experiment, x: ParamVector, n_tasks: int,
+    task_stream: int, init_stream: int, index: int, record: bool = False,
+) -> tuple[TaskBatch, tuple[np.ndarray, ...]]:
+    """Draw task j's y_0 from child j of child `index` of the run's
+    `init_stream` and n_tasks tasks from child `index` of its `task_stream`
+    (None tasks for the quadratic, which has no data), then run every inner
+    loop against x. Returns the batch and the (tasks, dim_y) stacks kept."""
+    seed = exp.cfg.run.seed
+    # the streams are independent, so the order of the two draws changes no value
+    init_root = RngStream(seed, init_stream).child(index)
+    ys = np.stack([
+        init_task_params(exp.paradigm, exp.problem, x, init_root.child(j)).values
         for j in range(n_tasks)
     ])
-
-
-def _adapt_and_grade(exp: Experiment, x: ParamVector, batch: TaskBatch, init_root: RngStream):
-    """Inner runs plus hypergradients for every task of the batch against a
-    fixed x: the (tasks, dim_x) gradients, and each task's validation loss
-    and final inner loss."""
-    problem, inner = exp.problem, exp.inner_config
-    kept = run_inner_batch(
-        inner, problem, x, _initial_ys(exp, x, init_root, len(batch)), batch,
-        record=needs_full_trajectory(exp.method),
-    )
-    res = compute_hypergradient_batch(exp.method, problem, exp.paradigm, inner, x, kept, batch)
-    inner_final = problem.value_batch(x, kept[-1], batch, Split.TRAIN)
-    return res.grad_x, res.ul_value, inner_final
+    if exp.source is None:
+        batch = TaskBatch((None,) * n_tasks)
+    else:
+        spec = replace(exp.episode_spec, batch_size=n_tasks)
+        batch = sample_task_batch(exp.source, spec, RngStream(seed, task_stream).child(index))
+    return batch, run_inner_batch(exp.inner_config, exp.problem, x, ys, batch, record)
 
 
 def meta_train(
@@ -520,30 +515,44 @@ def meta_train(
     BilevelError raised in a round, its evaluation included, is raised again
     as the same type with the failing round in the message.
     """
-    cfg = exp.cfg
-    records: list[MetricsRecord] = []
+    records = []
+    for state, record in _train_rounds(exp, state):
+        records.append(record)
+    return state, records
+
+
+def _train_rounds(exp: Experiment, state: TrainState):
+    """meta_train one round at a time: yields the state after each round
+    with the round's MetricsRecord, so a caller can keep the records of the
+    rounds that completed before an error."""
+    cfg, problem = exp.cfg, exp.problem
     n_batch = cfg.data.batch_size
     for _ in range(cfg.run.meta_iterations):
         start = time.perf_counter()
         it = state.iteration
+        x = state.x
         try:
-            batch = _task_batch(exp, n_batch, _TASK_STREAM, it)
-            init_root = RngStream(cfg.run.seed, _INIT_STREAM).child(it)
-            grads, ul, inner_final = _adapt_and_grade(exp, state.x, batch, init_root)
+            batch, kept = _adapt(
+                exp, x, n_batch, _TASK_STREAM, _INIT_STREAM, it,
+                record=needs_full_trajectory(exp.method),
+            )
+            res = compute_hypergradient_batch(
+                exp.method, problem, exp.paradigm, exp.inner_config, x, kept, batch
+            )
+            inner_final = problem.value_batch(x, kept[-1], batch, Split.TRAIN)
 
             # task order, one addition at a time, as a loop over tasks would
-            g_total = grads[0]
-            for grad in grads[1:]:
+            g_total = res.grad_x[0]
+            for grad in res.grad_x[1:]:
                 g_total = g_total + grad
-            g_mean = ParamVector(state.x.layout, g_total * (1.0 / n_batch), copy=False)
-            ul_loss = sum(ul.tolist()) / n_batch
+            g_mean = ParamVector(x.layout, g_total * (1.0 / n_batch), copy=False)
+            ul_loss = sum(res.ul_value.tolist()) / n_batch
             inner_loss = sum(inner_final.tolist()) / n_batch
 
-            x_next, opt_next = meta_step(state.opt, state.x, g_mean)
+            x_next, opt_next = meta_step(state.opt, x, g_mean)
             state = TrainState(x=x_next, opt=opt_next, iteration=it + 1)
 
-            eval_loss = None
-            eval_acc = None
+            eval_loss = eval_acc = None
             if (it + 1) % cfg.run.eval_every == 0:
                 eval_loss, eval_acc = meta_evaluate(
                     exp, state, cfg.run.eval_tasks, round_index=it + 1
@@ -552,17 +561,14 @@ def meta_train(
             # keeps the type, attributes and traceback of the original
             e.args = (f"run aborted at meta-iteration {it}: {e}",)
             raise
-        records.append(
-            MetricsRecord(
-                meta_iter=it,
-                ul_loss=ul_loss,
-                mean_inner_final_loss=inner_loss,
-                eval_post_adapt_loss=eval_loss,
-                eval_post_adapt_accuracy=eval_acc,
-                wall_ms=(time.perf_counter() - start) * 1e3,
-            )
+        yield state, MetricsRecord(
+            meta_iter=it,
+            ul_loss=ul_loss,
+            mean_inner_final_loss=inner_loss,
+            eval_post_adapt_loss=eval_loss,
+            eval_post_adapt_accuracy=eval_acc,
+            wall_ms=(time.perf_counter() - start) * 1e3,
         )
-    return state, records
 
 
 def meta_evaluate(
@@ -573,12 +579,8 @@ def meta_evaluate(
     never changes it; task draws depend only on the seed and round_index,
     not on training progress."""
     r = state.iteration if round_index is None else round_index
-    problem, x, inner = exp.problem, state.x, exp.inner_config
-    init_root = RngStream(exp.cfg.run.seed, _EVAL_INIT_STREAM).child(r)
-    ys = _initial_ys(exp, x, init_root, n_tasks)
-    batch = _task_batch(exp, n_tasks, _EVAL_TASK_STREAM, r)
-    ys = run_inner_batch(inner, problem, x, ys, batch)[-1]
-    losses, scores = problem.val_losses_and_scores(x, ys, batch)
+    batch, kept = _adapt(exp, state.x, n_tasks, _EVAL_TASK_STREAM, _EVAL_INIT_STREAM, r)
+    losses, scores = exp.problem.val_losses_and_scores(state.x, kept[-1], batch)
     mean_loss = float(np.mean(losses))
     if scores is None:
         return mean_loss, None

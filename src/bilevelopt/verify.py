@@ -1,6 +1,8 @@
 """Independent correctness oracles and the gradcheck suite.
 
-The finite-difference hypergradient here treats the whole pipeline
+The library's finite differences live here: central-difference gradients
+and Hessian-vector products of any oracle (fd_gradient, fd_hvp), and a
+hypergradient (fd_hypergradient) that treats the whole pipeline
 (initialization, T inner steps, validation loss) as a black-box scalar
 function of x and differences it one coordinate at a time. It is slow and
 dumb on purpose; every estimator is judged against it.
@@ -15,12 +17,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import hypergrad as hg
 from .data import EpisodeSpec, SyntheticGaussian, sample_task_batch
-from .errors import ConfigError
+from .errors import ConfigError, LayoutMismatch, NonFiniteValue
 from .inner import (
     InnerConfig,
     InnerRule,
@@ -34,15 +37,17 @@ from .inner import (
 from .numerics import Layout, ParamVector, RngStream
 from .objectives import (
     BilevelObjective,
+    MetaFeatureSoftmax,
+    MetaInitMlp,
     Paradigm,
+    QuadraticBilevel,
     Regularizer,
     Split,
-    make_meta_feature_softmax,
-    make_meta_init_mlp,
-    make_quadratic,
 )
 
 __all__ = [
+    "fd_gradient",
+    "fd_hvp",
     "fd_hypergradient",
     "analytic_quadratic_hypergrad",
     "ZeroCurvatureInner",
@@ -52,6 +57,52 @@ __all__ = [
     "report_to_jsonl",
     "PROFILES",
 ]
+
+
+def fd_gradient(
+    h: Callable[[ParamVector], float], p: ParamVector, eps: float = 1e-5
+) -> ParamVector:
+    """Central-difference gradient of a scalar function, one coordinate at a time."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    base = p.values
+    out = np.empty(p.layout.dim)
+    for k in range(p.layout.dim):
+        work = base.copy()
+        work[k] = base[k] + eps
+        hp = float(h(ParamVector(p.layout, work, copy=False)))
+        work = base.copy()
+        work[k] = base[k] - eps
+        hm = float(h(ParamVector(p.layout, work, copy=False)))
+        if not (math.isfinite(hp) and math.isfinite(hm)):
+            raise NonFiniteValue(f"fd_gradient: non-finite evaluation at coordinate {k}")
+        out[k] = (hp - hm) / (2.0 * eps)
+    return ParamVector(p.layout, out, copy=False)
+
+
+def fd_hvp(
+    g: Callable[[ParamVector], ParamVector],
+    p: ParamVector,
+    v: ParamVector,
+    eps: float | None = None,
+) -> ParamVector:
+    """Hessian-vector product by central differences of a gradient oracle.
+
+    Default step balances truncation against round-off at double precision:
+    eps = 1e-4 * (1 + ||p||_inf) / (1 + ||v||_inf).
+    """
+    if p.layout != v.layout:
+        raise LayoutMismatch("p and v layouts differ in fd_hvp")
+    if eps is None:
+        eps = 1e-4 * (1.0 + p.inf_norm()) / (1.0 + v.inf_norm())
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    gp = g(p + eps * v)
+    gm = g(p - eps * v)
+    out = (1.0 / (2.0 * eps)) * (gp - gm)
+    if not out.is_finite():
+        raise NonFiniteValue("fd_hvp: non-finite gradient evaluation")
+    return out
 
 
 def fd_hypergradient(
@@ -140,8 +191,7 @@ class ZeroCurvatureInner(BilevelObjective):
         return v
 
 
-def make_zero_curvature(c, b) -> ZeroCurvatureInner:
-    return ZeroCurvatureInner(c, b)
+make_zero_curvature = ZeroCurvatureInner
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +245,6 @@ PROFILES = {
     "all": _EXACT_PROBLEMS + _FD_PROBLEMS,
 }
 
-_ALL_RULES = (
-    InnerRule.GD,
-    InnerRule.META_SGD,
-    InnerRule.BDA,
-    InnerRule.MTNET_MASK,
-    InnerRule.WARP_GRAD_DIAG,
-)
-
 
 def _classification_task(seed: int, dim: int, way: int):
     src = SyntheticGaussian(
@@ -218,27 +260,25 @@ def _make_fixture(name: str, seed: int) -> _Fixture:
     gen = RngStream(seed, 5).generator()
     if name == "quadratic":
         a = np.array([[2.0, -0.7], [0.4, 1.5]])
-        problem = make_quadratic(a, lam=1.0, b=np.array([1.0, -0.5]))
+        problem = QuadraticBilevel(a, lam=1.0, b=np.array([1.0, -0.5]))
         x = ParamVector(problem.x_layout, gen.standard_normal(problem.x_layout.dim))
         return _Fixture(name, problem, Paradigm.META_FEATURE, None, 3, 0.2, x, seed + 1)
     if name == "feature_softmax":
-        problem = make_meta_feature_softmax(5, 6, 3, Regularizer.l2(0.1))
+        problem = MetaFeatureSoftmax(5, 6, 3, Regularizer.l2(0.1))
         task = _classification_task(seed, dim=5, way=3)
         x = ParamVector(
             problem.x_layout, 0.5 * gen.standard_normal(problem.x_layout.dim)
         )
         return _Fixture(name, problem, Paradigm.META_FEATURE, task, 3, 0.5, x, seed + 1)
     if name == "init_mlp":
-        problem = make_meta_init_mlp(5, 4, 3, reg=Regularizer.l2(0.05))
+        problem = MetaInitMlp(5, 4, 3, reg=Regularizer.l2(0.05))
         task = _classification_task(seed + 3, dim=5, way=3)
         x = ParamVector(
             problem.x_layout, 0.4 * gen.standard_normal(problem.x_layout.dim)
         )
         return _Fixture(name, problem, Paradigm.META_INIT, task, 3, 0.3, x, seed + 1)
     if name == "zero_curvature":
-        problem = make_zero_curvature(
-            gen.standard_normal(3), gen.standard_normal(3)
-        )
+        problem = ZeroCurvatureInner(gen.standard_normal(3), gen.standard_normal(3))
         x = ParamVector(problem.x_layout, gen.standard_normal(problem.x_layout.dim))
         return _Fixture(name, problem, Paradigm.META_INIT, None, 3, 0.3, x, seed + 1)
     raise ConfigError(f"unknown problem fixture {name!r}")
@@ -302,7 +342,7 @@ def _suite_for_fixture(fix: _Fixture, seed: int) -> list[CheckResult]:
     tol = 1e-4 if problem.exact_hvp else 1e-2
     gen = RngStream(seed, 13).generator()
 
-    for rule in _ALL_RULES:
+    for rule in InnerRule:
         x = _extend_for_rule(fix, rule, gen)
         cfg = InnerConfig(fix.steps, fix.step_size, rule=rule, bda_alpha=0.7)
         y_mid = init_task_params(paradigm, problem, x, RngStream(fix.y0_seed))
@@ -372,10 +412,11 @@ def _suite_for_fixture(fix: _Fixture, seed: int) -> list[CheckResult]:
     return rows
 
 
-def _quadratic_extra_checks(seed: int) -> list[CheckResult]:
+def _quadratic_extra_checks(fix: _Fixture, seed: int) -> list[CheckResult]:
+    # a scalar quadratic of its own, whose closed form is easy to read
     rows: list[CheckResult] = []
     a, lam, b = 2.0, 1.0, 1.0
-    problem = make_quadratic(a, lam, b)
+    problem = QuadraticBilevel(a, lam, b)
     x = ParamVector(problem.x_layout, np.array([2.0]))
     s = 0.5 / (1.0 + lam)
     analytic = analytic_quadratic_hypergrad(a, lam, b, x)
@@ -433,9 +474,8 @@ def _quadratic_extra_checks(seed: int) -> list[CheckResult]:
     return rows
 
 
-def _softmax_extra_checks(seed: int) -> list[CheckResult]:
+def _softmax_extra_checks(fix: _Fixture, seed: int) -> list[CheckResult]:
     rows: list[CheckResult] = []
-    fix = _make_fixture("feature_softmax", seed)
     problem, task = fix.problem, fix.task
     x = fix.x_base
     cfg = InnerConfig(fix.steps, fix.step_size)
@@ -491,8 +531,7 @@ def _softmax_extra_checks(seed: int) -> list[CheckResult]:
     return rows
 
 
-def _zero_curvature_extra_checks(seed: int) -> list[CheckResult]:
-    fix = _make_fixture("zero_curvature", seed)
+def _zero_curvature_extra_checks(fix: _Fixture, seed: int) -> list[CheckResult]:
     cfg = InnerConfig(fix.steps, fix.step_size)
     x = fix.x_base
     y0 = init_task_params(Paradigm.META_INIT, fix.problem, x, RngStream(fix.y0_seed))
@@ -508,6 +547,14 @@ def _zero_curvature_extra_checks(seed: int) -> list[CheckResult]:
             gap, 1e-10, gap <= 1e-10,
         )
     ]
+
+
+# checks beyond the per-rule suite, by fixture name
+_EXTRA_CHECKS = {
+    "quadratic": _quadratic_extra_checks,
+    "feature_softmax": _softmax_extra_checks,
+    "zero_curvature": _zero_curvature_extra_checks,
+}
 
 
 def run_gradcheck_suite(
@@ -528,12 +575,8 @@ def run_gradcheck_suite(
     for name in names:
         fix = _make_fixture(name, seed)
         rows.extend(_suite_for_fixture(fix, seed))
-        if name == "quadratic":
-            rows.extend(_quadratic_extra_checks(seed))
-        elif name == "feature_softmax":
-            rows.extend(_softmax_extra_checks(seed))
-        elif name == "zero_curvature":
-            rows.extend(_zero_curvature_extra_checks(seed))
+        if name in _EXTRA_CHECKS:
+            rows.extend(_EXTRA_CHECKS[name](fix, seed))
     for row in rows:
         if not math.isfinite(row.value):
             raise AssertionError(f"check {row.metric} produced non-finite value")

@@ -232,6 +232,50 @@ def test_training_error_exits_3_without_a_traceback(tmp_path, capsys, prox_lambd
     assert not (out / "metrics.jsonl").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_abort_keeps_the_metrics_of_the_completed_meta_iterations(tmp_path, capsys):
+    def config(meta_iterations):
+        path = tmp_path / f"config{meta_iterations}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "problem": {"kind": "quadratic"},
+                    "meta_opt": {"kind": "sgd", "lr": 1e100},
+                    "run": {"method": "RHG", "meta_iterations": meta_iterations},
+                }
+            )
+        )
+        return str(path)
+
+    aborted, finished = tmp_path / "aborted", tmp_path / "finished"
+    assert entry(["run", "--config", config(6), "--out", str(aborted)]) == 3
+    assert "meta-iteration 2" in capsys.readouterr().err
+    assert entry(["run", "--config", config(2), "--out", str(finished)]) == 0
+    kept = (aborted / "metrics.jsonl").read_bytes()
+    assert len(kept.splitlines()) == 2
+    assert kept == (finished / "metrics.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("prox_lambda", [0.0, 1.0])
+def test_an_indefinite_implicit_solve_names_prox_lambda(tmp_path, capsys, prox_lambda):
+    cfg = _write_config(
+        tmp_path,
+        run={
+            "method": "custom",
+            "paradigm": "meta_init",
+            "inner_rule": "gd",
+            "hypergrad_method": "implicit",
+        },
+        hypergrad={"prox_lambda": prox_lambda},
+    )
+    assert entry(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: run aborted at meta-iteration 0: <p, Ap> = ")
+    assert "not positive definite" in err
+    assert f"raise hypergrad.prox_lambda (now {prox_lambda:g})" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_training_error_names_the_failing_meta_iteration(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

@@ -348,6 +348,9 @@ def test_needs_full_trajectory_only_for_reverse_family():
 def test_method_table_has_exactly_ten_unique_names():
     assert len(METHOD_NAMES) == 10
     assert len(set(METHOD_NAMES)) == 10
+    assert METHOD_NAMES == (
+        "RHG", "TRHG", "HOAG", "MAML", "FMAML", "MT-net", "Meta-SGD", "WarpGrad", "DARTS", "BDA",
+    )
 
 
 def test_method_table_paradigm_split():

@@ -79,6 +79,32 @@ def test_empty_config_uses_defaults():
     assert cfg.data.way == 5
     assert cfg.meta_opt.kind == "momentum"
     assert cfg.hypergrad.truncation_k is None
+    # pins the defaults the sections read from the runtime types
+    assert cfg.to_dict() == {
+        "data": {
+            "source": "synthetic", "num_classes": 20, "dim": 8, "cluster_spread": 10.0,
+            "noise_sd": 0.5, "root": None, "file_format": "csv", "way": 5, "shot": 1,
+            "query": 15, "batch_size": 4,
+        },
+        "problem": {
+            "kind": "mlp", "hidden": 0, "loss": "cross_entropy", "reg": "none",
+            "reg_coef": 0.0, "dim_feat": 16, "quad_a": 2.0, "quad_lam": 1.0, "quad_b": 1.0,
+        },
+        "inner": {"steps": 5, "step_size": 0.1, "bda_alpha": 0.5},
+        "hypergrad": {
+            "truncation_k": None, "cg_tol": 1e-08, "cg_max_iter": None,
+            "prox_lambda": None, "darts_delta": 0.01,
+        },
+        "meta_opt": {
+            "kind": "momentum", "lr": 0.01, "mu": 0.9, "beta1": 0.9, "beta2": 0.999,
+            "eps_hat": 1e-08,
+        },
+        "run": {
+            "method": "MAML", "paradigm": None, "inner_rule": None, "hypergrad_method": None,
+            "meta_iterations": 100, "eval_every": 100, "eval_tasks": 50, "seed": 0,
+            "threads": 1,
+        },
+    }
 
 
 def test_config_round_trips_through_dict():
