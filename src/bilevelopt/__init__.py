@@ -62,6 +62,7 @@ from .inner import (
     InnerRule,
     InnerTrajectory,
     init_task_params,
+    init_task_params_batch,
     inner_step,
     required_x_segments,
     run_inner,

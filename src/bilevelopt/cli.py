@@ -4,7 +4,8 @@ Three subcommands:
 
   run           train from a JSON config, writing to --out metrics.jsonl
                 (a line per completed meta-iteration, kept on exit 3),
-                config.resolved.json and final_params.bin
+                config.resolved.json and final_params.bin, first deleting
+                those three files from --out
   verify        run the gradcheck suite and print a summary table
   list-methods  print the ten built-in method compositions
 
@@ -104,6 +105,13 @@ def _cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         print(f"error: cannot create output directory: {e}", file=sys.stderr)
+        return 2
+    try:
+        # an abort must not leave an earlier run's artifacts beside this one's
+        for name in ("metrics.jsonl", "config.resolved.json", "final_params.bin"):
+            (out_dir / name).unlink(missing_ok=True)
+    except OSError as e:
+        print(f"error: cannot write artifacts: {e}", file=sys.stderr)
         return 2
     done = 0
     try:

@@ -69,18 +69,41 @@ def _examples(features: np.ndarray, labels: np.ndarray) -> tuple[Example, ...]:
     return tuple(Example(row, int(label)) for row, label in zip(features, labels))
 
 
-@dataclass(frozen=True)
 class TaskBatch:
-    """Tasks of one episode shape; the split arrays stack them on a leading
-    task axis, (tasks, rows, dim) for features and (tasks, rows) for labels."""
+    """Tasks of one episode shape, stacked on a leading task axis: (tasks,
+    rows, dim) features and (tasks, rows) labels.
 
-    tasks: tuple[TaskDataset, ...]
+    The sampler builds a batch from the stacks it drew (`TaskBatch.stacked`);
+    `tasks`, one TaskDataset view per row, is then built on first use. Built
+    from a sequence of tasks (None for a problem without data), it is the
+    stacks that are built on first use.
+    """
+
+    def __init__(self, tasks):
+        # instance attributes shadow the cached properties below
+        self.tasks = tuple(tasks)
+        self._size = len(self.tasks)
+
+    @classmethod
+    def stacked(cls, train_features, train_labels, val_features, val_labels) -> "TaskBatch":
+        batch = cls.__new__(cls)
+        batch._size = len(train_features)
+        batch.train_features, batch.train_labels = train_features, train_labels
+        batch.val_features, batch.val_labels = val_features, val_labels
+        return batch
 
     def __len__(self) -> int:
-        return len(self.tasks)
+        return self._size
 
     def __iter__(self):
         return iter(self.tasks)
+
+    @cached_property
+    def tasks(self) -> tuple[TaskDataset, ...]:
+        return tuple(map(
+            TaskDataset,
+            self.train_features, self.train_labels, self.val_features, self.val_labels,
+        ))
 
     @cached_property
     def train_features(self) -> np.ndarray:
@@ -113,7 +136,12 @@ class EpisodeSpec:
 
 
 class DatasetSource(abc.ABC):
-    """A pool of classes from which episodes are drawn."""
+    """A pool of classes from which episodes are drawn.
+
+    A source implements `class_names`, `feature_dim`, `capacity` and
+    `draw_batch`, which draws the items of every chosen class of a whole
+    task batch from one generator. `draw` is its one-row case.
+    """
 
     @abc.abstractmethod
     def class_names(self) -> tuple[str, ...]: ...
@@ -126,8 +154,20 @@ class DatasetSource(abc.ABC):
         """Number of distinct items available for a class; None if unbounded."""
 
     @abc.abstractmethod
+    def draw_batch(self, chosen: np.ndarray, count: int, gen: np.random.Generator) -> np.ndarray:
+        """`count` items of each class in `chosen`, a (tasks, way) array of
+        indices into class_names(), as a (tasks, way, count, dim) array.
+
+        Items are drawn without replacement within each class, and the draws
+        fill the rows in task order, so a task's items do not depend on how
+        many tasks follow it.
+        """
+
     def draw(self, name: str, count: int, gen: np.random.Generator) -> np.ndarray:
-        """Sample `count` items without replacement as a (count, dim) array."""
+        """Sample `count` items of one class without replacement as a
+        (count, dim) array: draw_batch for one task of one class."""
+        chosen = np.array([[self.class_names().index(name)]])
+        return self.draw_batch(chosen, count, gen)[0, 0]
 
 
 @dataclass(frozen=True)
@@ -172,11 +212,9 @@ class SyntheticGaussian(DatasetSource):
     def capacity(self, name: str) -> int | None:
         return None
 
-    def draw(self, name: str, count: int, gen: np.random.Generator) -> np.ndarray:
-        idx = int(name.rsplit("_", 1)[1])
-        center = self.centers[idx]
-        noise = gen.standard_normal((count, self.dim))
-        return center + self.noise_sd * noise
+    def draw_batch(self, chosen: np.ndarray, count: int, gen: np.random.Generator) -> np.ndarray:
+        noise = gen.standard_normal(chosen.shape + (count, self.dim))
+        return self.centers[chosen][..., None, :] + self.noise_sd * noise
 
 
 class ClassDirectory(DatasetSource):
@@ -205,10 +243,12 @@ class ClassDirectory(DatasetSource):
     def capacity(self, name: str) -> int | None:
         return int(self._table[name].shape[0])
 
-    def draw(self, name: str, count: int, gen: np.random.Generator) -> np.ndarray:
-        rows = self._table[name]
-        idx = gen.choice(rows.shape[0], size=count, replace=False)
-        return rows[idx]
+    def draw_batch(self, chosen: np.ndarray, count: int, gen: np.random.Generator) -> np.ndarray:
+        out = np.empty(chosen.shape + (count, self._dim))
+        for pos, class_idx in np.ndenumerate(chosen):
+            rows = self._table[self._names[class_idx]]
+            out[pos] = rows[gen.choice(rows.shape[0], size=count, replace=False)]
+        return out
 
 
 def load_class_directory(root, file_format: str = "csv") -> dict[str, np.ndarray]:
@@ -260,36 +300,33 @@ def sample_task_batch(
 
     Classes are sampled without replacement per task; items without
     replacement per class. Labels are remapped to 0..way-1 by sampled order.
-    Each task owns a dedicated child stream, so the batch is a pure function
-    of (source, spec, rng).
+    The batch is a pure function of (source, spec, rng), drawn in two calls:
+    each task's classes are the first `way` columns of the argsort of one
+    (tasks, classes) uniform draw on rng.child(0), and all items come from
+    one `source.draw_batch` on rng.child(1). Both draws fill the rows in
+    task order, so growing batch_size never changes the earlier tasks.
     """
     names = source.class_names()
     if len(names) < spec.way:
         raise InsufficientClasses(
             f"need {spec.way} classes, source has {len(names)}"
         )
-    need = spec.shot + spec.query
-    train_labels = np.repeat(np.arange(spec.way, dtype=np.int64), spec.shot)
-    val_labels = np.repeat(np.arange(spec.way, dtype=np.int64), spec.query)
-    tasks = []
-    for j in range(spec.batch_size):
-        gen = rng.child(j).generator()
-        chosen = gen.choice(len(names), size=spec.way, replace=False)
-        draws = []
-        for class_idx in chosen:
-            name = names[class_idx]
-            cap = source.capacity(name)
-            if cap is not None and cap < need:
-                raise InsufficientItemsPerClass(
-                    f"class {name!r} has {cap} items, episode needs {need}"
-                )
-            draws.append(source.draw(name, need, gen))
-        tasks.append(
-            TaskDataset(
-                np.concatenate([d[: spec.shot] for d in draws], dtype=np.float64),
-                train_labels.copy(),
-                np.concatenate([d[spec.shot :] for d in draws], dtype=np.float64),
-                val_labels.copy(),
-            )
+    n, shot, need = spec.batch_size, spec.shot, spec.shot + spec.query
+    keys = rng.child(0).generator().random((n, len(names)))
+    chosen = np.argsort(keys, axis=1)[:, : spec.way]
+    caps = np.array([np.inf if c is None else c for c in map(source.capacity, names)])
+    short = chosen[caps[chosen] < need]
+    if short.size:
+        raise InsufficientItemsPerClass(
+            f"class {names[short[0]]!r} has {int(caps[short[0]])} items, episode needs {need}"
         )
-    return TaskBatch(tuple(tasks))
+    items = np.asarray(
+        source.draw_batch(chosen, need, rng.child(1).generator()), dtype=np.float64
+    )
+    labels = np.arange(spec.way, dtype=np.int64)
+    return TaskBatch.stacked(
+        items[:, :, :shot].reshape(n, spec.way * shot, -1),
+        np.tile(np.repeat(labels, shot), (n, 1)),
+        items[:, :, shot:].reshape(n, spec.way * spec.query, -1),
+        np.tile(np.repeat(labels, spec.query), (n, 1)),
+    )

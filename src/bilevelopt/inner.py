@@ -40,6 +40,7 @@ __all__ = [
     "InnerTrajectory",
     "is_recorded",
     "init_task_params",
+    "init_task_params_batch",
     "inner_step",
     "run_inner",
     "run_inner_batch",
@@ -147,19 +148,32 @@ def required_x_segments(rule: InnerRule, y_layout: Layout) -> tuple[tuple[str, i
     return ()
 
 
+def init_task_params_batch(
+    paradigm: Paradigm,
+    problem: BilevelObjective,
+    x: ParamVector,
+    rng: RngStream,
+    n_tasks: int,
+) -> np.ndarray:
+    """y_0 of n_tasks tasks as a (tasks, dim_y) stack: copies of x["init"],
+    or small Gaussian rows from one draw on `rng`, filled in task order, so a
+    row does not depend on how many tasks follow it."""
+    if paradigm is Paradigm.META_INIT:
+        if not x.layout.has("init"):
+            raise MissingSegment("meta-init paradigm needs x segment 'init'")
+        return np.tile(x.segment("init"), (n_tasks, 1))
+    gen = rng.generator()
+    return DEFAULT_INIT_SD * gen.standard_normal((n_tasks, problem.y_layout.dim))
+
+
 def init_task_params(
     paradigm: Paradigm,
     problem: BilevelObjective,
     x: ParamVector,
     rng: RngStream,
 ) -> ParamVector:
-    """y_0 for one task: a copy of x["init"], or a small Gaussian draw."""
-    if paradigm is Paradigm.META_INIT:
-        if not x.layout.has("init"):
-            raise MissingSegment("meta-init paradigm needs x segment 'init'")
-        return ParamVector(problem.y_layout, x.segment("init"))
-    gen = rng.generator()
-    values = DEFAULT_INIT_SD * gen.standard_normal(problem.y_layout.dim)
+    """y_0 for one task: init_task_params_batch for a batch of one."""
+    values = init_task_params_batch(paradigm, problem, x, rng, 1)[0]
     return ParamVector(problem.y_layout, values, copy=False)
 
 

@@ -51,7 +51,7 @@ from .hypergrad import (
 from .inner import (
     InnerConfig,
     InnerRule,
-    init_task_params,
+    init_task_params_batch,
     required_x_segments,
     run_inner_batch,
     softplus_inverse,
@@ -487,17 +487,15 @@ def _adapt(
     exp: Experiment, x: ParamVector, n_tasks: int,
     task_stream: int, init_stream: int, index: int, record: bool = False,
 ) -> tuple[TaskBatch, tuple[np.ndarray, ...]]:
-    """Draw task j's y_0 from child j of child `index` of the run's
-    `init_stream` and n_tasks tasks from child `index` of its `task_stream`
-    (None tasks for the quadratic, which has no data), then run every inner
-    loop against x. Returns the batch and the (tasks, dim_y) stacks kept."""
+    """Draw n_tasks y_0s on child `index` of the run's `init_stream` and
+    n_tasks tasks on child `index` of its `task_stream` (None tasks for the
+    quadratic, which has no data), then run every inner loop against x.
+    Returns the batch and the (tasks, dim_y) stacks kept."""
     seed = exp.cfg.run.seed
     # the streams are independent, so the order of the two draws changes no value
-    init_root = RngStream(seed, init_stream).child(index)
-    ys = np.stack([
-        init_task_params(exp.paradigm, exp.problem, x, init_root.child(j)).values
-        for j in range(n_tasks)
-    ])
+    ys = init_task_params_batch(
+        exp.paradigm, exp.problem, x, RngStream(seed, init_stream).child(index), n_tasks
+    )
     if exp.source is None:
         batch = TaskBatch((None,) * n_tasks)
     else:

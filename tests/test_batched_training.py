@@ -30,6 +30,7 @@ from bilevelopt import (
     hypergrad_reverse,
     hypergrad_truncated,
     init_task_params,
+    init_task_params_batch,
     meta_evaluate,
     meta_step,
     meta_train,
@@ -96,11 +97,14 @@ def _per_task_round(exp, state):
         tasks = sample_task_batch(
             exp.source, exp.episode_spec, RngStream(cfg.run.seed, _TASK_STREAM).child(it)
         ).tasks
-    init_root = RngStream(cfg.run.seed, _INIT_STREAM).child(it)
+    # every task's y_0 is a row of one (tasks, dim_y) draw on the round's stream
+    ys0 = init_task_params_batch(
+        exp.paradigm, exp.problem, x, RngStream(cfg.run.seed, _INIT_STREAM).child(it), n
+    )
     inner = exp.inner_config
     grads, uls, inner_losses = [], [], []
     for j, task in enumerate(tasks):
-        y0 = init_task_params(exp.paradigm, exp.problem, x, init_root.child(j))
+        y0 = ParamVector(exp.problem.y_layout, ys0[j])
         traj = run_inner(
             inner.rule, inner, exp.problem, x, y0, task,
             record=needs_full_trajectory(exp.method),

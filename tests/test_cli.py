@@ -256,6 +256,32 @@ def test_an_abort_keeps_the_metrics_of_the_completed_meta_iterations(tmp_path, c
     assert kept == (finished / "metrics.jsonl").read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_aborted_run_leaves_no_artifacts_of_an_earlier_run(tmp_path, capsys):
+    def config(step_size):
+        path = tmp_path / f"config{step_size:g}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "problem": {"kind": "quadratic"},
+                    "inner": {"steps": 60, "step_size": step_size},
+                    "run": {"method": "RHG", "meta_iterations": 3},
+                }
+            )
+        )
+        return str(path)
+
+    out = tmp_path / "o1"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert entry(["run", "--config", config(0.25), "--out", str(out)]) == 0
+    assert len((out / "metrics.jsonl").read_text().splitlines()) == 3
+    assert entry(["run", "--config", config(1e6), "--out", str(out)]) == 3
+    assert "meta-iteration 0" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("prox_lambda", [0.0, 1.0])
 def test_an_indefinite_implicit_solve_names_prox_lambda(tmp_path, capsys, prox_lambda):
     cfg = _write_config(

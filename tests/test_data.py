@@ -67,8 +67,8 @@ def test_different_streams_give_different_batches():
 
 
 def test_tasks_within_batch_are_independent_of_order():
-    # task j is a pure function of (source, spec, rng.child(j)); drawing a
-    # larger batch must not change earlier tasks
+    # each draw fills its rows in task order, so drawing a larger batch must
+    # not change earlier tasks
     spec2 = EpisodeSpec(way=3, shot=1, query=2, batch_size=2)
     spec5 = EpisodeSpec(way=3, shot=1, query=2, batch_size=5)
     b2 = sample_task_batch(_source(), spec2, RngStream(1, 9))
@@ -242,15 +242,17 @@ def test_only_csv_format_supported(tmp_path):
 
 
 def _reference_draws(source, spec, rng):
-    """The sampler's RNG calls spelled out: one child stream per task, one
-    class choice, then one draw per chosen class in order."""
+    """The sampler's RNG calls spelled out: each task's classes are the
+    first `way` of the argsort of its row of one uniform draw on
+    rng.child(0); then one `draw` per chosen class, task by task, all on one
+    generator of rng.child(1)."""
     names = source.class_names()
-    per_task = []
-    for j in range(spec.batch_size):
-        gen = rng.child(j).generator()
-        chosen = gen.choice(len(names), size=spec.way, replace=False)
-        per_task.append([source.draw(names[c], spec.shot + spec.query, gen) for c in chosen])
-    return per_task
+    keys = rng.child(0).generator().random((spec.batch_size, len(names)))
+    gen = rng.child(1).generator()
+    return [
+        [source.draw(names[c], spec.shot + spec.query, gen) for c in np.argsort(row)[: spec.way]]
+        for row in keys
+    ]
 
 
 @pytest.mark.parametrize("kind", ["synthetic", "directory"])
@@ -277,3 +279,130 @@ def test_sampler_matches_a_reconstruction_of_its_draws(tmp_path, kind):
     assert batch.train_features.shape == (4, 6, source.feature_dim())
     assert np.array_equal(batch.val_features, np.stack([t.val_features for t in batch]))
     assert np.array_equal(batch.train_labels, np.stack([t.train_labels for t in batch]))
+
+
+def _chosen(source, batch, spec):
+    """Each task's class indices, in label order, read back from the first
+    train item of each class: a noise-free Gaussian item sits on its class
+    center, and a `_unique_corpus` row starts with its class index."""
+    firsts = batch.train_features[:, :: spec.shot]
+    if isinstance(source, SyntheticGaussian):
+        return np.argmin(np.linalg.norm(firsts[..., None, :] - source.centers, axis=-1), axis=-1)
+    return firsts[..., 0].astype(int)
+
+
+def _unique_corpus(root, sizes):
+    """A corpus whose rows are all distinct: class k's row i is (k, i)."""
+    for k, (name, size) in enumerate(sizes.items()):
+        (root / name).mkdir()
+        (root / name / "rows.csv").write_text("".join(f"{k},{i}\n" for i in range(size)))
+    return ClassDirectory.from_path(root)
+
+
+def test_each_task_chooses_distinct_classes_and_every_class_gets_chosen():
+    # noise-free items sit on their class centers, which name the class
+    source = SyntheticGaussian(7, 3, noise_sd=0.0, seed=1)
+    spec = EpisodeSpec(way=4, shot=2, query=1, batch_size=200)
+    batch = sample_task_batch(source, spec, RngStream(2, 3))
+    chosen = _chosen(source, batch, spec)
+    assert all(len(set(row)) == spec.way for row in chosen)
+    assert set(chosen.ravel()) == set(range(7))
+
+
+def test_directory_draws_never_repeat_an_item_within_a_class(tmp_path):
+    source = _unique_corpus(tmp_path, {"a": 5, "b": 6, "c": 5, "d": 9})
+    spec = EpisodeSpec(way=3, shot=2, query=3, batch_size=50)
+    batch = sample_task_batch(source, spec, RngStream(4, 1))
+    items = np.concatenate(
+        [batch.train_features.reshape(50, 3, 2, 2), batch.val_features.reshape(50, 3, 3, 2)],
+        axis=2,
+    )
+    for per_class in items.reshape(-1, 5, 2):
+        assert len({tuple(r) for r in per_class}) == 5
+        assert len({r[0] for r in per_class}) == 1  # all from one class
+
+
+def test_task_views_are_rows_of_the_batch_stacks():
+    spec = EpisodeSpec(way=3, shot=2, query=2, batch_size=6)
+    batch = sample_task_batch(_source(), spec, RngStream(8, 8))
+    assert len(batch.tasks) == 6
+    for j, task in enumerate(batch.tasks):
+        assert np.array_equal(task.train_features, batch.train_features[j])
+        assert np.array_equal(task.train_labels, batch.train_labels[j])
+        assert np.array_equal(task.val_features, batch.val_features[j])
+        assert np.array_equal(task.val_labels, batch.val_labels[j])
+
+
+def test_capacity_error_is_raised_only_when_a_short_class_is_chosen(tmp_path):
+    source = _unique_corpus(tmp_path, {"big1": 5, "big2": 5, "tiny": 2})
+    spec = EpisodeSpec(way=2, shot=2, query=1)  # needs 3 items per class
+    outcomes = set()
+    for seed in range(20):
+        keys = RngStream(seed, 4).child(0).generator().random((1, 3))
+        tiny_chosen = 2 in np.argsort(keys[0])[:2]
+        if tiny_chosen:
+            with pytest.raises(InsufficientItemsPerClass) as exc:
+                sample_task_batch(source, spec, RngStream(seed, 4))
+            assert str(exc.value) == "class 'tiny' has 2 items, episode needs 3"
+        else:
+            batch = sample_task_batch(source, spec, RngStream(seed, 4))
+            assert set(_chosen(source, batch, spec)[0]) == {0, 1}
+        outcomes.add(tiny_chosen)
+    assert outcomes == {True, False}
+
+
+# --------------------------------------------------------------------------
+# one-row draws, pinned to the formulas of the per-class sampler they replace
+# --------------------------------------------------------------------------
+
+
+def test_synthetic_draw_is_center_plus_scaled_normal_noise():
+    source = _source(num_classes=5, dim=3)
+    rows = source.draw("class_003", 7, RngStream(1, 2).generator())
+    noise = RngStream(1, 2).generator().standard_normal((7, 3))
+    assert np.array_equal(rows, source.centers[3] + source.noise_sd * noise)
+
+
+def test_directory_draw_is_a_choice_without_replacement(tmp_path):
+    _write_corpus(tmp_path, n_per_class=9)
+    source = ClassDirectory.from_path(tmp_path)
+    rows = source.draw("bee", 4, RngStream(1, 3).generator())
+    idx = RngStream(1, 3).generator().choice(9, size=4, replace=False)
+    assert np.array_equal(rows, source._table["bee"][idx])
+
+
+# --------------------------------------------------------------------------
+# cost model: generators built per batch, independent of its size
+# --------------------------------------------------------------------------
+
+
+def _count_generators(monkeypatch):
+    calls = []
+    make = RngStream.generator
+
+    def counted(self):
+        calls.append(self)
+        return make(self)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "directory"])
+def test_sampler_builds_the_same_number_of_generators_at_any_batch_size(
+    tmp_path, monkeypatch, kind
+):
+    if kind == "synthetic":
+        source = _source(num_classes=6)
+    else:
+        _write_corpus(tmp_path, n_per_class=7, classes=("a", "b", "c", "d", "e"))
+        source = ClassDirectory.from_path(tmp_path)
+    source.draw(source.class_names()[0], 1, RngStream(0, 0).generator())  # one-time setup
+    calls = _count_generators(monkeypatch)
+    counts = []
+    for batch_size in (1, 4, 100):
+        spec = EpisodeSpec(way=3, shot=2, query=3, batch_size=batch_size)
+        before = len(calls)
+        sample_task_batch(source, spec, RngStream(0, 1))
+        counts.append(len(calls) - before)
+    assert counts == [2, 2, 2]

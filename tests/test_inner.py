@@ -21,13 +21,14 @@ from bilevelopt import (
     fd_hypergradient,
     hypergrad_reverse,
     init_task_params,
+    init_task_params_batch,
     inner_step,
     make_quadratic,
     required_x_segments,
     run_inner,
     step_transposed_jvps,
 )
-from bilevelopt.inner import sigmoid, softplus, softplus_inverse
+from bilevelopt.inner import DEFAULT_INIT_SD, sigmoid, softplus, softplus_inverse
 
 ALL_RULES = (
     InnerRule.GD,
@@ -136,6 +137,31 @@ def test_meta_feature_init_is_small_and_stream_deterministic(quad2):
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     assert a.inf_norm() < 0.1  # default scale is 0.01
+
+
+def test_one_task_init_is_the_scaled_normal_draw_of_its_stream(quad2):
+    x = ParamVector.zeros(quad2.x_layout)
+    y0 = init_task_params(Paradigm.META_FEATURE, quad2, x, RngStream(4, 9))
+    expected = DEFAULT_INIT_SD * RngStream(4, 9).generator().standard_normal(quad2.y_layout.dim)
+    assert np.array_equal(y0.values, expected)
+
+
+def test_batch_init_fills_rows_from_one_draw_in_task_order(softmax_problem):
+    x = ParamVector.zeros(softmax_problem.x_layout)
+    dim, rng = softmax_problem.y_layout.dim, RngStream(2, 5)
+    ys = init_task_params_batch(Paradigm.META_FEATURE, softmax_problem, x, rng, 6)
+    assert np.array_equal(ys, DEFAULT_INIT_SD * rng.generator().standard_normal((6, dim)))
+    fewer = init_task_params_batch(Paradigm.META_FEATURE, softmax_problem, x, rng, 2)
+    assert np.array_equal(ys[:2], fewer)
+    one = init_task_params(Paradigm.META_FEATURE, softmax_problem, x, rng)
+    assert np.array_equal(ys[0], one.values)
+
+
+def test_batch_meta_init_copies_the_init_segment_into_every_row():
+    prob = make_quadratic([[1.0, 0.0], [0.0, 1.0]], 1.0, [0.0, 0.0])
+    x = ParamVector(Layout([("init", 2)]), [0.3, -0.4])
+    ys = init_task_params_batch(Paradigm.META_INIT, prob, x, RngStream(0, 0), 3)
+    assert np.array_equal(ys, [[0.3, -0.4]] * 3)
 
 
 # --------------------------------------------------------------------------

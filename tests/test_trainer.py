@@ -18,13 +18,14 @@ from bilevelopt import (
     Momentum,
     NonFiniteValue,
     Paradigm,
+    ParamVector,
     RngStream,
     Sgd,
     Split,
     apply_overrides,
     build_experiment,
     compose_named_method,
-    init_task_params,
+    init_task_params_batch,
     meta_evaluate,
     meta_train,
     metrics_to_jsonl,
@@ -525,7 +526,11 @@ def _per_task_evaluate(exp, state, n_tasks, round_index):
     """meta_evaluate as a plain loop over tasks: the reference for the
     batched path."""
     seed, x, cfg = exp.cfg.run.seed, state.x, exp.inner_config
-    init_root = RngStream(seed, _EVAL_INIT_STREAM).child(round_index)
+    # every task's y_0 is a row of one (tasks, dim_y) draw on the round's stream
+    ys0 = init_task_params_batch(
+        exp.paradigm, exp.problem, x, RngStream(seed, _EVAL_INIT_STREAM).child(round_index),
+        n_tasks,
+    )
     if exp.source is None:
         tasks = (None,) * n_tasks
     else:
@@ -534,7 +539,7 @@ def _per_task_evaluate(exp, state, n_tasks, round_index):
         tasks = sample_task_batch(exp.source, spec, rng).tasks
     losses, accuracies = [], []
     for j, task in enumerate(tasks):
-        y0 = init_task_params(exp.paradigm, exp.problem, x, init_root.child(j))
+        y0 = ParamVector(exp.problem.y_layout, ys0[j])
         y = run_inner(cfg.rule, cfg, exp.problem, x, y0, task).y_final
         losses.append(exp.problem.value(x, y, task, Split.VAL))
         if exp.problem.is_classifier and task is not None:
@@ -593,6 +598,28 @@ def test_meta_evaluate_makes_no_per_task_oracle_calls_on_the_classifiers():
         # training runs through the batch methods too
         meta_train(exp, state)
         assert calls == []
+
+
+@pytest.mark.parametrize("method", ["RHG", "DARTS"])
+def test_meta_evaluate_builds_the_same_number_of_generators_at_any_task_count(
+    monkeypatch, method
+):
+    # cost model: the y_0s, the class choice and the items are one draw each
+    exp, state = build_experiment(ExperimentConfig.from_dict(_feature_raw(method)))
+    meta_evaluate(exp, state, 1)  # the source's one-time center draw
+    make, calls = RngStream.generator, []
+
+    def counted(self):
+        calls.append(self)
+        return make(self)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    counts = []
+    for n_tasks in (4, 100):
+        before = len(calls)
+        meta_evaluate(exp, state, n_tasks)
+        counts.append(len(calls) - before)
+    assert counts == [3, 3]
 
 
 def test_meta_evaluate_runs_the_validation_forward_pass_once():
