@@ -5,7 +5,8 @@ Three subcommands:
   run           train from a JSON config, writing to --out metrics.jsonl
                 (a line per completed meta-iteration, kept on exit 3),
                 config.resolved.json and final_params.bin, first deleting
-                those three files from --out
+                those three files from --out; a meta-iteration whose
+                implicit solves did not converge prints a warning line
   verify        run the gradcheck suite and print a summary table
   list-methods  print the ten built-in method compositions
 
@@ -123,6 +124,13 @@ def _cmd_run(args) -> int:
             except OSError as e:
                 print(f"error: cannot write artifacts: {e}", file=sys.stderr)
                 return 2
+            if record.cg_unconverged:
+                print(
+                    f"warning: meta-iteration {record.meta_iter}: "
+                    f"{record.cg_unconverged} of {cfg.data.batch_size} CG solves stopped "
+                    "at hypergrad.cg_max_iter before reaching hypergrad.cg_tol",
+                    file=sys.stderr,
+                )
             done += 1
     except BilevelError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,7 +16,10 @@ axis (compute_hypergradient_batch); the per-task functions run it on a
 batch of one, so a task's estimate never depends on the rest of its batch.
 Every estimator takes the iterates an inner run kept, as (tasks, dim_y)
 stacks; the two reverse sweeps need them recorded (inner.is_recorded), and
-the others read only the last one, y_T.
+the others read only the last one, y_T. Each reads the problem's oracles
+from one point per (iterate, split) it visits (inner.InnerRun.at), so the
+sweeps reuse the points the inner steps were taken from, and every CG
+iteration applies the Hessian of one point at y_T.
 
 Named compositions of (paradigm, inner rule, estimator) for ten methods from
 the meta-learning literature are exposed through compose_named_method.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -41,8 +45,10 @@ from .errors import (
 from .inner import (
     InnerConfig,
     InnerRule,
+    InnerRun,
     InnerTrajectory,
     is_recorded,
+    step_points,
     step_transposed_jvps_batch,
 )
 from .numerics import (
@@ -132,6 +138,7 @@ class HyperGradResult:
     cg_iters: int | None = None
     cg_residual: float | None = None
     truncation_k: int | None = None
+    cg_converged: bool | None = None
 
     def __post_init__(self):
         if not self.grad_x.is_finite() or not math.isfinite(self.ul_value):
@@ -141,14 +148,15 @@ class HyperGradResult:
 @dataclass(frozen=True)
 class HyperGradBatch:
     """HyperGradResults of a task batch, stacked on a leading task axis:
-    grad_x is (tasks, dim_x) in x's layout; ul_value, cg_iters and
-    cg_residual are (tasks,)."""
+    grad_x is (tasks, dim_x) in x's layout; ul_value, cg_iters,
+    cg_residual and cg_converged are (tasks,)."""
 
     grad_x: np.ndarray
     ul_value: np.ndarray
     cg_iters: np.ndarray | None = None
     cg_residual: np.ndarray | None = None
     truncation_k: int | None = None
+    cg_converged: np.ndarray | None = None
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.grad_x)) and np.all(np.isfinite(self.ul_value))):
@@ -162,69 +170,62 @@ class HyperGradBatch:
             cg_iters=None if self.cg_iters is None else int(self.cg_iters[j]),
             cg_residual=None if self.cg_residual is None else float(self.cg_residual[j]),
             truncation_k=self.truncation_k,
+            cg_converged=None if self.cg_converged is None else bool(self.cg_converged[j]),
         )
 
 
-def _rows(traj: InnerTrajectory) -> tuple[np.ndarray, ...]:
-    """One task's kept iterates as a batch of one: (1, dim_y) stacks."""
-    return tuple(y.values[None] for y in traj.iterates)
+def _solo(problem: BilevelObjective, x: ParamVector, task, iterates) -> InnerRun:
+    """One task's kept iterates as the run of a batch of one: (1, dim_y) stacks."""
+    return InnerRun([y.values[None] for y in iterates], problem, x, TaskBatch((task,)))
 
 
 def _reverse_sweep(
-    problem: BilevelObjective,
-    config: InnerConfig,
-    x: ParamVector,
-    traj: tuple[np.ndarray, ...],
-    batch,
-    first_step: int,
-    include_init: bool,
+    config: InnerConfig, run: InnerRun, first_step: int, include_init: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint recurrence over steps T..first_step of a recorded trajectory,
-    the (tasks, dim_y) stacks y_0..y_T, every task at once.
+    """Adjoint recurrence over steps T..first_step of a recorded run, the
+    (tasks, dim_y) stacks y_0..y_T, every task at once.
 
     lam starts as the validation gradient at y_T; each visited step t adds
-    the x-coupling term and pulls lam back through the step Jacobian. When
-    include_init is set (meta-init paradigm, sweep reaching y_0), what is
-    left of lam is exactly the gradient through the initialization.
+    the x-coupling term and pulls lam back through the step Jacobian, at the
+    points step t was taken from. When include_init is set (meta-init
+    paradigm, sweep reaching y_0), what is left of lam is exactly the
+    gradient through the initialization.
     """
-    y_final = traj[-1]
-    ul = problem.value_batch(x, y_final, batch, Split.VAL)
-    lam = problem.grad_y_batch(x, y_final, batch, Split.VAL)
-    g = problem.grad_x_batch(x, y_final, batch, Split.VAL)
+    final = run.at(-1, Split.VAL)
+    ul, lam, g = final.value(), final.grad_y(), final.grad_x()
     for t in range(config.steps, first_step - 1, -1):
-        a_t, b_t = step_transposed_jvps_batch(config, problem, x, traj[t - 1], batch, lam)
+        points = step_points(config, partial(run.at, t - 1))
+        a_t, b_t = step_transposed_jvps_batch(config, points, lam)
         g = g + b_t
         lam = a_t
     if include_init:
-        g = segment_add(g, x.layout, "init", lam)
+        g = segment_add(g, run.x.layout, "init", lam)
     return g, ul
 
 
-def _reverse(problem, paradigm, config, x, traj, batch) -> HyperGradBatch:
-    if not is_recorded(config, traj):
+def _reverse(paradigm, config, run) -> HyperGradBatch:
+    if not is_recorded(config, run):
         raise TrajectoryNotRecorded(
             "reverse hypergradient needs the full trajectory; rerun with record=True"
         )
     g, ul = _reverse_sweep(
-        problem, config, x, traj, batch,
-        first_step=1,
-        include_init=paradigm is Paradigm.META_INIT,
+        config, run, first_step=1, include_init=paradigm is Paradigm.META_INIT
     )
     return HyperGradBatch(grad_x=g, ul_value=ul)
 
 
-def _truncated(problem, paradigm, config, x, traj, batch, k) -> HyperGradBatch:
+def _truncated(paradigm, config, run, k) -> HyperGradBatch:
     t_total = config.steps
     if k is None:
         k = max(1, math.ceil(t_total / 2))
     if t_total < 1 or not 1 <= k <= t_total:
         raise InsufficientIterates(f"truncation k={k} outside 1..{t_total}")
-    if not is_recorded(config, traj):
+    if not is_recorded(config, run):
         raise InsufficientIterates(
             "truncated reverse needs recorded iterates; rerun with record=True"
         )
     g, ul = _reverse_sweep(
-        problem, config, x, traj, batch,
+        config, run,
         first_step=t_total - k + 1,
         include_init=(paradigm is Paradigm.META_INIT and k == t_total),
     )
@@ -237,18 +238,19 @@ def _resolve_prox(cfg: Implicit, paradigm: Paradigm) -> float:
     return 1.0 if paradigm is Paradigm.META_INIT else 0.0
 
 
-def _implicit(problem, paradigm, x, ys, batch, cfg: Implicit) -> HyperGradBatch:
+def _implicit(paradigm, run, cfg: Implicit) -> HyperGradBatch:
     prox = _resolve_prox(cfg, paradigm)
+    inner, final = run.at(-1, Split.TRAIN), run.at(-1, Split.VAL)
+
     def apply(v: np.ndarray) -> np.ndarray:
-        hv = problem.hvp_yy_batch(x, ys, batch, Split.TRAIN, v)
+        hv = inner.hvp_yy(v)
         if prox != 0.0:
             hv = hv + prox * v
         return hv
 
-    rhs = problem.grad_y_batch(x, ys, batch, Split.VAL)
     try:
-        q, iters, residual, _ = conjugate_gradient_batch(
-            apply, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter
+        q, iters, residual, converged = conjugate_gradient_batch(
+            apply, final.grad_y(), tol=cfg.cg_tol, max_iter=cfg.cg_max_iter
         )
     except IndefiniteCurvature as e:
         e.args = (
@@ -256,40 +258,40 @@ def _implicit(problem, paradigm, x, ys, batch, cfg: Implicit) -> HyperGradBatch:
             f"solution, so raise hypergrad.prox_lambda (now {prox:g})",
         )
         raise
-    g = problem.grad_x_batch(x, ys, batch, Split.VAL)
-    g = g - problem.cross_hvp_batch(x, ys, batch, Split.TRAIN, q)
+    g = final.grad_x() - inner.cross_hvp(q)
     if paradigm is Paradigm.META_INIT and prox != 0.0:
-        g = segment_add(g, x.layout, "init", prox * q)
-    ul = problem.value_batch(x, ys, batch, Split.VAL)
-    return HyperGradBatch(grad_x=g, ul_value=ul, cg_iters=iters, cg_residual=residual)
+        g = segment_add(g, run.x.layout, "init", prox * q)
+    return HyperGradBatch(
+        grad_x=g, ul_value=final.value(),
+        cg_iters=iters, cg_residual=residual, cg_converged=converged,
+    )
 
 
-def _first_order(problem, paradigm, x, ys, batch) -> HyperGradBatch:
-    ul = problem.value_batch(x, ys, batch, Split.VAL)
+def _first_order(paradigm, run) -> HyperGradBatch:
+    final = run.at(-1, Split.VAL)
     if paradigm is Paradigm.META_INIT:
-        g_init = problem.grad_y_batch(x, ys, batch, Split.VAL)
-        g = segment_rows(x.layout, "init", g_init)
+        g = segment_rows(run.x.layout, "init", final.grad_y())
     else:
-        g = problem.grad_x_batch(x, ys, batch, Split.VAL)
-    return HyperGradBatch(grad_x=g, ul_value=ul)
+        g = final.grad_x()
+    return HyperGradBatch(grad_x=g, ul_value=final.value())
 
 
-def _darts(problem, paradigm, x, ys, batch, cfg: Darts, step_size: float) -> HyperGradBatch:
-    grad_y, grad_x = problem.grad_y_batch, problem.grad_x_batch
-    v = grad_y(x, ys, batch, Split.VAL)
-    ul = problem.value_batch(x, ys, batch, Split.VAL)
+def _darts(paradigm, run, cfg: Darts, step_size: float) -> HyperGradBatch:
+    final = run.at(-1, Split.VAL)
+    v = final.grad_y()
     # each task's own difference step, from its own direction's norm
     eps = (cfg.delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
-    y_plus = ys + eps * v
-    y_minus = ys - eps * v
+    ys, shift = run[-1], eps * v
+    plus = run.problem.at(run.x, ys + shift, run.batch, Split.TRAIN)
+    minus = run.problem.at(run.x, ys - shift, run.batch, Split.TRAIN)
     scale = step_size / (2.0 * eps)
     if paradigm is Paradigm.META_INIT:
-        bracket = grad_y(x, y_plus, batch, Split.TRAIN) - grad_y(x, y_minus, batch, Split.TRAIN)
-        g = segment_rows(x.layout, "init", v - scale * bracket)
+        bracket = plus.grad_y() - minus.grad_y()
+        g = segment_rows(run.x.layout, "init", v - scale * bracket)
     else:
-        bracket = grad_x(x, y_plus, batch, Split.TRAIN) - grad_x(x, y_minus, batch, Split.TRAIN)
-        g = grad_x(x, ys, batch, Split.VAL) - scale * bracket
-    return HyperGradBatch(grad_x=g, ul_value=ul)
+        bracket = plus.grad_x() - minus.grad_x()
+        g = final.grad_x() - scale * bracket
+    return HyperGradBatch(grad_x=g, ul_value=final.value())
 
 
 def hypergrad_reverse(
@@ -302,7 +304,7 @@ def hypergrad_reverse(
     """Exact meta-gradient for the realized trajectory by backpropagating
     through every inner step (and through the initialization under the
     meta-init paradigm)."""
-    res = _reverse(problem, paradigm, traj.config, x, _rows(traj), TaskBatch((task,)))
+    res = _reverse(paradigm, traj.config, _solo(problem, x, task, traj.iterates))
     return res.row(0, x.layout)
 
 
@@ -320,7 +322,7 @@ def hypergrad_truncated(
     through the initialization is cut, so under meta-init only the step
     couplings survive.
     """
-    res = _truncated(problem, paradigm, traj.config, x, _rows(traj), TaskBatch((task,)), k)
+    res = _truncated(paradigm, traj.config, _solo(problem, x, task, traj.iterates), k)
     return res.row(0, x.layout)
 
 
@@ -341,7 +343,7 @@ def hypergrad_implicit(
     (prox/2)*||y - x["init"]||^2 supplies the missing dependence; prox = 0
     there degenerates to a zero init gradient.
     """
-    res = _implicit(problem, paradigm, x, y_final.values[None], TaskBatch((task,)), cfg)
+    res = _implicit(paradigm, _solo(problem, x, task, (y_final,)), cfg)
     return res.row(0, x.layout)
 
 
@@ -353,7 +355,7 @@ def hypergrad_first_order(
     task,
 ) -> HyperGradResult:
     """Curvature-free estimate: y_final is treated as a constant."""
-    res = _first_order(problem, paradigm, x, y_final.values[None], TaskBatch((task,)))
+    res = _first_order(paradigm, _solo(problem, x, task, (y_final,)))
     return res.row(0, x.layout)
 
 
@@ -373,9 +375,7 @@ def hypergrad_darts(
     delta controls absolute perturbation size. Cost is two gradient
     evaluations regardless of dimension.
     """
-    res = _darts(
-        problem, paradigm, x, y_final.values[None], TaskBatch((task,)), Darts(delta), step_size
-    )
+    res = _darts(paradigm, _solo(problem, x, task, (y_final,)), Darts(delta), step_size)
     return res.row(0, x.layout)
 
 
@@ -393,10 +393,10 @@ def compute_hypergradient(
 ) -> HyperGradResult:
     """Dispatch on the method type; trajectory-free estimators read only the
     final iterate (and the step size, for the darts estimator)."""
-    res = compute_hypergradient_batch(
-        method, problem, paradigm, traj.config, x, _rows(traj), TaskBatch((task,))
-    )
-    return res.row(0, x.layout)
+    run = _solo(problem, x, task, traj.iterates)
+    return compute_hypergradient_batch(
+        method, problem, paradigm, traj.config, x, run, run.batch
+    ).row(0, x.layout)
 
 
 def compute_hypergradient_batch(
@@ -412,19 +412,21 @@ def compute_hypergradient_batch(
 
     ys is the tuple of (tasks, dim_y) stacks that run_inner_batch kept under
     `config`; the reverse sweeps need it recorded, and the other estimators
-    read only its last stack, y_T.
+    read only its last stack, y_T. The InnerRun that run_inner_batch
+    returns for this problem, x and batch lends its points.
     """
+    lends = isinstance(ys, InnerRun) and ys.problem is problem and ys.x is x and ys.batch is batch
+    run = ys if lends else InnerRun(ys, problem, x, batch)
     if isinstance(method, Reverse):
-        return _reverse(problem, paradigm, config, x, ys, batch)
+        return _reverse(paradigm, config, run)
     if isinstance(method, TruncatedReverse):
-        return _truncated(problem, paradigm, config, x, ys, batch, method.k)
-    y_final = ys[-1]
+        return _truncated(paradigm, config, run, method.k)
     if isinstance(method, Implicit):
-        return _implicit(problem, paradigm, x, y_final, batch, method)
+        return _implicit(paradigm, run, method)
     if isinstance(method, FirstOrder):
-        return _first_order(problem, paradigm, x, y_final, batch)
+        return _first_order(paradigm, run)
     if isinstance(method, Darts):
-        return _darts(problem, paradigm, x, y_final, batch, method, config.step_size)
+        return _darts(paradigm, run, method, config.step_size)
     raise TypeError(f"unknown hypergradient method {method!r}")
 
 

@@ -16,9 +16,12 @@ Rules with a factor keep its meta-parameters inside extra segments of x:
 
 The steps and their transposed products are written once, on (tasks, dim_y)
 stacks of y with one row per task; the per-task functions run them on a
-batch of one. A run keeps either every iterate y_0..y_T or only y_0 and
-y_T; it is recorded when it kept all T + 1 (is_recorded), as the reverse
-sweeps need, which a run of at most one step always is.
+batch of one. Both read the problem's oracles from its points
+(BilevelObjective.at), one per split the rule reads. A run keeps either
+every iterate y_0..y_T or only y_0 and y_T; it is recorded when it kept all
+T + 1 (is_recorded), as the reverse sweeps need, which a run of at most one
+step always is. A recorded run also keeps the points its steps were taken
+from, so the reverse sweeps reuse their forward passes (InnerRun).
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ import numpy as np
 from .data import TaskBatch
 from .errors import MissingSegment, NonFiniteValue
 from .numerics import Layout, ParamVector, RngStream, segment_add
-from .objectives import BilevelObjective, Paradigm, Split
+from .objectives import BilevelObjective, Paradigm, Point, Split
 
 __all__ = [
     "InnerRule",
     "InnerConfig",
     "InnerTrajectory",
+    "InnerRun",
     "is_recorded",
     "init_task_params",
     "init_task_params_batch",
@@ -46,6 +50,7 @@ __all__ = [
     "run_inner_batch",
     "step_transposed_jvps",
     "step_transposed_jvps_batch",
+    "step_points",
     "required_x_segments",
     "softplus",
     "softplus_inverse",
@@ -137,6 +142,25 @@ class InnerTrajectory:
         raise IndexError(f"iterate {t} was not recorded")
 
 
+class InnerRun(tuple):
+    """The (tasks, dim_y) stacks an inner run of `problem` at x on `batch`
+    kept, as a tuple: y_0..y_T when recorded (is_recorded), otherwise y_0
+    and y_T. at(t, split) is the problem's point at stack t, built at most
+    once; a recorded run holds the points its steps were taken from."""
+
+    def __new__(cls, stacks, problem: BilevelObjective, x: ParamVector, batch, points=()):
+        run = super().__new__(cls, stacks)
+        run.problem, run.x, run.batch = problem, x, batch
+        run._points = dict(points)
+        return run
+
+    def at(self, t: int, split: Split) -> Point:
+        key = (t % len(self), split)
+        if key not in self._points:
+            self._points[key] = self.problem.at(self.x, self[t], self.batch, split)
+        return self._points[key]
+
+
 def required_x_segments(rule: InnerRule, y_layout: Layout) -> tuple[tuple[str, int], ...]:
     """Extra x segments a rule needs, as (name, length) pairs."""
     if rule is InnerRule.META_SGD:
@@ -223,20 +247,35 @@ def _factor(config: InnerConfig, x: ParamVector, y_layout: Layout):
     return s, None, None, None
 
 
-def _mix(config: InnerConfig, f):
-    """f(Split.TRAIN), or under BDA the bda_alpha-weighted mix of f over
-    the train and val splits."""
+def _mix(config: InnerConfig, points: tuple[Point, ...], f):
+    """f of the train point, or under BDA the bda_alpha-weighted mix of f
+    over the train and val points."""
     if config.rule is not InnerRule.BDA:
-        return f(Split.TRAIN)
+        return f(points[0])
     a = config.bda_alpha
-    return a * f(Split.TRAIN) + (1.0 - a) * f(Split.VAL)
+    return a * f(points[0]) + (1.0 - a) * f(points[1])
 
 
-def _step(config: InnerConfig, problem: BilevelObjective, x: ParamVector, ys, batch):
-    """One step of config.rule on every row of the (tasks, dim_y) stack ys."""
-    scale, d, _, _ = _factor(config, x, problem.y_layout)
-    g = _mix(config, partial(problem.grad_y_batch, x, ys, batch))
-    y_next = ys - scale * g if d is None else ys - scale * d * g
+def step_points(config: InnerConfig, at) -> tuple[Point, ...]:
+    """at(split), a point at one stack, for each split a step of
+    config.rule reads: the train split, then under BDA the val split."""
+    if config.rule is InnerRule.BDA:
+        return at(Split.TRAIN), at(Split.VAL)
+    return (at(Split.TRAIN),)
+
+
+def _step(config: InnerConfig, points: tuple[Point, ...]) -> np.ndarray:
+    """One step of config.rule on every row of the stack the points are at."""
+    x, ys, layout = points[0].x, points[0].ys, points[0].problem.y_layout
+    g = _mix(config, points, lambda point: point.grad_y())
+    # points the caller does not keep die here, before y_next is allocated,
+    # as the arrays of a step that built no points did; freeing them later
+    # measured more page faults per evaluation
+    del points
+    # an overflow here leaves a non-finite y, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale, d, _, _ = _factor(config, x, layout)
+        y_next = ys - scale * g if d is None else ys - scale * d * g
     if not np.all(np.isfinite(y_next)):
         raise NonFiniteValue(f"inner step under rule {config.rule.value} produced non-finite y")
     return y_next
@@ -250,8 +289,9 @@ def inner_step(
     y_prev: ParamVector,
     task,
 ) -> ParamVector:
-    ys = _step(_with_rule(config, rule), problem, x, y_prev.values[None], TaskBatch((task,)))
-    return y_prev.like(ys[0])
+    config = _with_rule(config, rule)
+    at = partial(problem.at, x, y_prev.values[None], TaskBatch((task,)))
+    return y_prev.like(_step(config, step_points(config, at))[0])
 
 
 def run_inner(
@@ -277,19 +317,26 @@ def run_inner_batch(
     ys: np.ndarray,
     batch: TaskBatch,
     record: bool = False,
-) -> tuple[np.ndarray, ...]:
+) -> InnerRun:
     """The inner runs of every task of `batch` at once under config.rule,
     from the rows of the (tasks, dim_y) stack ys.
 
     Returns the (tasks, dim_y) stacks it kept: y_0..y_T with record, else
-    y_0 and (after any step) y_T. Either way the last one is y_T.
+    y_0 and (after any step) y_T. Either way the last one is y_T. With
+    record it keeps the points of each step too.
     """
-    kept = [ys]
-    for t in range(1, config.steps + 1):
-        ys = _step(config, problem, x, ys, batch)
-        if record or t == config.steps:
+    kept, kept_points = [ys], {}
+    for t in range(config.steps):
+        at = partial(problem.at, x, ys, batch)
+        if record:
+            points = step_points(config, at)
+            kept_points.update(zip(((t, Split.TRAIN), (t, Split.VAL)), points))
+            ys = _step(config, points)
+        else:
+            ys = _step(config, step_points(config, at))
+        if record or t + 1 == config.steps:
             kept.append(ys)
-    return tuple(kept)
+    return InnerRun(kept, problem, x, batch, kept_points)
 
 
 def step_transposed_jvps(
@@ -308,35 +355,29 @@ def step_transposed_jvps(
     the adjoint flows backward through aT_v while bT_v accumulates into the
     meta-gradient.
     """
-    a_t, b_t = step_transposed_jvps_batch(
-        _with_rule(config, rule), problem, x, y_prev.values[None], TaskBatch((task,)),
-        v.values[None],
-    )
+    config = _with_rule(config, rule)
+    at = partial(problem.at, x, y_prev.values[None], TaskBatch((task,)))
+    a_t, b_t = step_transposed_jvps_batch(config, step_points(config, at), v.values[None])
     return v.like(a_t[0]), x.like(b_t[0])
 
 
 def step_transposed_jvps_batch(
-    config: InnerConfig,
-    problem: BilevelObjective,
-    x: ParamVector,
-    ys: np.ndarray,
-    batch: TaskBatch,
-    vs: np.ndarray,
+    config: InnerConfig, points: tuple[Point, ...], vs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """step_transposed_jvps for every task of `batch` at once, at the rows
-    of the (tasks, dim_y) stacks ys and vs, under config.rule; returns the
-    (tasks, dim_y) and (tasks, dim_x) stacks."""
-    scale, d, name, pullback = _factor(config, x, problem.y_layout)
-    w = vs if d is None else d * vs
-
-    def products(batch_form):
-        return _mix(config, lambda split: batch_form(x, ys, batch, split, w))
-
-    a_t = vs - scale * products(problem.hvp_yy_batch)
-    b_t = -scale * products(problem.cross_hvp_batch)
-    if d is not None:
-        g_f = problem.grad_y_batch(x, ys, batch, Split.TRAIN)
-        b_t = segment_add(b_t, x.layout, name, pullback(-scale, g_f, vs))
+    """step_transposed_jvps for every task of a batch at once, under
+    config.rule, at the points of one stack (step_points) and the rows of
+    the (tasks, dim_y) stack vs; returns the (tasks, dim_y) and
+    (tasks, dim_x) stacks."""
+    train = points[0]
+    x = train.x
+    # an overflow here leaves a non-finite product, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale, d, name, pullback = _factor(config, x, train.problem.y_layout)
+        w = vs if d is None else d * vs
+        a_t = vs - scale * _mix(config, points, lambda point: point.hvp_yy(w))
+        b_t = -scale * _mix(config, points, lambda point: point.cross_hvp(w))
+        if d is not None:
+            b_t = segment_add(b_t, x.layout, name, pullback(-scale, train.grad_y(), vs))
 
     if not (np.all(np.isfinite(a_t)) and np.all(np.isfinite(b_t))):
         raise NonFiniteValue(f"transposed products under rule {config.rule.value} are non-finite")

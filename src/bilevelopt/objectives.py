@@ -13,11 +13,14 @@ minimizer and meta-gradient, used as a correctness oracle), a shared linear
 feature map with a per-task softmax head, and a per-task MLP whose
 initialization is the meta-parameter.
 
-The trainer runs a whole batch of tasks at once on (tasks, dim) stacks
-through each oracle's batch form, <oracle>_batch. BilevelObjective's batch
-forms, and val_losses_and_scores (the validation losses and classifier
-scores of an evaluation), call the per-task oracle task by task; the two
-classifier problems override them with stacked kernels.
+The trainer runs a whole batch of tasks at once on (tasks, dim) stacks.
+It asks a problem for a point, at(x, ys, batch, split), and reads every
+oracle it needs there from that point. BilevelObjective's points call the
+batch forms, <oracle>_batch, whose defaults here (and val_losses_and_scores,
+the validation losses and classifier scores of an evaluation) call the
+per-task oracle task by task. The two classifier problems build a point
+from one forward pass, and their per-task oracles and batch forms are views
+of it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "Paradigm",
     "Regularizer",
     "BilevelObjective",
+    "Point",
     "QuadraticBilevel",
     "MetaFeatureSoftmax",
     "MetaInitMlp",
@@ -131,11 +135,37 @@ def _split_data(
     return data.val_features, data.val_labels
 
 
+class Point:
+    """The five oracles of `problem` at x and the (tasks, dim_y) stack ys on
+    the `split` of `batch`; hvp_yy and cross_hvp take a (tasks, dim_y) stack
+    vs. Each answer is a stack with one row per task. This one asks the
+    problem's batch forms on every call; BilevelObjective.at of a problem
+    with a forward pass worth sharing returns its own."""
+
+    def __init__(self, problem, x: ParamVector, ys: np.ndarray, batch, split: Split):
+        self.problem, self.x, self.ys, self.batch, self.split = problem, x, ys, batch, split
+
+    def value(self) -> np.ndarray:
+        return self.problem.value_batch(self.x, self.ys, self.batch, self.split)
+
+    def grad_y(self) -> np.ndarray:
+        return self.problem.grad_y_batch(self.x, self.ys, self.batch, self.split)
+
+    def grad_x(self) -> np.ndarray:
+        return self.problem.grad_x_batch(self.x, self.ys, self.batch, self.split)
+
+    def hvp_yy(self, vs: np.ndarray) -> np.ndarray:
+        return self.problem.hvp_yy_batch(self.x, self.ys, self.batch, self.split, vs)
+
+    def cross_hvp(self, vs: np.ndarray) -> np.ndarray:
+        return self.problem.cross_hvp_batch(self.x, self.ys, self.batch, self.split, vs)
+
+
 class BilevelObjective:
     """Oracle bundle: value, grad_y, grad_x, hvp_yy, and the transposed
-    cross second-order product, all per task and split, and their batch
-    forms. A classifier also defines predict(x, y, features), its class
-    scores.
+    cross second-order product, all per task and split, their batch forms,
+    and the point at(x, ys, batch, split) that training reads them from. A
+    classifier also defines predict(x, y, features), its class scores.
 
     grad_x / cross_hvp answer in the layout of the x argument (which may
     carry extra method-specific segments beyond the problem's own); segments
@@ -146,8 +176,10 @@ class BilevelObjective:
     per-task answers stacked on a leading task axis. val_losses_and_scores
     gives each task's validation loss and, for a classifier, its predict
     scores on the validation features. The ones here call the per-task
-    oracle task by task; a problem overrides them for speed, and a subclass
-    that changes a per-task oracle overrides its batch form as well.
+    oracle task by task, and at returns a Point over the batch forms; a
+    problem may override them for speed. Training reads every oracle from
+    at and evaluation from val_losses_and_scores, so a subclass that changes
+    an oracle of a problem with its own at overrides at as well.
     """
 
     x_layout: Layout
@@ -174,6 +206,11 @@ class BilevelObjective:
     ) -> ParamVector:
         """Gradient with respect to x of <grad_y(x, y), v>."""
         return ParamVector.zeros(x.layout)
+
+    def at(self, x: ParamVector, ys: np.ndarray, batch: TaskBatch, split: Split) -> Point:
+        """The oracles at the rows of the (tasks, dim_y) stack ys on the
+        `split` of `batch`."""
+        return Point(self, x, ys, batch, split)
 
     def _per_task(self, oracle, x: ParamVector, ys: np.ndarray, tasks, *args) -> np.ndarray:
         """oracle at each row of ys with the matching task, and the matching
@@ -388,53 +425,79 @@ def _join(like: np.ndarray, *parts: np.ndarray) -> np.ndarray:
     return np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
 
 
-class _TaskAxisObjective(BilevelObjective):
-    """The five oracles, their batch forms and predict from kernels that take
-    y (and v) as (..., dim_y) arrays and broadcast over leading task axes:
-    _scores and _loss (behind value), _grad_y, _hvp_yy, and for a problem
-    whose loss reads x, _grad_x and _cross_hvp. Each row of a batch answer
-    matches the per-task oracle bit for bit.
+class _TaskAxisPoint(Point):
+    """A point of a _TaskAxisObjective, whose ys and batch may carry any
+    leading task axes, or none for one task. The forward pass and the
+    residual run when the point is built, and every oracle reads them.
+    A problem's subclass writes each oracle kernel once, for its per-task
+    oracles and batch forms alike. grad_x and cross_hvp here are those of a
+    loss that never reads x: zero in every row."""
 
-    The batch forms, and val_losses_and_scores with its single forward pass,
-    run the kernels rather than the per-task oracles. A subclass that changes
-    an oracle therefore overrides its batch form too (and, for value or
-    predict, val_losses_and_scores)."""
+    def __init__(self, problem, x, ys, batch, split):
+        super().__init__(problem, x, ys, batch, split)
+        self.phi, self.labels = _split_data(batch, split)
+        self.scores = self._run()
+        self.p, self.delta = self._residual()
+
+    def _run(self) -> np.ndarray:
+        """Run the problem's forward pass on phi, keep what the oracles
+        read, and return the scores."""
+        raise NotImplementedError
+
+    def _residual(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """Softmax p and the cross-entropy residual dloss/dscores."""
+        return _softmax_residual(self.scores, self.labels)
+
+    def value(self):
+        loss = self.problem._loss(self.scores, self.labels)
+        if self.split is Split.TRAIN:
+            loss = loss + self.problem.reg.value(self.ys)
+        return loss
+
+    def grad_x(self):
+        return np.zeros(self.ys.shape[:-1] + (self.x.layout.dim,))
+
+    def cross_hvp(self, vs):
+        return self.grad_x()
+
+
+class _TaskAxisObjective(BilevelObjective):
+    """A problem whose points (_point_type) run its kernels on y and v as
+    (..., dim_y) arrays over any leading task axes. Every oracle is a view
+    of a point: a per-task oracle of the point of one task, a batch form of
+    the point of a stack, so each row of a batch answer matches the per-task
+    oracle bit for bit. Training reads every oracle from at, and evaluation
+    reads val_losses_and_scores, one forward pass through _scores and
+    _loss. A subclass that changes an oracle therefore overrides at (and,
+    for value or predict, val_losses_and_scores)."""
+
+    _point_type: type[_TaskAxisPoint]
+
+    def at(self, x, ys, batch, split):
+        self._check_stack(batch, ys)
+        return self._point_type(self, x, ys, batch, split)
+
+    def _task_point(self, x, y, task, split) -> _TaskAxisPoint:
+        self._check_xy(x, y)
+        return self._point_type(self, x, y.values, task, split)
 
     def value(self, x, y, task, split):
-        self._check_xy(x, y)
-        return float(self._value(x, y.values, task, split))
+        return float(self._task_point(x, y, task, split).value())
 
     def grad_y(self, x, y, task, split):
-        self._check_xy(x, y)
-        return y.like(self._grad_y(x, y.values, task, split))
+        return y.like(self._task_point(x, y, task, split).grad_y())
 
     def grad_x(self, x, y, task, split):
-        self._check_xy(x, y)
-        return x.like(self._grad_x(x, y.values, task, split))
+        return x.like(self._task_point(x, y, task, split).grad_x())
 
     def hvp_yy(self, x, y, task, split, v):
-        self._check_xy(x, y)
-        return v.like(self._hvp_yy(x, y.values, task, split, v.values))
+        return v.like(self._task_point(x, y, task, split).hvp_yy(v.values))
 
     def cross_hvp(self, x, y, task, split, v):
-        self._check_xy(x, y)
-        return x.like(self._cross_hvp(x, y.values, task, split, v.values))
+        return x.like(self._task_point(x, y, task, split).cross_hvp(v.values))
 
     def predict(self, x, y, features):
         return self._scores(x, y.values, np.atleast_2d(features))
-
-    def _value(self, x, yv, data, split):
-        phi, labels = _split_data(data, split)
-        loss = self._loss(self._scores(x, yv, phi), labels)
-        if split is Split.TRAIN:
-            loss = loss + self.reg.value(yv)
-        return loss
-
-    def _x_free(self, x, yv, *_):
-        """Zero in every row: _grad_x and _cross_hvp of a loss that never reads x."""
-        return np.zeros(yv.shape[:-1] + (x.layout.dim,))
-
-    _grad_x = _cross_hvp = _x_free
 
     def _check_stack(self, batch: TaskBatch, *stacks: np.ndarray):
         for ys in stacks:
@@ -444,24 +507,21 @@ class _TaskAxisObjective(BilevelObjective):
                 )
 
     def value_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        self._check_stack(batch, ys)
-        return self._value(x, ys, batch, split)
+        return self.at(x, ys, batch, split).value()
 
     def grad_y_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        self._check_stack(batch, ys)
-        return self._grad_y(x, ys, batch, split)
+        return self.at(x, ys, batch, split).grad_y()
 
     def grad_x_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        self._check_stack(batch, ys)
-        return self._grad_x(x, ys, batch, split)
+        return self.at(x, ys, batch, split).grad_x()
 
     def hvp_yy_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
-        self._check_stack(batch, ys, vs)
-        return self._hvp_yy(x, ys, batch, split, vs)
+        self._check_stack(batch, vs)
+        return self.at(x, ys, batch, split).hvp_yy(vs)
 
     def cross_hvp_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
-        self._check_stack(batch, ys, vs)
-        return self._cross_hvp(x, ys, batch, split, vs)
+        self._check_stack(batch, vs)
+        return self.at(x, ys, batch, split).cross_hvp(vs)
 
     def val_losses_and_scores(self, x, ys: np.ndarray, batch: TaskBatch):
         """value_batch on the val split and, for a classifier, the predict
@@ -469,6 +529,42 @@ class _TaskAxisObjective(BilevelObjective):
         self._check_stack(batch, ys)
         scores = self._scores(x, ys, batch.val_features)
         return self._loss(scores, batch.val_labels), scores if self.is_classifier else None
+
+
+class _SoftmaxPoint(_TaskAxisPoint):
+    """MetaFeatureSoftmax at a point: features h = phi M^T, head W, logits."""
+
+    def _run(self):
+        self.h, self.w, logits = self.problem._logits(self.x, self.ys, self.phi)
+        return logits
+
+    def _head_jvp(self, v):
+        """Head direction Vw and the softmax-Jacobian product u, over n."""
+        vw, vb = _unpack(v, self.problem._y_parts)
+        return vw, _softmax_jvp(self.p, self.h @ vw.swapaxes(-1, -2) + vb) / self.h.shape[-2]
+
+    def grad_y(self):
+        delta = self.delta
+        out = _join(self.ys, delta.swapaxes(-1, -2) @ self.h, delta.sum(axis=-2))
+        if self.split is Split.TRAIN:
+            out += self.problem.reg.grad(self.ys)
+        return out
+
+    def grad_x(self):
+        gm = (self.delta @ self.w).swapaxes(-1, -2) @ self.phi
+        return self.problem._feat_gradient(self.x, gm)
+
+    def hvp_yy(self, vs):
+        _, u = self._head_jvp(vs)
+        out = _join(vs, u.swapaxes(-1, -2) @ self.h, u.sum(axis=-2))
+        if self.split is Split.TRAIN:
+            out += self.problem.reg.hvp(vs)
+        return out
+
+    def cross_hvp(self, vs):
+        vw, u = self._head_jvp(vs)
+        gm = (self.delta @ vw + u @ self.w).swapaxes(-1, -2) @ self.phi
+        return self.problem._feat_gradient(self.x, gm)
 
 
 class MetaFeatureSoftmax(_TaskAxisObjective):
@@ -483,6 +579,7 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
     """
 
     is_classifier = True
+    _point_type = _SoftmaxPoint
 
     def __init__(self, dim_in: int, dim_feat: int, way: int, reg: Regularizer | None = None):
         if min(dim_in, dim_feat, way) < 1:
@@ -501,27 +598,8 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
         h = phi @ x.segment("feat").reshape(self.dim_feat, self.dim_in).T
         return h, w, h @ w.swapaxes(-1, -2) + c
 
-    def _forward(self, x, yv, data, split):
-        """Inputs phi, head W, features h, softmax p and residual."""
-        phi, labels = _split_data(data, split)
-        h, w, z = self._logits(x, yv, phi)
-        p, delta = _softmax_residual(z, labels)
-        return phi, w, h, p, delta
-
-    def _head_jvp(self, h, p, v):
-        """Head direction Vw and the softmax-Jacobian product u, over n."""
-        vw, vb = _unpack(v, self._y_parts)
-        return vw, _softmax_jvp(p, h @ vw.swapaxes(-1, -2) + vb) / h.shape[-2]
-
     def _loss(self, scores, labels):
         return _cross_entropy(scores, labels)
-
-    def _grad_y(self, x, yv, data, split):
-        _, _, h, _, delta = self._forward(x, yv, data, split)
-        out = _join(yv, delta.swapaxes(-1, -2) @ h, delta.sum(axis=-2))
-        if split is Split.TRAIN:
-            out += self.reg.grad(yv)
-        return out
 
     def _scores(self, x, yv, phi):
         return self._logits(x, yv, phi)[2]
@@ -530,23 +608,6 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
         """Rows in x's layout with gm, (..., dim_feat, dim_in), in segment "feat"."""
         return segment_rows(x.layout, "feat", gm.reshape(gm.shape[:-2] + (-1,)))
 
-    def _grad_x(self, x, yv, data, split):
-        phi, w, _, _, delta = self._forward(x, yv, data, split)
-        return self._feat_gradient(x, (delta @ w).swapaxes(-1, -2) @ phi)
-
-    def _hvp_yy(self, x, yv, data, split, v):
-        _, _, h, p, _ = self._forward(x, yv, data, split)
-        _, u = self._head_jvp(h, p, v)
-        out = _join(v, u.swapaxes(-1, -2) @ h, u.sum(axis=-2))
-        if split is Split.TRAIN:
-            out += self.reg.hvp(v)
-        return out
-
-    def _cross_hvp(self, x, yv, data, split, v):
-        phi, w, h, p, delta = self._forward(x, yv, data, split)
-        vw, u = self._head_jvp(h, p, v)
-        return self._feat_gradient(x, (delta @ vw + u @ w).swapaxes(-1, -2) @ phi)
-
 
 make_meta_feature_softmax = MetaFeatureSoftmax
 
@@ -554,6 +615,68 @@ make_meta_feature_softmax = MetaFeatureSoftmax
 # ---------------------------------------------------------------------------
 # per-task MLP whose initialization is meta-learned
 # ---------------------------------------------------------------------------
+
+
+class _MlpPoint(_TaskAxisPoint):
+    """MetaInitMlp at a point: outputs, hidden activations and output
+    weights (the last two None without a hidden layer)."""
+
+    def _run(self):
+        out, self.act, self.w1 = self.problem._forward(self.ys, self.phi)
+        # tanh' at the hidden layer
+        self.slope = None if self.act is None else 1.0 - self.act * self.act
+        return out
+
+    def _residual(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """Softmax p (None for a squared error) and the residual dloss/dout."""
+        if self.problem.loss is LossKind.CROSS_ENTROPY:
+            return _softmax_residual(self.scores, self.labels)
+        onehot = _onehot(self.labels, self.problem.dim_out)
+        return None, (self.scores - onehot) / self.labels.shape[-1]
+
+    def grad_y(self):
+        delta, phi = self.delta, self.phi
+        delta_t = delta.swapaxes(-1, -2)
+        if self.problem.hidden > 0:
+            back = (delta @ self.w1) * self.slope
+            out = _join(
+                self.ys, back.swapaxes(-1, -2) @ phi, back.sum(axis=-2),
+                delta_t @ self.act, delta.sum(axis=-2),
+            )
+        else:
+            out = _join(self.ys, delta_t @ phi, delta.sum(axis=-2))
+        if self.split is Split.TRAIN:
+            out += self.problem.reg.grad(self.ys)
+        return out
+
+    def hvp_yy(self, vs):
+        p, delta, phi, act, w1 = self.p, self.delta, self.phi, self.act, self.w1
+        n = delta.shape[-2]
+
+        def r_residual(r_out):
+            # directional derivative of delta along r_out = R{out}
+            return r_out / n if p is None else _softmax_jvp(p, r_out) / n
+
+        if self.problem.hidden == 0:
+            v0, vb0 = _unpack(vs, self.problem._y_parts)
+            r_delta = r_residual(phi @ v0.swapaxes(-1, -2) + vb0)
+            out = _join(vs, r_delta.swapaxes(-1, -2) @ phi, r_delta.sum(axis=-2))
+        else:
+            v0, vb0, v1, vb1 = _unpack(vs, self.problem._y_parts)
+            slope = self.slope
+            r_act = (phi @ v0.swapaxes(-1, -2) + vb0) * slope
+            r_delta = r_residual(
+                r_act @ w1.swapaxes(-1, -2) + act @ v1.swapaxes(-1, -2) + vb1
+            )
+            r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * (delta @ w1) * act * r_act
+            gw1 = r_delta.swapaxes(-1, -2) @ act + delta.swapaxes(-1, -2) @ r_act
+            out = _join(
+                vs, r_back.swapaxes(-1, -2) @ phi, r_back.sum(axis=-2), gw1,
+                r_delta.sum(axis=-2),
+            )
+        if self.split is Split.TRAIN:
+            out += self.problem.reg.hvp(vs)
+        return out
 
 
 class MetaInitMlp(_TaskAxisObjective):
@@ -565,6 +688,8 @@ class MetaInitMlp(_TaskAxisObjective):
     Gradients are analytic backprop; hvp_yy is Pearlmutter's exact
     R-operator, a forward-mode pass through that backprop.
     """
+
+    _point_type = _MlpPoint
 
     def __init__(
         self,
@@ -605,17 +730,6 @@ class MetaInitMlp(_TaskAxisObjective):
         w0, b0 = _unpack(yv, self._y_parts)
         return phi @ w0.swapaxes(-1, -2) + b0, None, None
 
-    def _residual(self, yv: np.ndarray, data, split):
-        """Inputs, activations, output weights, softmax p (None for MSE) and
-        residual dloss/dout."""
-        phi, labels = _split_data(data, split)
-        out, act, w1 = self._forward(yv, phi)
-        if self.loss is LossKind.CROSS_ENTROPY:
-            p, delta = _softmax_residual(out, labels)
-        else:
-            p, delta = None, (out - _onehot(labels, self.dim_out)) / labels.shape[-1]
-        return phi, act, w1, p, delta
-
     def _loss(self, scores, labels):
         if self.loss is LossKind.CROSS_ENTROPY:
             loss = _cross_entropy(scores, labels)
@@ -626,52 +740,8 @@ class MetaInitMlp(_TaskAxisObjective):
             raise NonFiniteValue("MLP loss is not finite")
         return loss
 
-    def _grad_y(self, x, yv, data, split):
-        phi, act, w1, _, delta = self._residual(yv, data, split)
-        delta_t = delta.swapaxes(-1, -2)
-        if self.hidden > 0:
-            back = (delta @ w1) * (1.0 - act * act)
-            out = _join(
-                yv, back.swapaxes(-1, -2) @ phi, back.sum(axis=-2),
-                delta_t @ act, delta.sum(axis=-2),
-            )
-        else:
-            out = _join(yv, delta_t @ phi, delta.sum(axis=-2))
-        if split is Split.TRAIN:
-            out += self.reg.grad(yv)
-        return out
-
     def _scores(self, x, yv, phi):
         return self._forward(yv, phi)[0]
-
-    def _hvp_yy(self, x, yv, data, split, v):
-        phi, act, w1, p, delta = self._residual(yv, data, split)
-        n = delta.shape[-2]
-
-        def r_residual(r_out):
-            # directional derivative of delta along r_out = R{out}
-            return r_out / n if p is None else _softmax_jvp(p, r_out) / n
-
-        if self.hidden == 0:
-            v0, vb0 = _unpack(v, self._y_parts)
-            r_delta = r_residual(phi @ v0.swapaxes(-1, -2) + vb0)
-            out = _join(v, r_delta.swapaxes(-1, -2) @ phi, r_delta.sum(axis=-2))
-        else:
-            v0, vb0, v1, vb1 = _unpack(v, self._y_parts)
-            slope = 1.0 - act * act
-            r_act = (phi @ v0.swapaxes(-1, -2) + vb0) * slope
-            r_delta = r_residual(
-                r_act @ w1.swapaxes(-1, -2) + act @ v1.swapaxes(-1, -2) + vb1
-            )
-            r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * (delta @ w1) * act * r_act
-            gw1 = r_delta.swapaxes(-1, -2) @ act + delta.swapaxes(-1, -2) @ r_act
-            out = _join(
-                v, r_back.swapaxes(-1, -2) @ phi, r_back.sum(axis=-2), gw1,
-                r_delta.sum(axis=-2),
-            )
-        if split is Split.TRAIN:
-            out += self.reg.hvp(v)
-        return out
 
 
 make_meta_init_mlp = MetaInitMlp

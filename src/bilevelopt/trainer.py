@@ -355,10 +355,11 @@ class MetricsRecord:
     eval_post_adapt_loss: float | None
     eval_post_adapt_accuracy: float | None
     wall_ms: float
+    cg_unconverged: int = 0  # implicit solves that stopped at cg_max_iter unconverged
 
     def to_json_dict(self) -> dict:
-        # wall_ms stays out of the serialized form so identical runs
-        # produce identical files
+        # wall_ms and cg_unconverged stay out of the serialized form so
+        # identical runs produce identical files
         return {
             "meta_iter": self.meta_iter,
             "ul_loss": self.ul_loss,
@@ -537,7 +538,7 @@ def _train_rounds(exp: Experiment, state: TrainState):
             res = compute_hypergradient_batch(
                 exp.method, problem, exp.paradigm, exp.inner_config, x, kept, batch
             )
-            inner_final = problem.value_batch(x, kept[-1], batch, Split.TRAIN)
+            inner_final = kept.at(-1, Split.TRAIN).value()
 
             # task order, one addition at a time, as a loop over tasks would
             g_total = res.grad_x[0]
@@ -566,6 +567,7 @@ def _train_rounds(exp: Experiment, state: TrainState):
             eval_post_adapt_loss=eval_loss,
             eval_post_adapt_accuracy=eval_acc,
             wall_ms=(time.perf_counter() - start) * 1e3,
+            cg_unconverged=0 if res.cg_converged is None else int(np.sum(~res.cg_converged)),
         )
 
 

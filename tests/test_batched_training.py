@@ -15,6 +15,7 @@ from bilevelopt import (
     Implicit,
     InsufficientIterates,
     MetaFeatureSoftmax,
+    MetaInitMlp,
     Paradigm,
     ParamVector,
     Regularizer,
@@ -307,15 +308,22 @@ def test_a_forwarding_wrapper_sees_the_calls_of_a_per_task_loop(raw):
     assert batched.problem.calls["grad_y"] > 0
 
 
-def test_a_subclass_that_overrides_batch_methods_trains_to_the_same_bytes():
-    # a subclass that changes an oracle of a built-in problem overrides its
-    # batch form, which the trainer calls once per stacked call
+def test_a_subclass_that_overrides_at_trains_to_the_same_bytes():
+    # a subclass that changes an oracle of a built-in problem overrides at,
+    # whose points the trainer reads every oracle from
     calls = []
 
     class Counted(MetaFeatureSoftmax):
-        def grad_y_batch(self, x, ys, batch, split):
-            calls.append((split, len(ys)))
-            return super().grad_y_batch(x, ys, batch, split)
+        def at(self, x, ys, batch, split):
+            point = super().at(x, ys, batch, split)
+            grad_y = point.grad_y
+
+            def counted():
+                calls.append((split, len(ys)))
+                return grad_y()
+
+            point.grad_y = counted
+            return point
 
     exp, state = build_experiment(ExperimentConfig.from_dict(_raw("RHG")))
     sub = replace(exp, problem=Counted(DATA["dim"], 16, DATA["way"], Regularizer.l2(0.01)))
@@ -332,6 +340,33 @@ def test_a_subclass_that_overrides_batch_methods_trains_to_the_same_bytes():
         (Split.VAL, tasks): 3,
         (Split.TRAIN, 6): steps,
     }
+
+
+# cost model: one forward pass per (point, split) a meta-iteration visits.
+# With T = 5 steps: the T train points the steps are taken from (and the T
+# val points BDA mixes in), the val point at y_T, and the train point at
+# y_T for the final inner loss, which HOAG's solve reads as well; DARTS
+# adds its train points at y_T +- eps v.
+_FORWARD_PASSES = {
+    "RHG": 7, "TRHG": 7, "HOAG": 7, "BDA": 12, "MAML": 7,
+    "MT-net": 7, "Meta-SGD": 7, "WarpGrad": 7, "FMAML": 7, "DARTS": 9,
+}
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_a_meta_iteration_runs_one_forward_pass_per_point(monkeypatch, name):
+    rows = []
+    for cls, kernel in ((MetaFeatureSoftmax, "_logits"), (MetaInitMlp, "_forward")):
+
+        def counted(*args, inner=getattr(cls, kernel)):
+            rows.append(len(args[-1]))  # the input, (tasks, examples, dim)
+            return inner(*args)
+
+        monkeypatch.setattr(cls, kernel, counted)
+    raw = _raw(name, meta_iterations=1, eval_every=100)
+    meta_train(*build_experiment(ExperimentConfig.from_dict(raw)))
+    # each pass covers the whole batch at once
+    assert rows == [DATA["batch_size"]] * _FORWARD_PASSES[name]
 
 
 def test_the_quadratic_trains_and_evaluates_through_its_per_task_oracles():

@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilevelopt import METHOD_NAMES, read_params
+from bilevelopt import (
+    METHOD_NAMES,
+    ExperimentConfig,
+    build_experiment,
+    meta_train,
+    metrics_to_jsonl,
+    read_params,
+)
 from bilevelopt.cli import entry
 
 
@@ -300,6 +307,46 @@ def test_an_indefinite_implicit_solve_names_prox_lambda(tmp_path, capsys, prox_l
     assert "not positive definite" in err
     assert f"raise hypergrad.prox_lambda (now {prox_lambda:g})" in err
     assert len(err.splitlines()) == 1
+
+
+def test_cg_solves_that_hit_the_cap_warn_once_per_meta_iteration(tmp_path, capsys):
+    hoag = {"problem": {"kind": "feature_softmax", "dim_feat": 4}, "run": {"method": "HOAG"}}
+    cfg = _write_config(tmp_path, hypergrad={"cg_max_iter": 1}, **hoag)
+    out = tmp_path / "o"
+    assert entry(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: meta-iteration {i}: 2 of 2 CG solves stopped at "
+        "hypergrad.cg_max_iter before reaching hypergrad.cg_tol"
+        for i in range(3)
+    ]
+    # the warnings leave the metrics as the library computed them
+    raw = json.loads(cfg.read_text())
+    _, records = meta_train(*build_experiment(ExperimentConfig.from_dict(raw)))
+    assert (out / "metrics.jsonl").read_text() == metrics_to_jsonl(records)
+    # with the default cap every solve converges, and nothing is printed
+    cfg = _write_config(tmp_path, **hoag)
+    assert entry(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_an_overflowing_warp_prints_its_error_line_alone(tmp_path):
+    # the inner step's finiteness check reports the overflow, not numpy
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "problem": {"kind": "mlp", "loss": "mse"},
+        "run": {"method": "MAML", "meta_iterations": 2},
+    }))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "bilevelopt", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "o"), "--set", "run.method=WarpGrad"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "error: run aborted at meta-iteration 1: "
+        "inner step under rule warp_grad_diag produced non-finite y"
+    ]
 
 
 def test_training_error_names_the_failing_meta_iteration(tmp_path, capsys):
