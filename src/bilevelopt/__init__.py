@@ -8,6 +8,8 @@ takes meta-optimizer steps. Ten named method compositions from the
 meta-learning literature are built in.
 """
 
+import importlib
+
 from .errors import (
     BilevelError,
     ConfigError,
@@ -99,16 +101,25 @@ from .trainer import (
     meta_train,
     metrics_to_jsonl,
 )
-from .verify import (
-    CheckResult,
-    analytic_quadratic_hypergrad,
-    fd_gradient,
-    fd_hvp,
-    fd_hypergradient,
-    make_zero_curvature,
-    report_to_jsonl,
-    run_gradcheck_suite,
-)
 from .params_io import read_params, write_params
 
 __version__ = "0.1.0"
+
+# the finite-difference harness loads on first use, as training never calls it
+_VERIFY_NAMES = frozenset({
+    "CheckResult",
+    "analytic_quadratic_hypergrad",
+    "fd_gradient",
+    "fd_hvp",
+    "fd_hypergradient",
+    "make_zero_curvature",
+    "report_to_jsonl",
+    "run_gradcheck_suite",
+})
+
+
+def __getattr__(name: str):
+    if name == "verify" or name in _VERIFY_NAMES:
+        verify = importlib.import_module(f"{__name__}.verify")
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

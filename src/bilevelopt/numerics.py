@@ -276,9 +276,10 @@ def conjugate_gradient(
     """Solve apply(q) = b for a symmetric positive-definite linear map.
 
     Stops when the true residual satisfies ||apply(q) - b|| <= tol * max(1, ||b||),
-    or returns the iterate at max_iter with its residual. The recursive
-    residual is restarted from scratch whenever <r, r> grows by 10x, which
-    guards against drift on ill-scaled maps.
+    or returns the iterate at max_iter with its residual. The true residual
+    is computed only once the recursive one meets that bound; if the true
+    one does not, CG restarts from it. The recursive residual is otherwise
+    left to rise and fall, as CG's residual norm is not monotone.
 
     Raises NonFiniteValue if any inner product turns NaN/Inf and
     IndefiniteCurvature when a search direction has <p, Ap> <= 0.
@@ -305,8 +306,9 @@ def conjugate_gradient_batch(
     """conjugate_gradient on each row of a (rows, dim) stack at once, for a
     map that acts on each row alone.
 
-    Every row keeps its own step sizes, restarts and stopping test, so its
-    solution, iteration count and residual are those of its solve alone.
+    Every row keeps its own step sizes, stopping test and restart from its
+    true residual, so its solution, iteration count and residual are those
+    of its solve alone.
     The map is applied to the whole stack, finished rows included, whose
     answers are ignored. Returns (q, iters, residual, converged), one entry
     per row. Raises what the first row, in row order, to fail would raise
@@ -350,20 +352,18 @@ def conjugate_gradient_batch(
         if not np.isfinite(rs_new[idx]).all():
             raise NonFiniteValue("non-finite residual in CG")
         small = live & (np.sqrt(rs_new) <= bound)
-        # the recursive residual grew 10x: restart from the true one
-        grown = live & ~small & (rs_new > 10.0 * rs)
-        if small.any() or grown.any():
+        if small.any():
             true_r = b - apply(q)
             true_norm = np.sqrt(row_dots(true_r, true_r))
             done = small & (true_norm <= bound)
             iters[done], residual[done] = count, true_norm[done]
             live &= ~done
-            # a recursive residual that was optimistic restarts too
-            restart = (small & ~done) | grown
+            # the recursive residual was optimistic: restart from the true one
+            restart = small & ~done
             r[restart] = true_r[restart]
             p[restart] = true_r[restart]
             rs[restart] = row_dots(r[restart], r[restart])
-        onward = np.flatnonzero(live & ~small & ~grown)
+        onward = np.flatnonzero(live & ~small)
         p[onward] = r[onward] + (rs_new[onward] / rs[onward])[:, None] * p[onward]
         rs[onward] = rs_new[onward]
 

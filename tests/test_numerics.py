@@ -316,6 +316,23 @@ def test_cg_raises_on_a_nan_right_hand_side_row():
         conjugate_gradient_batch(_row_map(mats), b)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_cg_converges_on_a_low_rank_plus_ridge_map(seed):
+    # the shape of a softmax head's Hessian: a rank-12 data term and a small
+    # ridge, so the residual norm rises and falls on the way down
+    gen = np.random.default_rng(seed)
+    n, rank, ridge, tol = 85, 12, 1e-2, 1e-8
+    u = 100.0 * gen.standard_normal((n, rank))
+    a = u @ u.T + ridge * np.eye(n)
+    b = ParamVector(Layout([("q", n)]), gen.standard_normal(n))
+    sol = conjugate_gradient(lambda v: v.like(a @ v.values), b, tol=tol)
+    assert sol.converged
+    assert sol.iters <= rank + 4
+    true_residual = np.linalg.norm(a @ sol.q.values - b.values)
+    assert sol.residual == pytest.approx(true_residual, rel=1e-9)
+    assert true_residual <= tol * max(1.0, b.norm())
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_cg_matches_dense_solver_on_random_spd_systems(seed):

@@ -2,6 +2,10 @@
 suite's power to catch a broken estimator."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,3 +228,25 @@ def test_suite_flags_a_broken_inner_rule(monkeypatch):
     assert bad and all(not r.passed for r in bad)
     good = [r for r in rows if r.rule == "gd" and r.estimator == "step_jvps"]
     assert good and all(r.passed for r in good)
+
+
+# --------------------------------------------------------------------------
+# loading
+# --------------------------------------------------------------------------
+
+
+def test_importing_the_package_leaves_the_harness_unloaded():
+    # training never calls the harness, so it loads on its first name
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys, bilevelopt\n"
+        "assert 'bilevelopt.verify' not in sys.modules\n"
+        "from bilevelopt import fd_hypergradient\n"
+        "assert fd_hypergradient is sys.modules['bilevelopt.verify'].fd_hypergradient\n"
+        "assert bilevelopt.verify is sys.modules['bilevelopt.verify']\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
