@@ -21,7 +21,9 @@ batch of one. Both read the problem's oracles from its points
 every iterate y_0..y_T or only y_0 and y_T; it is recorded when it kept all
 T + 1 (is_recorded), as the reverse sweeps need, which a run of at most one
 step always is. A recorded run also keeps the points its steps were taken
-from, so the reverse sweeps reuse their forward passes (InnerRun).
+from, so the reverse sweeps reuse their forward passes (InnerRun). A run's
+points on one split share what does not depend on y (split_parts), built
+once per run and split.
 """
 
 from __future__ import annotations
@@ -142,22 +144,47 @@ class InnerTrajectory:
         raise IndexError(f"iterate {t} was not recorded")
 
 
+class _SharedParts(dict):
+    """problem.split_parts at x of each split of `batch`, built on first
+    use: what the points of one run on a split share."""
+
+    def __init__(self, problem: BilevelObjective, x: ParamVector, batch):
+        super().__init__()
+        self.problem, self.x, self.batch = problem, x, batch
+
+    def __missing__(self, split: Split):
+        parts = self[split] = self.problem.split_parts(self.x, self.batch, split)
+        return parts
+
+    def at(self, ys: np.ndarray, split: Split) -> Point:
+        """The problem's point at the stack ys on `split`."""
+        return self.problem.at(self.x, ys, self[split], split)
+
+
 class InnerRun(tuple):
     """The (tasks, dim_y) stacks an inner run of `problem` at x on `batch`
     kept, as a tuple: y_0..y_T when recorded (is_recorded), otherwise y_0
     and y_T. at(t, split) is the problem's point at stack t, built at most
-    once; a recorded run holds the points its steps were taken from."""
+    once; a recorded run holds the points its steps were taken from. All
+    its points on a split share one parts(split)."""
 
-    def __new__(cls, stacks, problem: BilevelObjective, x: ParamVector, batch, points=()):
+    def __new__(
+        cls, stacks, problem: BilevelObjective, x: ParamVector, batch, points=(), shared=None
+    ):
         run = super().__new__(cls, stacks)
         run.problem, run.x, run.batch = problem, x, batch
         run._points = dict(points)
+        run._shared = _SharedParts(problem, x, batch) if shared is None else shared
         return run
+
+    def parts(self, split: Split):
+        """problem.split_parts at x on `split` of the batch, built at most once."""
+        return self._shared[split]
 
     def at(self, t: int, split: Split) -> Point:
         key = (t % len(self), split)
         if key not in self._points:
-            self._points[key] = self.problem.at(self.x, self[t], self.batch, split)
+            self._points[key] = self._shared.at(self[t], split)
         return self._points[key]
 
 
@@ -323,11 +350,13 @@ def run_inner_batch(
 
     Returns the (tasks, dim_y) stacks it kept: y_0..y_T with record, else
     y_0 and (after any step) y_T. Either way the last one is y_T. With
-    record it keeps the points of each step too.
+    record it keeps the points of each step too. Its points on a split
+    share one problem.split_parts, which the returned run lends on.
     """
+    shared = _SharedParts(problem, x, batch)
     kept, kept_points = [ys], {}
     for t in range(config.steps):
-        at = partial(problem.at, x, ys, batch)
+        at = partial(shared.at, ys)
         if record:
             points = step_points(config, at)
             kept_points.update(zip(((t, Split.TRAIN), (t, Split.VAL)), points))
@@ -336,7 +365,7 @@ def run_inner_batch(
             ys = _step(config, step_points(config, at))
         if record or t + 1 == config.steps:
             kept.append(ys)
-    return InnerRun(kept, problem, x, batch, kept_points)
+    return InnerRun(kept, problem, x, batch, kept_points, shared)
 
 
 def step_transposed_jvps(

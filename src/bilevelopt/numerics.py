@@ -309,10 +309,11 @@ def conjugate_gradient_batch(
     Every row keeps its own step sizes, stopping test and restart from its
     true residual, so its solution, iteration count and residual are those
     of its solve alone.
-    The map is applied to the whole stack, finished rows included, whose
-    answers are ignored. Returns (q, iters, residual, converged), one entry
-    per row. Raises what the first row, in row order, to fail would raise
-    alone, at the iteration where it would.
+    The map is applied to the whole stack, finished rows included, and every
+    update runs on the whole stack too: finished rows step by zero. Returns
+    (q, iters, residual, converged), one entry per row. Raises what the
+    first row, in row order, to fail would raise alone, at the iteration
+    where it would.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -342,14 +343,14 @@ def conjugate_gradient_batch(
             raise IndefiniteCurvature(
                 f"<p, Ap> = {pap[j]:.3e} <= 0: map is not positive definite"
             )
-        idx = np.flatnonzero(live)
-        alpha = (rs[idx] / pap[idx])[:, None]
-        q[idx] = q[idx] + alpha * p[idx]
-        r[idx] = r[idx] - alpha * ap[idx]
+        # finished rows step by zero, so a live row's arithmetic is its own
+        alpha = np.divide(rs, pap, out=np.zeros_like(rs), where=live)[:, None]
+        q += alpha * p
+        r -= alpha * ap
         count += 1
 
         rs_new = row_dots(r, r)
-        if not np.isfinite(rs_new[idx]).all():
+        if not np.isfinite(rs_new[live]).all():
             raise NonFiniteValue("non-finite residual in CG")
         small = live & (np.sqrt(rs_new) <= bound)
         if small.any():
@@ -363,9 +364,10 @@ def conjugate_gradient_batch(
             r[restart] = true_r[restart]
             p[restart] = true_r[restart]
             rs[restart] = row_dots(r[restart], r[restart])
-        onward = np.flatnonzero(live & ~small)
-        p[onward] = r[onward] + (rs_new[onward] / rs[onward])[:, None] * p[onward]
-        rs[onward] = rs_new[onward]
+        onward = live & ~small
+        beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=onward)[:, None]
+        p = np.where(onward[:, None], r + beta * p, p)
+        rs = np.where(onward, rs_new, rs)
 
     if live.any():
         tail = b - apply(q)

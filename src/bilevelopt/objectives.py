@@ -20,13 +20,19 @@ batch forms, <oracle>_batch, whose defaults here (and val_losses_and_scores,
 the validation losses and classifier scores of an evaluation) call the
 per-task oracle task by task. The two classifier problems build a point
 from one forward pass, and their per-task oracles and batch forms are views
-of it.
+of it. What their points on one split share whatever ys, the split's
+features and one-hot targets (SplitParts), a run builds once per split
+(split_parts) and hands to each point. Their logit-shaped arrays are
+class-major in memory, (tasks, classes, rows), and the kernels read them
+through (tasks, rows, classes) views, so the reductions over the few
+classes run along contiguous rows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +47,7 @@ __all__ = [
     "Regularizer",
     "BilevelObjective",
     "Point",
+    "SplitParts",
     "QuadraticBilevel",
     "MetaFeatureSoftmax",
     "MetaInitMlp",
@@ -49,6 +56,7 @@ __all__ = [
     "make_meta_init_mlp",
     "eval_f",
     "eval_F_batch",
+    "predicted_classes",
 ]
 
 
@@ -209,8 +217,15 @@ class BilevelObjective:
 
     def at(self, x: ParamVector, ys: np.ndarray, batch: TaskBatch, split: Split) -> Point:
         """The oracles at the rows of the (tasks, dim_y) stack ys on the
-        `split` of `batch`."""
+        `split` of `batch`, or of what split_parts(x, batch, split) made of
+        it."""
         return Point(self, x, ys, batch, split)
+
+    def split_parts(self, x: ParamVector, batch: TaskBatch, split: Split):
+        """What every point at x on the `split` of `batch` shares, whatever
+        its ys, for a run to build once per split and pass to at and
+        val_losses_and_scores in place of the batch: here the batch itself."""
+        return batch
 
     def _per_task(self, oracle, x: ParamVector, ys: np.ndarray, tasks, *args) -> np.ndarray:
         """oracle at each row of ys with the matching task, and the matching
@@ -243,7 +258,8 @@ class BilevelObjective:
     def val_losses_and_scores(self, x: ParamVector, ys: np.ndarray, batch: TaskBatch):
         """Each task's validation loss at its row of the (tasks, dim_y) stack
         ys and, for a classifier, its class scores on the validation
-        features (None otherwise)."""
+        features (None otherwise). batch may be split_parts of its val
+        split."""
         losses = self.value_batch(x, ys, batch, Split.VAL)
         if not self.is_classifier:
             return losses, None
@@ -372,35 +388,55 @@ make_quadratic = QuadraticBilevel
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=-1, keepdims=True)
-    stable = z - zmax
-    return stable - np.log(np.exp(stable).sum(axis=-1, keepdims=True))
+    stable = z - z.max(axis=-1, keepdims=True)
+    stable -= np.log(np.exp(stable).sum(axis=-1, keepdims=True))
+    return stable
 
 
-def _onehot(labels: np.ndarray, classes: int) -> np.ndarray:
-    return (labels[..., None] == np.arange(classes)).astype(np.float64)
+def _class_major(w: np.ndarray, rows: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The logits rows W^T + b, computed as W rows^T + b in (..., classes,
+    rows) memory, with b a (..., classes, 1) column, and returned as its
+    (..., rows, classes) view, so the reductions over classes run along
+    contiguous rows."""
+    logits = w @ rows.swapaxes(-1, -2)
+    logits += bias
+    return logits.swapaxes(-1, -2)
 
 
-def _at_labels(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each row's entry at its own label."""
-    rows = scores.reshape(-1, scores.shape[-1])
-    return rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
+def _cross_entropy(scores: np.ndarray, at_labels: tuple) -> np.ndarray:
+    """Mean cross-entropy of softmax(scores) over the rows, per task;
+    at_labels indexes each row's entry at its label (SplitParts)."""
+    return -_log_softmax(scores)[at_labels].mean(axis=-1)
 
 
-def _cross_entropy(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy of softmax(scores) over the rows, per task."""
-    return -_at_labels(_log_softmax(scores), labels).mean(axis=-1)
-
-
-def _softmax_residual(z: np.ndarray, labels: np.ndarray):
-    """Softmax p of the logits and the cross-entropy residual (p - onehot) / n."""
-    p = np.exp(_log_softmax(z))
-    return p, (p - _onehot(labels, z.shape[-1])) / labels.shape[-1]
+def _softmax_residual(z: np.ndarray, onehot: np.ndarray):
+    """Softmax p of the logits, in their layout, and the cross-entropy
+    residual (p - onehot) / n, row-major: its row sums then run in row
+    order, whatever the layout of z."""
+    p = _log_softmax(z)
+    np.exp(p, out=p)
+    delta = np.subtract(p, onehot, order="C")
+    delta /= onehot.shape[-2]
+    return p, delta
 
 
 def _softmax_jvp(p: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Row-wise softmax Jacobian (symmetric) applied to logit directions dz."""
-    return p * dz - p * (p * dz).sum(axis=-1, keepdims=True)
+    """Row-wise softmax Jacobian (symmetric) applied to logit directions dz,
+    row-major, as the residual is."""
+    pdz = p * dz
+    return np.subtract(pdz, p * pdz.sum(axis=-1, keepdims=True), order="C")
+
+
+def predicted_classes(scores: np.ndarray) -> np.ndarray:
+    """The class of each row's largest score, the first of equal ones, as
+    np.argmax(scores, axis=-1) gives for scores without NaN. A fold over
+    the class columns, which run along contiguous rows in the classifiers'
+    class-major scores."""
+    best = scores.max(axis=-1)
+    classes = np.full(best.shape, scores.shape[-1] - 1)
+    for c in range(scores.shape[-1] - 2, -1, -1):
+        np.putmask(classes, scores[..., c] == best, c)
+    return classes
 
 
 def _parts(layout: Layout, shapes) -> tuple:
@@ -413,8 +449,8 @@ def _parts(layout: Layout, shapes) -> tuple:
 
 def _unpack(values: np.ndarray, parts) -> list[np.ndarray]:
     """The segments of values (..., dim) reshaped to the shapes in `parts`,
-    keeping any leading task axes. Biases are (1, length), so they broadcast
-    over rows."""
+    keeping any leading task axes. A hidden layer's bias is (1, length), so
+    it broadcasts over rows; a logit bias is (classes, 1), for _class_major."""
     lead = values.shape[:-1]
     return [values[..., where].reshape(lead + shape) for where, shape in parts]
 
@@ -425,31 +461,58 @@ def _join(like: np.ndarray, *parts: np.ndarray) -> np.ndarray:
     return np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
 
 
-class _TaskAxisPoint(Point):
-    """A point of a _TaskAxisObjective, whose ys and batch may carry any
-    leading task axes, or none for one task. The forward pass and the
-    residual run when the point is built, and every oracle reads them.
-    A problem's subclass writes each oracle kernel once, for its per-task
-    oracles and batch forms alike. grad_x and cross_hvp here are those of a
-    loss that never reads x: zero in every row."""
+class SplitParts:
+    """What every point of a built-in classifier problem at x on the
+    `split` of `batch` (a TaskBatch, or one TaskDataset) shares, whatever
+    its ys: the split's inputs phi and labels, their one-hot targets, the
+    index of each row's entry at its label, and h, the input of the forward
+    pass (the features phi M^T of the feature softmax, phi itself for the
+    MLP). An inner run builds one per split (split_parts) and passes it to
+    at in place of the batch, so its points build these once."""
 
-    def __init__(self, problem, x, ys, batch, split):
-        super().__init__(problem, x, ys, batch, split)
+    def __init__(self, problem, x: ParamVector, batch, split: Split):
+        self.x, self.batch, self.split = x, batch, split
         self.phi, self.labels = _split_data(batch, split)
+        self.classes = problem.classes
+        self.at_labels = np.indices(self.labels.shape, sparse=True) + (self.labels,)
+        self.h = problem._features(x, self.phi)
+
+    @cached_property
+    def onehot(self) -> np.ndarray:
+        # built on first use, as grading cross-entropy scores never reads it
+        return (self.labels[..., None] == np.arange(self.classes)).astype(np.float64)
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+
+class _TaskAxisPoint(Point):
+    """A point of a _TaskAxisObjective at the stack ys with the SplitParts
+    `parts`, whose ys and batch may carry any leading task axes, or none
+    for one task. The forward pass and the residual run when the point is
+    built, and every oracle reads them. A problem's subclass writes each
+    oracle kernel once, for its per-task oracles and batch forms alike.
+    grad_x and cross_hvp here are those of a loss that never reads x: zero
+    in every row."""
+
+    def __init__(self, problem, ys, parts: SplitParts):
+        super().__init__(problem, parts.x, ys, parts.batch, parts.split)
+        self.parts, self.phi, self.h = parts, parts.phi, parts.h
         self.scores = self._run()
         self.p, self.delta = self._residual()
 
     def _run(self) -> np.ndarray:
-        """Run the problem's forward pass on phi, keep what the oracles
-        read, and return the scores."""
+        """Run the problem's forward pass on h, keep what the oracles read,
+        and return the scores, a (..., rows, classes) view of class-major
+        memory."""
         raise NotImplementedError
 
     def _residual(self) -> tuple[np.ndarray | None, np.ndarray]:
         """Softmax p and the cross-entropy residual dloss/dscores."""
-        return _softmax_residual(self.scores, self.labels)
+        return _softmax_residual(self.scores, self.parts.onehot)
 
     def value(self):
-        loss = self.problem._loss(self.scores, self.labels)
+        loss = self.problem._loss(self.scores, self.parts)
         if self.split is Split.TRAIN:
             loss = loss + self.problem.reg.value(self.ys)
         return loss
@@ -469,17 +532,33 @@ class _TaskAxisObjective(BilevelObjective):
     oracle bit for bit. Training reads every oracle from at, and evaluation
     reads val_losses_and_scores, one forward pass through _scores and
     _loss. A subclass that changes an oracle therefore overrides at (and,
-    for value or predict, val_losses_and_scores)."""
+    for value or predict, val_losses_and_scores).
+
+    Both take, in place of the batch, the SplitParts that split_parts built
+    for the same x and split, and share its arrays."""
 
     _point_type: type[_TaskAxisPoint]
+    classes: int
+
+    def split_parts(self, x, batch, split) -> SplitParts:
+        return SplitParts(self, x, batch, split)
+
+    def _split_parts(self, x, batch, split) -> SplitParts:
+        """batch itself if split_parts built it, for this x and split."""
+        if not isinstance(batch, SplitParts):
+            return self.split_parts(x, batch, split)
+        if batch.x is not x or batch.split is not split:
+            raise ValueError("split parts were built for another x or split")
+        return batch
 
     def at(self, x, ys, batch, split):
-        self._check_stack(batch, ys)
-        return self._point_type(self, x, ys, batch, split)
+        parts = self._split_parts(x, batch, split)
+        self._check_stack(parts, ys)
+        return self._point_type(self, ys, parts)
 
     def _task_point(self, x, y, task, split) -> _TaskAxisPoint:
         self._check_xy(x, y)
-        return self._point_type(self, x, y.values, task, split)
+        return self._point_type(self, y.values, self.split_parts(x, task, split))
 
     def value(self, x, y, task, split):
         return float(self._task_point(x, y, task, split).value())
@@ -497,9 +576,16 @@ class _TaskAxisObjective(BilevelObjective):
         return x.like(self._task_point(x, y, task, split).cross_hvp(v.values))
 
     def predict(self, x, y, features):
-        return self._scores(x, y.values, np.atleast_2d(features))
+        return self._scores(y.values, self._features(x, np.atleast_2d(features)))
 
-    def _check_stack(self, batch: TaskBatch, *stacks: np.ndarray):
+    def _features(self, x: ParamVector, phi: np.ndarray) -> np.ndarray:
+        """The input of the forward pass: phi itself here."""
+        return phi
+
+    def _loss(self, scores: np.ndarray, parts: SplitParts) -> np.ndarray:
+        return _cross_entropy(scores, parts.at_labels)
+
+    def _check_stack(self, batch, *stacks: np.ndarray):
         for ys in stacks:
             if ys.shape != (len(batch), self.y_layout.dim):
                 raise LayoutMismatch(
@@ -526,22 +612,24 @@ class _TaskAxisObjective(BilevelObjective):
     def val_losses_and_scores(self, x, ys: np.ndarray, batch: TaskBatch):
         """value_batch on the val split and, for a classifier, the predict
         scores on its features, from one forward pass."""
-        self._check_stack(batch, ys)
-        scores = self._scores(x, ys, batch.val_features)
-        return self._loss(scores, batch.val_labels), scores if self.is_classifier else None
+        parts = self._split_parts(x, batch, Split.VAL)
+        self._check_stack(parts, ys)
+        scores = self._scores(ys, parts.h)
+        return self._loss(scores, parts), scores if self.is_classifier else None
 
 
 class _SoftmaxPoint(_TaskAxisPoint):
-    """MetaFeatureSoftmax at a point: features h = phi M^T, head W, logits."""
+    """MetaFeatureSoftmax at a point: the shared features h = phi M^T, head
+    W, logits."""
 
     def _run(self):
-        self.h, self.w, logits = self.problem._logits(self.x, self.ys, self.phi)
+        self.w, logits = self.problem._logits(self.ys, self.h)
         return logits
 
     def _head_jvp(self, v):
         """Head direction Vw and the softmax-Jacobian product u, over n."""
         vw, vb = _unpack(v, self.problem._y_parts)
-        return vw, _softmax_jvp(self.p, self.h @ vw.swapaxes(-1, -2) + vb) / self.h.shape[-2]
+        return vw, _softmax_jvp(self.p, _class_major(vw, self.h, vb)) / self.h.shape[-2]
 
     def grad_y(self):
         delta = self.delta
@@ -586,23 +674,23 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
             raise ValueError("dims must be >= 1")
         self.dim_in = dim_in
         self.dim_feat = dim_feat
-        self.way = way
+        self.way = self.classes = way
         self.reg = reg or Regularizer.none()
         self.x_layout = Layout([("feat", dim_feat * dim_in)])
         self.y_layout = Layout([("w", way * dim_feat), ("b", way)])
-        self._y_parts = _parts(self.y_layout, ((way, dim_feat), (1, way)))
+        self._y_parts = _parts(self.y_layout, ((way, dim_feat), (way, 1)))
 
-    def _logits(self, x: ParamVector, yv: np.ndarray, phi: np.ndarray):
-        """Features h = phi M^T, head weights W and logits h W^T + c."""
+    def _features(self, x, phi):
+        """Features h = phi M^T."""
+        return phi @ x.segment("feat").reshape(self.dim_feat, self.dim_in).T
+
+    def _logits(self, yv: np.ndarray, h: np.ndarray):
+        """Head weights W and the class-major logits h W^T + c."""
         w, c = _unpack(yv, self._y_parts)
-        h = phi @ x.segment("feat").reshape(self.dim_feat, self.dim_in).T
-        return h, w, h @ w.swapaxes(-1, -2) + c
+        return w, _class_major(w, h, c)
 
-    def _loss(self, scores, labels):
-        return _cross_entropy(scores, labels)
-
-    def _scores(self, x, yv, phi):
-        return self._logits(x, yv, phi)[2]
+    def _scores(self, yv, h):
+        return self._logits(yv, h)[1]
 
     def _feat_gradient(self, x, gm):
         """Rows in x's layout with gm, (..., dim_feat, dim_in), in segment "feat"."""
@@ -628,11 +716,12 @@ class _MlpPoint(_TaskAxisPoint):
         return out
 
     def _residual(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """Softmax p (None for a squared error) and the residual dloss/dout."""
+        """Softmax p (None for a squared error) and the residual dloss/dout,
+        row-major."""
         if self.problem.loss is LossKind.CROSS_ENTROPY:
-            return _softmax_residual(self.scores, self.labels)
-        onehot = _onehot(self.labels, self.problem.dim_out)
-        return None, (self.scores - onehot) / self.labels.shape[-1]
+            return super()._residual()
+        onehot = self.parts.onehot
+        return None, np.subtract(self.scores, onehot, order="C") / onehot.shape[-2]
 
     def grad_y(self):
         delta, phi = self.delta, self.phi
@@ -654,20 +743,22 @@ class _MlpPoint(_TaskAxisPoint):
         n = delta.shape[-2]
 
         def r_residual(r_out):
-            # directional derivative of delta along r_out = R{out}
-            return r_out / n if p is None else _softmax_jvp(p, r_out) / n
+            # directional derivative of delta along r_out = R{out}, the
+            # class-major logit direction; row-major, as delta is
+            if p is None:
+                return np.divide(r_out, n, order="C")
+            return _softmax_jvp(p, r_out) / n
 
         if self.problem.hidden == 0:
             v0, vb0 = _unpack(vs, self.problem._y_parts)
-            r_delta = r_residual(phi @ v0.swapaxes(-1, -2) + vb0)
+            r_delta = r_residual(_class_major(v0, phi, vb0))
             out = _join(vs, r_delta.swapaxes(-1, -2) @ phi, r_delta.sum(axis=-2))
         else:
             v0, vb0, v1, vb1 = _unpack(vs, self.problem._y_parts)
             slope = self.slope
             r_act = (phi @ v0.swapaxes(-1, -2) + vb0) * slope
-            r_delta = r_residual(
-                r_act @ w1.swapaxes(-1, -2) + act @ v1.swapaxes(-1, -2) + vb1
-            )
+            r_out = w1 @ r_act.swapaxes(-1, -2) + v1 @ act.swapaxes(-1, -2) + vb1
+            r_delta = r_residual(r_out.swapaxes(-1, -2))
             r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * (delta @ w1) * act * r_act
             gw1 = r_delta.swapaxes(-1, -2) @ act + delta.swapaxes(-1, -2) @ r_act
             out = _join(
@@ -703,7 +794,7 @@ class MetaInitMlp(_TaskAxisObjective):
             raise ValueError("dims must be >= 1 (hidden may be 0)")
         self.dim_in = dim_in
         self.hidden = hidden
-        self.dim_out = dim_out
+        self.dim_out = self.classes = dim_out
         self.loss = loss
         self.reg = reg or Regularizer.none()
         self.is_classifier = loss is LossKind.CROSS_ENTROPY
@@ -712,36 +803,37 @@ class MetaInitMlp(_TaskAxisObjective):
                 "w0": (hidden, dim_in),
                 "b0": (1, hidden),
                 "w1": (dim_out, hidden),
-                "b1": (1, dim_out),
+                "b1": (dim_out, 1),
             }
         else:
-            shapes = {"w0": (dim_out, dim_in), "b0": (1, dim_out)}
+            shapes = {"w0": (dim_out, dim_in), "b0": (dim_out, 1)}
         self.y_layout = Layout([(name, rows * cols) for name, (rows, cols) in shapes.items()])
         self._y_parts = _parts(self.y_layout, shapes.values())
         self.x_layout = Layout([("init", self.y_layout.dim)])
 
     def _forward(self, yv: np.ndarray, phi: np.ndarray):
-        """Network outputs, hidden activations and output weights (the last
-        two None without a hidden layer)."""
+        """Class-major network outputs, hidden activations and output
+        weights (the last two None without a hidden layer)."""
         if self.hidden > 0:
             w0, b0, w1, b1 = _unpack(yv, self._y_parts)
             a = np.tanh(phi @ w0.swapaxes(-1, -2) + b0)
-            return a @ w1.swapaxes(-1, -2) + b1, a, w1
+            return _class_major(w1, a, b1), a, w1
         w0, b0 = _unpack(yv, self._y_parts)
-        return phi @ w0.swapaxes(-1, -2) + b0, None, None
+        return _class_major(w0, phi, b0), None, None
 
-    def _loss(self, scores, labels):
+    def _loss(self, scores, parts):
         if self.loss is LossKind.CROSS_ENTROPY:
-            loss = _cross_entropy(scores, labels)
+            loss = super()._loss(scores, parts)
         else:
-            r = scores - _onehot(labels, self.dim_out)
-            loss = 0.5 * (r * r).sum(axis=(-2, -1)) / labels.shape[-1]
+            # row-major, so the sum runs in the order of row-major scores
+            r = np.subtract(scores, parts.onehot, order="C")
+            loss = 0.5 * (r * r).sum(axis=(-2, -1)) / parts.labels.shape[-1]
         if not np.isfinite(loss).all():
             raise NonFiniteValue("MLP loss is not finite")
         return loss
 
-    def _scores(self, x, yv, phi):
-        return self._forward(yv, phi)[0]
+    def _scores(self, yv, h):
+        return self._forward(yv, h)[0]
 
 
 make_meta_init_mlp = MetaInitMlp

@@ -67,6 +67,7 @@ from .objectives import (
     QuadraticBilevel,
     Regularizer,
     Split,
+    predicted_classes,
 )
 
 __all__ = [
@@ -580,9 +581,12 @@ def meta_evaluate(
     not on training progress."""
     r = state.iteration if round_index is None else round_index
     batch, kept = _adapt(exp, state.x, n_tasks, _EVAL_TASK_STREAM, _EVAL_INIT_STREAM, r)
-    losses, scores = exp.problem.val_losses_and_scores(state.x, kept[-1], batch)
+    # the run's val split parts, which BDA's steps built already
+    losses, scores = exp.problem.val_losses_and_scores(
+        state.x, kept[-1], kept.parts(Split.VAL)
+    )
     mean_loss = float(np.mean(losses))
     if scores is None:
         return mean_loss, None
-    hits = np.argmax(scores, axis=-1) == batch.val_labels
+    hits = predicted_classes(scores) == batch.val_labels
     return mean_loss, float(np.mean(np.mean(hits, axis=-1)))

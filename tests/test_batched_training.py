@@ -369,6 +369,56 @@ def test_a_meta_iteration_runs_one_forward_pass_per_point(monkeypatch, name):
     assert rows == [DATA["batch_size"]] * _FORWARD_PASSES[name]
 
 
+# cost model: one feature map h = phi M^T per split a meta-iteration's inner
+# run visits, shared by every point of the run on that split. That is the
+# train split of the T steps (and of the final inner loss, and of HOAG's
+# solve) and the val split of y_T, whose map BDA's steps build already.
+# DARTS's two difference points at y_T +- eps v are built apart from the run
+# and get their own. An evaluation maps each of its two splits once.
+_FEATURE_MAPS = {"RHG": 2, "TRHG": 2, "HOAG": 2, "BDA": 2, "DARTS": 4}
+
+
+@pytest.mark.parametrize("name", sorted(_FEATURE_MAPS))
+def test_a_meta_iteration_builds_one_feature_map_per_split(monkeypatch, name):
+    rows = []
+
+    def counted(self, x, phi, inner=MetaFeatureSoftmax._features):
+        rows.append(len(phi))
+        return inner(self, x, phi)
+
+    monkeypatch.setattr(MetaFeatureSoftmax, "_features", counted)
+    exp, state = build_experiment(ExperimentConfig.from_dict(
+        _raw(name, meta_iterations=1, eval_every=100)
+    ))
+    meta_train(exp, state)
+    assert rows == [DATA["batch_size"]] * _FEATURE_MAPS[name]
+    rows.clear()
+    meta_evaluate(exp, state, 6)
+    assert rows == [6, 6]
+
+
+def test_every_softmax_preset_has_a_feature_map_count():
+    meta_feature = {
+        name for name in METHOD_NAMES
+        if compose_named_method(name).paradigm is Paradigm.META_FEATURE
+    }
+    assert meta_feature == set(_FEATURE_MAPS)
+
+
+def test_a_recorded_bda_run_shares_one_feature_map_per_split():
+    exp, state = build_experiment(ExperimentConfig.from_dict(_raw("BDA")))
+    n = DATA["batch_size"]
+    batch = sample_task_batch(exp.source, exp.episode_spec, RngStream(3, _TASK_STREAM))
+    ys = init_task_params_batch(exp.paradigm, exp.problem, state.x, RngStream(3, _INIT_STREAM), n)
+    kept = run_inner_batch(exp.inner_config, exp.problem, state.x, ys, batch, record=True)
+    steps = exp.inner_config.steps
+    for split in Split:
+        h = kept.parts(split).h
+        assert h.shape[0] == n
+        # the points the steps were taken from, and the ones at y_T
+        assert all(kept.at(t, split).h is h for t in range(steps + 1))
+
+
 def test_the_quadratic_trains_and_evaluates_through_its_per_task_oracles():
     exp, state = build_experiment(ExperimentConfig.from_dict(_raw("RHG", QUADRATIC)))
     calls = []
