@@ -169,6 +169,12 @@ class DatasetSource(abc.ABC):
         chosen = np.array([[self.class_names().index(name)]])
         return self.draw_batch(chosen, count, gen)[0, 0]
 
+    @cached_property
+    def _capacities(self) -> np.ndarray:
+        """The capacity of each class in class_names() order, inf if unbounded."""
+        caps = map(self.capacity, self.class_names())
+        return np.array([np.inf if c is None else c for c in caps])
+
 
 @dataclass(frozen=True)
 class SyntheticGaussian(DatasetSource):
@@ -203,8 +209,12 @@ class SyntheticGaussian(DatasetSource):
             -self.cluster_spread, self.cluster_spread, (self.num_classes, self.dim)
         )
 
-    def class_names(self) -> tuple[str, ...]:
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
         return tuple(f"class_{i:03d}" for i in range(self.num_classes))
+
+    def class_names(self) -> tuple[str, ...]:
+        return self._names
 
     def feature_dim(self) -> int:
         return self.dim
@@ -314,7 +324,7 @@ def sample_task_batch(
     n, shot, need = spec.batch_size, spec.shot, spec.shot + spec.query
     keys = rng.child(0).generator().random((n, len(names)))
     chosen = np.argsort(keys, axis=1)[:, : spec.way]
-    caps = np.array([np.inf if c is None else c for c in map(source.capacity, names)])
+    caps = source._capacities
     short = chosen[caps[chosen] < need]
     if short.size:
         raise InsufficientItemsPerClass(

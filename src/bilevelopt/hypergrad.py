@@ -187,15 +187,16 @@ def _reverse_sweep(
 
     lam starts as the validation gradient at y_T; each visited step t adds
     the x-coupling term and pulls lam back through the step Jacobian, at the
-    points step t was taken from. When include_init is set (meta-init
-    paradigm, sweep reaching y_0), what is left of lam is exactly the
-    gradient through the initialization.
+    points step t was taken from, under the run's one step map. When
+    include_init is set (meta-init paradigm, sweep reaching y_0), what is
+    left of lam is exactly the gradient through the initialization.
     """
     final = run.at(-1, Split.VAL)
     ul, lam, g = final.value(), final.grad_y(), final.grad_x()
+    step_map = run.step_map(config) if config.steps >= first_step else None
     for t in range(config.steps, first_step - 1, -1):
         points = step_points(config, partial(run.at, t - 1))
-        a_t, b_t = step_transposed_jvps_batch(config, points, lam)
+        a_t, b_t = step_transposed_jvps_batch(config, points, lam, step_map)
         g = g + b_t
         lam = a_t
     if include_init:
@@ -281,9 +282,10 @@ def _darts(paradigm, run, cfg: Darts, step_size: float) -> HyperGradBatch:
     v = final.grad_y()
     # each task's own difference step, from its own direction's norm
     eps = (cfg.delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
-    ys, shift = run[-1], eps * v
-    plus = run.problem.at(run.x, ys + shift, run.batch, Split.TRAIN)
-    minus = run.problem.at(run.x, ys - shift, run.batch, Split.TRAIN)
+    # the difference points share the run's train parts
+    ys, shift, train = run[-1], eps * v, run.parts(Split.TRAIN)
+    plus = run.problem.at(run.x, ys + shift, train, Split.TRAIN)
+    minus = run.problem.at(run.x, ys - shift, train, Split.TRAIN)
     scale = step_size / (2.0 * eps)
     if paradigm is Paradigm.META_INIT:
         bracket = plus.grad_y() - minus.grad_y()

@@ -21,9 +21,10 @@ batch of one. Both read the problem's oracles from its points
 every iterate y_0..y_T or only y_0 and y_T; it is recorded when it kept all
 T + 1 (is_recorded), as the reverse sweeps need, which a run of at most one
 step always is. A recorded run also keeps the points its steps were taken
-from, so the reverse sweeps reuse their forward passes (InnerRun). A run's
-points on one split share what does not depend on y (split_parts), built
-once per run and split.
+from, so the reverse sweeps reuse their forward passes (InnerRun); a
+built-in point answers grad_y once. A run builds once what its points on a
+split share, whatever y (split_parts), and its rule's step map (scale,
+factor d(x) and pullback), which the sweep over it reuses.
 """
 
 from __future__ import annotations
@@ -166,16 +167,24 @@ class InnerRun(tuple):
     kept, as a tuple: y_0..y_T when recorded (is_recorded), otherwise y_0
     and y_T. at(t, split) is the problem's point at stack t, built at most
     once; a recorded run holds the points its steps were taken from. All
-    its points on a split share one parts(split)."""
+    its points on a split share one parts(split), and all its steps under a
+    config one step_map(config)."""
 
     def __new__(
-        cls, stacks, problem: BilevelObjective, x: ParamVector, batch, points=(), shared=None
+        cls, stacks, problem: BilevelObjective, x: ParamVector, batch, points=(), shared=None,
+        maps=(),
     ):
         run = super().__new__(cls, stacks)
         run.problem, run.x, run.batch = problem, x, batch
-        run._points = dict(points)
+        run._points, run._maps = dict(points), dict(maps)
         run._shared = _SharedParts(problem, x, batch) if shared is None else shared
         return run
+
+    def step_map(self, config: InnerConfig):
+        """The step map of config at x (_step_map), built at most once."""
+        if self._maps.get(config) is None:
+            self._maps[config] = _step_map(config, self.x, self.problem.y_layout)
+        return self._maps[config]
 
     def parts(self, split: Split):
         """problem.split_parts at x on `split` of the batch, built at most once."""
@@ -240,37 +249,43 @@ def _require_segment(x: ParamVector, name: str, rule: InnerRule) -> np.ndarray:
     return x.segment(name)
 
 
-def _factor(config: InnerConfig, x: ParamVector, y_layout: Layout):
-    """The rule's step as y - scale * d(x) * g: returns (scale, d, name, pullback).
+def _step_map(config: InnerConfig, x: ParamVector, y_layout: Layout):
+    """The rule's step as y - scale * d(x) * g: returns (scale, d, name, pullback),
+    built once per (config, x), with every coefficient that reads only x.
 
     d is the per-coordinate factor read from x segment `name` (None, and no
-    segment, for GD and BDA). pullback(c, g, v) is the gradient of
-    c * <d * g, v> with respect to that segment, one row per row of the
-    (tasks, dim_y) stacks g and v; c comes first so each product keeps its
-    evaluation order.
+    segment, for GD and BDA). pullback(g, v) is the gradient of
+    -scale * <d * g, v> with respect to that segment, one row per row of the
+    (tasks, dim_y) stacks g and v. Its coefficient, -scale times what reads
+    only x, comes first in each product, so each keeps its evaluation order.
     """
     rule, s = config.rule, config.step_size
-    if rule is InnerRule.META_SGD:
-        rates = _require_segment(x, "rates", rule)
-        return 1.0, softplus(rates), "rates", lambda c, g, v: c * sigmoid(rates) * g * v
-    if rule is InnerRule.MTNET_MASK:
-        logits = _require_segment(x, "mask_logits", rule)
-        if logits.shape[0] != len(y_layout.segments):
-            raise MissingSegment(
-                f"mask_logits has {logits.shape[0]} entries for "
-                f"{len(y_layout.segments)} y segments"
-            )
-        sig = sigmoid(logits)
-        mask = np.repeat(sig, [seg.length for seg in y_layout.segments])
-        offsets = [seg.offset for seg in y_layout.segments]
+    # an overflow here leaves a non-finite factor, on which the steps raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rule is InnerRule.META_SGD:
+            rates = _require_segment(x, "rates", rule)
+            coef = -sigmoid(rates)
+            return 1.0, softplus(rates), "rates", lambda g, v: coef * g * v
+        if rule is InnerRule.MTNET_MASK:
+            logits = _require_segment(x, "mask_logits", rule)
+            if logits.shape[0] != len(y_layout.segments):
+                raise MissingSegment(
+                    f"mask_logits has {logits.shape[0]} entries for "
+                    f"{len(y_layout.segments)} y segments"
+                )
+            sig = sigmoid(logits)
+            coef = -s * sig * (1.0 - sig)
+            mask = np.repeat(sig, [seg.length for seg in y_layout.segments])
+            offsets = [seg.offset for seg in y_layout.segments]
 
-        def pullback(c, g, v):
-            return c * sig * (1.0 - sig) * np.add.reduceat(g * v, offsets, axis=-1)
+            def pullback(g, v):
+                return coef * np.add.reduceat(g * v, offsets, axis=-1)
 
-        return s, mask, "mask_logits", pullback
-    if rule is InnerRule.WARP_GRAD_DIAG:
-        d = np.exp(_require_segment(x, "warp_logdiag", rule))
-        return s, d, "warp_logdiag", lambda c, g, v: c * d * g * v
+            return s, mask, "mask_logits", pullback
+        if rule is InnerRule.WARP_GRAD_DIAG:
+            d = np.exp(_require_segment(x, "warp_logdiag", rule))
+            coef = -s * d
+            return s, d, "warp_logdiag", lambda g, v: coef * g * v
     return s, None, None, None
 
 
@@ -291,19 +306,19 @@ def step_points(config: InnerConfig, at) -> tuple[Point, ...]:
     return (at(Split.TRAIN),)
 
 
-def _step(config: InnerConfig, points: tuple[Point, ...]) -> np.ndarray:
-    """One step of config.rule on every row of the stack the points are at."""
-    x, ys, layout = points[0].x, points[0].ys, points[0].problem.y_layout
+def _step(config: InnerConfig, points: tuple[Point, ...], step_map) -> np.ndarray:
+    """One step of config.rule under step_map on every row of the points' stack."""
+    ys = points[0].ys
     g = _mix(config, points, lambda point: point.grad_y())
     # points the caller does not keep die here, before y_next is allocated,
     # as the arrays of a step that built no points did; freeing them later
     # measured more page faults per evaluation
     del points
+    scale, d, _, _ = step_map
     # an overflow here leaves a non-finite y, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        scale, d, _, _ = _factor(config, x, layout)
         y_next = ys - scale * g if d is None else ys - scale * d * g
-    if not np.all(np.isfinite(y_next)):
+    if not np.isfinite(y_next).all():
         raise NonFiniteValue(f"inner step under rule {config.rule.value} produced non-finite y")
     return y_next
 
@@ -317,8 +332,8 @@ def inner_step(
     task,
 ) -> ParamVector:
     config = _with_rule(config, rule)
-    at = partial(problem.at, x, y_prev.values[None], TaskBatch((task,)))
-    return y_prev.like(_step(config, step_points(config, at))[0])
+    points = step_points(config, partial(problem.at, x, y_prev.values[None], TaskBatch((task,))))
+    return y_prev.like(_step(config, points, _step_map(config, x, problem.y_layout))[0])
 
 
 def run_inner(
@@ -351,21 +366,23 @@ def run_inner_batch(
     Returns the (tasks, dim_y) stacks it kept: y_0..y_T with record, else
     y_0 and (after any step) y_T. Either way the last one is y_T. With
     record it keeps the points of each step too. Its points on a split
-    share one problem.split_parts, which the returned run lends on.
+    share one problem.split_parts, and its steps one step map, which the
+    returned run lends on.
     """
     shared = _SharedParts(problem, x, batch)
+    step_map = _step_map(config, x, problem.y_layout) if config.steps else None
     kept, kept_points = [ys], {}
     for t in range(config.steps):
         at = partial(shared.at, ys)
         if record:
             points = step_points(config, at)
             kept_points.update(zip(((t, Split.TRAIN), (t, Split.VAL)), points))
-            ys = _step(config, points)
+            ys = _step(config, points, step_map)
         else:
-            ys = _step(config, step_points(config, at))
+            ys = _step(config, step_points(config, at), step_map)
         if record or t + 1 == config.steps:
             kept.append(ys)
-    return InnerRun(kept, problem, x, batch, kept_points, shared)
+    return InnerRun(kept, problem, x, batch, kept_points, shared, {config: step_map})
 
 
 def step_transposed_jvps(
@@ -391,23 +408,24 @@ def step_transposed_jvps(
 
 
 def step_transposed_jvps_batch(
-    config: InnerConfig, points: tuple[Point, ...], vs: np.ndarray
+    config: InnerConfig, points: tuple[Point, ...], vs: np.ndarray, step_map=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """step_transposed_jvps for every task of a batch at once, under
     config.rule, at the points of one stack (step_points) and the rows of
     the (tasks, dim_y) stack vs; returns the (tasks, dim_y) and
-    (tasks, dim_x) stacks."""
+    (tasks, dim_x) stacks. step_map is the rule's map at the points' x
+    (InnerRun.step_map), built here when None."""
     train = points[0]
     x = train.x
+    scale, d, name, pullback = step_map or _step_map(config, x, train.problem.y_layout)
     # an overflow here leaves a non-finite product, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        scale, d, name, pullback = _factor(config, x, train.problem.y_layout)
         w = vs if d is None else d * vs
         a_t = vs - scale * _mix(config, points, lambda point: point.hvp_yy(w))
         b_t = -scale * _mix(config, points, lambda point: point.cross_hvp(w))
         if d is not None:
-            b_t = segment_add(b_t, x.layout, name, pullback(-scale, train.grad_y(), vs))
+            b_t = segment_add(b_t, x.layout, name, pullback(train.grad_y(), vs))
 
-    if not (np.all(np.isfinite(a_t)) and np.all(np.isfinite(b_t))):
+    if not (np.isfinite(a_t).all() and np.isfinite(b_t).all()):
         raise NonFiniteValue(f"transposed products under rule {config.rule.value} are non-finite")
     return a_t, b_t

@@ -491,13 +491,13 @@ class _TaskAxisPoint(Point):
     `parts`, whose ys and batch may carry any leading task axes, or none
     for one task. The forward pass and the residual run when the point is
     built, and every oracle reads them. A problem's subclass writes each
-    oracle kernel once, for its per-task oracles and batch forms alike.
-    grad_x and cross_hvp here are those of a loss that never reads x: zero
-    in every row."""
+    oracle kernel once (grad_y's as _grad_y, run once per point), for its
+    per-task oracles and batch forms alike. grad_x and cross_hvp here are
+    those of a loss that never reads x: zero in every row."""
 
     def __init__(self, problem, ys, parts: SplitParts):
         super().__init__(problem, parts.x, ys, parts.batch, parts.split)
-        self.parts, self.phi, self.h = parts, parts.phi, parts.h
+        self.parts, self.phi, self.h, self._g = parts, parts.phi, parts.h, None
         self.scores = self._run()
         self.p, self.delta = self._residual()
 
@@ -510,6 +510,13 @@ class _TaskAxisPoint(Point):
     def _residual(self) -> tuple[np.ndarray | None, np.ndarray]:
         """Softmax p and the cross-entropy residual dloss/dscores."""
         return _softmax_residual(self.scores, self.parts.onehot)
+
+    def grad_y(self):
+        """_grad_y's answer, computed on the first call; read-only."""
+        if self._g is None:
+            self._g = self._grad_y()
+            self._g.setflags(write=False)
+        return self._g
 
     def value(self):
         loss = self.problem._loss(self.scores, self.parts)
@@ -631,7 +638,7 @@ class _SoftmaxPoint(_TaskAxisPoint):
         vw, vb = _unpack(v, self.problem._y_parts)
         return vw, _softmax_jvp(self.p, _class_major(vw, self.h, vb)) / self.h.shape[-2]
 
-    def grad_y(self):
+    def _grad_y(self):
         delta = self.delta
         out = _join(self.ys, delta.swapaxes(-1, -2) @ self.h, delta.sum(axis=-2))
         if self.split is Split.TRAIN:
@@ -723,7 +730,7 @@ class _MlpPoint(_TaskAxisPoint):
         onehot = self.parts.onehot
         return None, np.subtract(self.scores, onehot, order="C") / onehot.shape[-2]
 
-    def grad_y(self):
+    def _grad_y(self):
         delta, phi = self.delta, self.phi
         delta_t = delta.swapaxes(-1, -2)
         if self.problem.hidden > 0:

@@ -6,8 +6,8 @@ of them at once with the configured inner dynamics from a shared immutable
 snapshot of x, estimates the per-task meta-gradients, averages them in
 task-index order, and applies one meta-optimizer step; evaluation adapts
 fresh tasks through the same path (_adapt). The tasks ride a leading axis
-of stacked arrays through the problem's batch oracles (<oracle>_batch, see
-objectives.BilevelObjective); each task's numbers are those of its run
+of stacked arrays, and every oracle is read from the problem's points
+(objectives.BilevelObjective.at); each task's numbers are those of its run
 alone. The command line takes the metrics round by round (_train_rounds),
 so the rounds that completed outlive an error.
 run.threads is still accepted and validated but ignored: a thread pool over

@@ -371,11 +371,11 @@ def test_a_meta_iteration_runs_one_forward_pass_per_point(monkeypatch, name):
 
 # cost model: one feature map h = phi M^T per split a meta-iteration's inner
 # run visits, shared by every point of the run on that split. That is the
-# train split of the T steps (and of the final inner loss, and of HOAG's
-# solve) and the val split of y_T, whose map BDA's steps build already.
-# DARTS's two difference points at y_T +- eps v are built apart from the run
-# and get their own. An evaluation maps each of its two splits once.
-_FEATURE_MAPS = {"RHG": 2, "TRHG": 2, "HOAG": 2, "BDA": 2, "DARTS": 4}
+# train split of the T steps (and of the final inner loss, of HOAG's solve
+# and of DARTS's two difference points at y_T +- eps v) and the val split of
+# y_T, whose map BDA's steps build already. An evaluation maps each of its
+# two splits once.
+_FEATURE_MAPS = {"RHG": 2, "TRHG": 2, "HOAG": 2, "BDA": 2, "DARTS": 2}
 
 
 @pytest.mark.parametrize("name", sorted(_FEATURE_MAPS))

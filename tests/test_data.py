@@ -406,3 +406,24 @@ def test_sampler_builds_the_same_number_of_generators_at_any_batch_size(
         sample_task_batch(source, spec, RngStream(0, 1))
         counts.append(len(calls) - before)
     assert counts == [2, 2, 2]
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "directory"])
+def test_a_source_reads_its_class_names_and_capacities_once(tmp_path, monkeypatch, kind):
+    if kind == "synthetic":
+        source = _source(num_classes=6)
+    else:
+        _write_corpus(tmp_path, n_per_class=7, classes=("a", "b", "c", "d", "e"))
+        source = ClassDirectory.from_path(tmp_path)
+    calls, capacity = [], type(source).capacity
+
+    def counted(self, name):
+        calls.append(name)
+        return capacity(self, name)
+
+    monkeypatch.setattr(type(source), "capacity", counted)
+    spec = EpisodeSpec(way=3, shot=2, query=3, batch_size=2)
+    for seed in range(3):
+        sample_task_batch(source, spec, RngStream(seed, 1))
+    assert calls == list(source.class_names())
+    assert source.class_names() is source.class_names()

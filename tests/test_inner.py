@@ -1,7 +1,9 @@
 """Inner adaptation dynamics: update rules, trajectory storage, and the
 transposed-Jacobian products that drive reverse-mode estimators."""
 
+import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +30,16 @@ from bilevelopt import (
     run_inner,
     step_transposed_jvps,
 )
-from bilevelopt.inner import DEFAULT_INIT_SD, sigmoid, softplus, softplus_inverse
+from bilevelopt.inner import (
+    DEFAULT_INIT_SD,
+    _step_map,
+    run_inner_batch,
+    sigmoid,
+    softplus,
+    softplus_inverse,
+    step_points,
+    step_transposed_jvps_batch,
+)
 
 ALL_RULES = (
     InnerRule.GD,
@@ -275,6 +286,24 @@ def test_nonfinite_step_is_caught():
             ParamVector.zeros(prob.y_layout),
             None,
         )
+
+
+def test_an_overflowing_warp_raises_without_a_numpy_warning(softmax_problem, small_batch):
+    # the step map is built under the steps' errstate, so exp's overflow in
+    # the warp reaches the caller as the finiteness checks' errors alone
+    rule = InnerRule.WARP_GRAD_DIAG
+    x = _extended_x(softmax_problem, rule, seed=8)
+    x = x.with_segment("warp_logdiag", np.full(softmax_problem.y_layout.dim, 1e3))
+    cfg = InnerConfig(steps=2, step_size=0.1, rule=rule)
+    ys = init_task_params_batch(Paradigm.META_FEATURE, softmax_problem, x, RngStream(4), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="inner step under rule warp_grad_diag"):
+            run_inner_batch(cfg, softmax_problem, x, ys, small_batch)
+        step_map = _step_map(cfg, x, softmax_problem.y_layout)
+        points = step_points(cfg, partial(softmax_problem.at, x, ys, small_batch))
+        with pytest.raises(NonFiniteValue, match="transposed products under rule"):
+            step_transposed_jvps_batch(cfg, points, np.ones_like(ys), step_map)
 
 
 # --------------------------------------------------------------------------
