@@ -223,8 +223,11 @@ class SyntheticGaussian(DatasetSource):
         return None
 
     def draw_batch(self, chosen: np.ndarray, count: int, gen: np.random.Generator) -> np.ndarray:
+        # scaled and shifted in place: the same bytes as centers + noise_sd * noise
         noise = gen.standard_normal(chosen.shape + (count, self.dim))
-        return self.centers[chosen][..., None, :] + self.noise_sd * noise
+        noise *= self.noise_sd
+        noise += self.centers[chosen][..., None, :]
+        return noise
 
 
 class ClassDirectory(DatasetSource):
@@ -315,6 +318,9 @@ def sample_task_batch(
     (tasks, classes) uniform draw on rng.child(0), and all items come from
     one `source.draw_batch` on rng.child(1). Both draws fill the rows in
     task order, so growing batch_size never changes the earlier tasks.
+    The train and val stacks are C-contiguous copies that own their memory,
+    so the batch never keeps the draw, all shot + query items of each
+    class, alive.
     """
     names = source.class_names()
     if len(names) < spec.way:
@@ -335,8 +341,8 @@ def sample_task_batch(
     )
     labels = np.arange(spec.way, dtype=np.int64)
     return TaskBatch.stacked(
-        items[:, :, :shot].reshape(n, spec.way * shot, -1),
+        items[:, :, :shot].copy().reshape(n, spec.way * shot, -1),
         np.tile(np.repeat(labels, shot), (n, 1)),
-        items[:, :, shot:].reshape(n, spec.way * spec.query, -1),
+        items[:, :, shot:].copy().reshape(n, spec.way * spec.query, -1),
         np.tile(np.repeat(labels, spec.query), (n, 1)),
     )

@@ -405,8 +405,12 @@ def _class_major(w: np.ndarray, rows: np.ndarray, bias: np.ndarray) -> np.ndarra
 
 def _cross_entropy(scores: np.ndarray, at_labels: tuple) -> np.ndarray:
     """Mean cross-entropy of softmax(scores) over the rows, per task;
-    at_labels indexes each row's entry at its label (SplitParts)."""
-    return -_log_softmax(scores)[at_labels].mean(axis=-1)
+    at_labels indexes each row's entry at its label (SplitParts). The
+    log-softmax at the labels, as _log_softmax computes it, with the exp
+    taken in place, so grading holds one array of the scores' size."""
+    stable = scores - scores.max(axis=-1, keepdims=True)
+    picked = stable[at_labels]
+    return -(picked - np.log(np.exp(stable, out=stable).sum(axis=-1))).mean(axis=-1)
 
 
 def _softmax_residual(z: np.ndarray, onehot: np.ndarray):
@@ -823,7 +827,9 @@ class MetaInitMlp(_TaskAxisObjective):
         weights (the last two None without a hidden layer)."""
         if self.hidden > 0:
             w0, b0, w1, b1 = _unpack(yv, self._y_parts)
-            a = np.tanh(phi @ w0.swapaxes(-1, -2) + b0)
+            a = phi @ w0.swapaxes(-1, -2)
+            a += b0
+            np.tanh(a, out=a)
             return _class_major(w1, a, b1), a, w1
         w0, b0 = _unpack(yv, self._y_parts)
         return _class_major(w0, phi, b0), None, None

@@ -579,6 +579,8 @@ def meta_evaluate(
     fresh tasks, all adapted at once on stacked arrays. Reads state.x but
     never changes it; task draws depend only on the seed and round_index,
     not on training progress."""
+    if n_tasks < 1:
+        raise ValueError("n_tasks must be >= 1")
     r = state.iteration if round_index is None else round_index
     batch, kept = _adapt(exp, state.x, n_tasks, _EVAL_TASK_STREAM, _EVAL_INIT_STREAM, r)
     # the run's val split parts, which BDA's steps built already

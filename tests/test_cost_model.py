@@ -5,6 +5,8 @@ timing alone could not resolve. A change that moves a count updates it here
 and says why.
 """
 
+import tracemalloc
+
 import pytest
 
 import bilevelopt.hypergrad as hg
@@ -42,10 +44,14 @@ MLP = {"kind": "mlp", "hidden": 16, "reg": "l2", "reg_coef": 0.01}
 STEPS = REFERENCE["inner"]["steps"]
 
 
-def _preset(name):
+def _preset(name, batch_size=REFERENCE["data"]["batch_size"]):
     """An experiment of the named preset at the reference shape, one
     meta-iteration that does not evaluate."""
-    raw = {**REFERENCE, "run": {**REFERENCE["run"], "method": name, "eval_every": 100}}
+    raw = {
+        **REFERENCE,
+        "data": {**REFERENCE["data"], "batch_size": batch_size},
+        "run": {**REFERENCE["run"], "method": name, "eval_every": 100},
+    }
     if compose_named_method(name).paradigm is Paradigm.META_INIT:
         raw["problem"] = MLP
     return build_experiment(ExperimentConfig.from_dict(raw))
@@ -126,3 +132,32 @@ def test_a_sweep_on_a_run_without_a_step_map_builds_it_once(monkeypatch, name):
     assert len(builds) == 1
     compute_hypergradient(exp.method, exp.problem, exp.paradigm, traj, state.x, task)
     assert len(builds) == 2
+
+
+# (tasks, batch size, KB) per preset: perfbench's evaluation of each, and a
+# bound just above the traced peak of one call (1013, 611, 2240 and 2487 KB).
+# The sampled stacks own their memory, and the draw, the MLP's hidden layer
+# and the grading cross-entropy are computed in place, so each large array
+# is allocated once. A call whose heap grows past glibc's trim threshold
+# hands the heap back at its end, and the next call faults it in again.
+_EVAL_PEAK_KB = {
+    "RHG": (40, 4, 1050),
+    "MAML": (25, 4, 650),
+    "FMAML": (100, 16, 2350),
+    "DARTS": (100, 16, 2550),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVAL_PEAK_KB))
+def test_an_evaluation_holds_each_large_array_once(name):
+    n_tasks, batch_size, bound_kb = _EVAL_PEAK_KB[name]
+    exp, state = _preset(name, batch_size)
+    meta_evaluate(exp, state, n_tasks)  # one-time set-up, such as the class centers
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        meta_evaluate(exp, state, n_tasks)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_kb * 1024

@@ -1,5 +1,7 @@
 """Episodic sampling: split sizes, label remapping, determinism, file loading."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,31 @@ def test_directory_draws_never_repeat_an_item_within_a_class(tmp_path):
         assert len({r[0] for r in per_class}) == 1  # all from one class
 
 
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array whose memory a holds, following its chain of bases."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "directory"])
+@pytest.mark.parametrize("way, shot", [(3, 1), (3, 3), (1, 2)])
+def test_sampled_stacks_are_contiguous_and_own_their_memory(tmp_path, kind, way, shot):
+    # a view of the draw would keep all of its items alive with the batch
+    if kind == "synthetic":
+        source = _source(num_classes=6)
+    else:
+        _write_corpus(tmp_path, n_per_class=7, classes=("a", "b", "c", "d", "e"))
+        source = ClassDirectory.from_path(tmp_path)
+    spec = EpisodeSpec(way=way, shot=shot, query=3, batch_size=4)
+    batch = sample_task_batch(source, spec, RngStream(2, 7))
+    stacks = (batch.train_features, batch.val_features)
+    for stack in stacks:
+        assert stack.flags.c_contiguous
+        assert _owner(stack).nbytes == stack.nbytes
+    assert not np.shares_memory(*stacks)
+
+
 def test_task_views_are_rows_of_the_batch_stacks():
     spec = EpisodeSpec(way=3, shot=2, query=2, batch_size=6)
     batch = sample_task_batch(_source(), spec, RngStream(8, 8))
@@ -361,6 +388,21 @@ def test_synthetic_draw_is_center_plus_scaled_normal_noise():
     rows = source.draw("class_003", 7, RngStream(1, 2).generator())
     noise = RngStream(1, 2).generator().standard_normal((7, 3))
     assert np.array_equal(rows, source.centers[3] + source.noise_sd * noise)
+
+
+def test_synthetic_draw_scales_and_shifts_its_noise_in_place():
+    source = _source(num_classes=6, dim=8)
+    chosen = np.tile(np.arange(5), (100, 1))
+    source.draw_batch(chosen, 1, RngStream(0, 0).generator())  # the one-time center draw
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        items = source.draw_batch(chosen, 16, RngStream(1, 2).generator())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the noise itself, the gathered centers and nothing else of the draw's size
+    assert peak < 1.25 * items.nbytes
 
 
 def test_directory_draw_is_a_choice_without_replacement(tmp_path):

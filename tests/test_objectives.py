@@ -22,6 +22,7 @@ from bilevelopt import (
     make_meta_init_mlp,
     make_quadratic,
 )
+from bilevelopt.objectives import _cross_entropy, _log_softmax
 from conftest import DIM_IN, WAY
 
 
@@ -525,3 +526,34 @@ def test_batch_methods_reject_a_stack_of_the_wrong_shape(softmax_problem, small_
         softmax_problem.grad_y_batch(x, stack, small_batch, Split.TRAIN)
     with pytest.raises(LayoutMismatch):
         softmax_problem.value_batch(x, stack[:, 1:], small_batch, Split.VAL)
+
+
+# --------------------------------------------------------------------------
+# grading cross-entropy, bit for bit
+# --------------------------------------------------------------------------
+
+
+def _scores_and_labels(case):
+    gen = RngStream(17, 4).generator()
+    if case == "class_major":
+        # (tasks, rows, classes) view of (tasks, classes, rows) memory
+        return 3.0 * gen.standard_normal((6, 5, 75)).swapaxes(-1, -2), gen.integers(0, 5, (6, 75))
+    if case == "row_major":
+        return 3.0 * gen.standard_normal((6, 75, 5)), gen.integers(0, 5, (6, 75))
+    if case == "one_task":
+        return 3.0 * gen.standard_normal((75, 5)), gen.integers(0, 5, 75)
+    signs = np.where(gen.random((6, 5, 75)) < 0.5, -1.0, 1.0)
+    huge = signs * 1e300 * (1.0 + 1e-3 * gen.random((6, 5, 75)))
+    return huge.swapaxes(-1, -2), gen.integers(0, 5, (6, 75))
+
+
+@pytest.mark.parametrize("case", ["class_major", "row_major", "one_task", "near_1e300"])
+def test_cross_entropy_is_the_log_softmax_at_the_labels_bit_for_bit(case):
+    scores, labels = _scores_and_labels(case)
+    at_labels = np.indices(labels.shape, sparse=True) + (labels,)
+    before = scores.copy()
+    got = _cross_entropy(scores, at_labels)
+    want = -_log_softmax(scores)[at_labels].mean(axis=-1)
+    assert got.shape == labels.shape[:-1]
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(scores, before)

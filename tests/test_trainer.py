@@ -522,6 +522,20 @@ def test_quadratic_evaluation_reports_no_accuracy():
     assert np.isfinite(loss)
 
 
+@pytest.mark.parametrize("n_tasks", [0, -1])
+@pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+def test_meta_evaluate_rejects_fewer_than_one_task_before_any_draw(monkeypatch, kind, n_tasks):
+    raw = _maml_raw()
+    if kind == "quadratic":
+        raw = {"problem": {"kind": "quadratic"}, "run": {"method": "RHG"}}
+    exp, state = build_experiment(ExperimentConfig.from_dict(raw))
+    draws = []
+    monkeypatch.setattr(RngStream, "generator", lambda self: draws.append(self))
+    with pytest.raises(ValueError, match=r"^n_tasks must be >= 1$"):
+        meta_evaluate(exp, state, n_tasks)
+    assert draws == []
+
+
 def _per_task_evaluate(exp, state, n_tasks, round_index):
     """meta_evaluate as a plain loop over tasks: the reference for the
     batched path."""
