@@ -1,11 +1,22 @@
 """Machine-independent cost counts at the benchmark's reference shape.
 
 Call counts do not move with the host's speed, so they pin a cost that
-timing alone could not resolve. A change that moves a count updates it here
-and says why.
+timing alone could not resolve. tests/cost_model.json holds, for every
+preset at batch 4 and 16, the counts of one meta-iteration and of one
+100-task evaluation after it; the test below rebuilds them through a
+counting wrapper of the problem and asserts exact equality. A change that
+moves a count regenerates the table,
+
+    PYTHONPATH=src python tests/test_cost_model.py
+
+and says why; a count that rises needs a reason.
 """
 
+import json
 import tracemalloc
+from collections import defaultdict
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +25,7 @@ import bilevelopt.inner as inner_mod
 from bilevelopt import (
     METHOD_NAMES,
     ExperimentConfig,
+    MetaFeatureSoftmax,
     Paradigm,
     RngStream,
     build_experiment,
@@ -41,7 +53,9 @@ REFERENCE = {
 }
 # the meta-init presets' problem at the reference shape
 MLP = {"kind": "mlp", "hidden": 16, "reg": "l2", "reg_coef": 0.01}
-STEPS = REFERENCE["inner"]["steps"]
+BATCH_SIZES = (4, 16)
+EVAL_TASKS = 100
+TABLE = Path(__file__).with_name("cost_model.json")
 
 
 def _preset(name, batch_size=REFERENCE["data"]["batch_size"]):
@@ -69,56 +83,164 @@ def _count(monkeypatch, owner, attr):
     return calls
 
 
-def test_hoag_solve_applies_the_map_once_per_iteration_and_check(monkeypatch):
-    solve, solves = hg.conjugate_gradient_batch, []
+class _Tally:
+    """What one phase of a run built and asked."""
 
-    def counted(apply, b, *args, **kwargs):
-        calls = [0]
+    def __init__(self):
+        self.points = defaultdict(int)  # split -> points built
+        self.parts = defaultdict(int)  # split -> split_parts built
+        self.calls = defaultdict(lambda: [0, 0])  # "split.oracle" -> [calls, rows]
+        self.feature_maps = 0
+        self.cg = []  # [map applications, [iterations of each row]] per solve
+        self.generators = 0
+        self.grad_y_kernels = 0
+        self.step_maps = 0
+
+    def call(self, key, rows):
+        self.calls[key][0] += 1
+        self.calls[key][1] += rows
+
+    def as_dict(self):
+        return {
+            "points": dict(sorted(self.points.items())),
+            "parts": dict(sorted(self.parts.items())),
+            "calls": dict(sorted(self.calls.items())),
+            "feature_maps": self.feature_maps,
+            "cg": self.cg,
+            "generators": self.generators,
+            "grad_y_kernels": self.grad_y_kernels,
+            "step_maps": self.step_maps,
+        }
+
+
+class _CountedPoint:
+    """A problem's point that counts each oracle call and the rows it carries."""
+
+    def __init__(self, point, tally):
+        self._point, self._tally = point, tally
+
+    def __getattr__(self, name):
+        return getattr(self._point, name)
+
+    def _ask(self, oracle, *args):
+        self._tally.call(f"{self._point.split.value}.{oracle}", len(self._point.ys))
+        return getattr(self._point, oracle)(*args)
+
+    def value(self):
+        return self._ask("value")
+
+    def grad_y(self):
+        return self._ask("grad_y")
+
+    def grad_x(self):
+        return self._ask("grad_x")
+
+    def hvp_yy(self, vs):
+        return self._ask("hvp_yy", vs)
+
+    def cross_hvp(self, vs):
+        return self._ask("cross_hvp", vs)
+
+
+class _Counting:
+    """Forwards a problem's public interface, counting the parts and points
+    it builds and the calls on them."""
+
+    def __init__(self, problem):
+        self._problem, self.tally = problem, _Tally()
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def split_parts(self, x, batch, split):
+        self.tally.parts[split.value] += 1
+        return self._problem.split_parts(x, batch, split)
+
+    def at(self, *args):
+        point = self._problem.at(*args)
+        self.tally.points[point.split.value] += 1
+        return _CountedPoint(point, self.tally)
+
+    def val_losses_and_scores(self, *args):
+        losses, scores = self._problem.val_losses_and_scores(*args)
+        self.tally.call("val.val_losses_and_scores", len(losses))
+        return losses, scores
+
+
+def _install_counters(monkeypatch, counting):
+    """Count what the wrapper cannot see: feature maps, grad_y kernel runs,
+    step maps, CG map applications and generators, into counting.tally."""
+
+    def tally():
+        return counting.tally
+
+    def bump(owner, attr, field):
+        inner = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            setattr(tally(), field, getattr(tally(), field) + 1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    bump(MetaFeatureSoftmax, "_features", "feature_maps")
+    bump(_SoftmaxPoint, "_grad_y", "grad_y_kernels")
+    bump(_MlpPoint, "_grad_y", "grad_y_kernels")
+    bump(inner_mod, "_step_map", "step_maps")
+    bump(RngStream, "generator", "generators")
+    solve = hg.conjugate_gradient_batch
+
+    def counted_solve(apply, b, *args, **kwargs):
+        applications = [0]
 
         def apply_counted(v):
-            calls[0] += 1
+            applications[0] += 1
             return apply(v)
 
         out = solve(apply_counted, b, *args, **kwargs)
-        solves.append((calls[0], out[1].tolist()))
+        tally().cg.append([applications[0], out[1].tolist()])
         return out
 
-    monkeypatch.setattr(hg, "conjugate_gradient_batch", counted)
-    meta_train(*build_experiment(ExperimentConfig.from_dict(REFERENCE)))
-    # one solve of 4 rows; the longest row's 31 iterations plus one
-    # true-residual check at each of the 4 iterations where a row stops
-    assert solves == [(35, [29, 24, 28, 31])]
+    monkeypatch.setattr(hg, "conjugate_gradient_batch", counted_solve)
 
 
-# grad_y kernel runs: one per point whose gradient is read. The T steps read
-# their train points' (and under BDA their val points') and the estimators
-# the val point's at y_T. The sweeps under MT-net, Meta-SGD and WarpGrad read
-# the steps' train gradients again, which those points answer without
-# running the kernel a second time.
-_GRAD_Y_RUNS = {name: STEPS + 1 for name in METHOD_NAMES} | {"BDA": 2 * STEPS + 1}
-
-
-@pytest.mark.parametrize("name", METHOD_NAMES)
-def test_a_meta_iteration_runs_the_grad_y_kernel_once_per_point(monkeypatch, name):
-    exp, state = _preset(name)
-    calls = [_count(monkeypatch, cls, "_grad_y") for cls in (_SoftmaxPoint, _MlpPoint)]
+def _counts(monkeypatch, name, batch_size):
+    """The counts of one meta-iteration of the preset and of one evaluation
+    of EVAL_TASKS tasks after it."""
+    exp, state = _preset(name, batch_size)
+    counting = _Counting(exp.problem)
+    exp = replace(exp, problem=counting)
+    _install_counters(monkeypatch, counting)
     state, _ = meta_train(exp, state)
-    assert sum(map(len, calls)) == _GRAD_Y_RUNS[name]
-    for c in calls:
-        c.clear()
-    # an evaluation reads the gradients of its T steps alone
-    meta_evaluate(exp, state, 6)
-    assert sum(map(len, calls)) == _GRAD_Y_RUNS[name] - 1
+    train, counting.tally = counting.tally, _Tally()
+    meta_evaluate(exp, state, EVAL_TASKS)
+    return {"meta_iteration": train.as_dict(), "evaluation": counting.tally.as_dict()}
 
 
+def _table():
+    table = {}
+    for name in METHOD_NAMES:
+        for b in BATCH_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                table.setdefault(name, {})[str(b)] = _counts(mp, name, b)
+    return table
+
+
+def _checked_in():
+    return json.loads(TABLE.read_text())
+
+
+def test_the_table_covers_every_preset_at_each_batch_size():
+    assert {name: sorted(by_batch) for name, by_batch in _checked_in().items()} == {
+        name: sorted(map(str, BATCH_SIZES)) for name in METHOD_NAMES
+    }
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("name", METHOD_NAMES)
-def test_a_run_builds_its_step_map_once_and_its_sweep_reuses_it(monkeypatch, name):
-    exp, state = _preset(name)
-    builds = _count(monkeypatch, inner_mod, "_step_map")
-    state, _ = meta_train(exp, state)
-    assert len(builds) == 1
-    meta_evaluate(exp, state, 6)
-    assert len(builds) == 2
+def test_counts_equal_the_checked_in_table(monkeypatch, name, batch_size):
+    got = json.loads(json.dumps(_counts(monkeypatch, name, batch_size)))
+    assert got == _checked_in()[name][str(batch_size)]
 
 
 @pytest.mark.parametrize("name", ["RHG", "BDA", "MAML", "MT-net", "Meta-SGD", "WarpGrad"])
@@ -161,3 +283,21 @@ def test_an_evaluation_holds_each_large_array_once(name):
     finally:
         tracemalloc.stop()
     assert peak < bound_kb * 1024
+
+
+def _dump(table) -> str:
+    """The table as JSON, with the counts of each phase on one line."""
+    presets = []
+    for name, by_batch in table.items():
+        batches = []
+        for batch_size, phases in by_batch.items():
+            lines = ",\n".join(
+                f"   {json.dumps(phase)}: {json.dumps(counts)}" for phase, counts in phases.items()
+            )
+            batches.append(f"  {json.dumps(batch_size)}: {{\n{lines}\n  }}")
+        presets.append(f" {json.dumps(name)}: {{\n" + ",\n".join(batches) + "\n }")
+    return "{\n" + ",\n".join(presets) + "\n}\n"
+
+
+if __name__ == "__main__":
+    TABLE.write_text(_dump(_table()))
