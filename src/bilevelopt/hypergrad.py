@@ -14,12 +14,13 @@ Five strategies with different cost/accuracy trade-offs:
 Each estimator is written once, for a batch of tasks stacked on a leading
 axis (compute_hypergradient_batch); the per-task functions run it on a
 batch of one, so a task's estimate never depends on the rest of its batch.
-Every estimator takes the iterates an inner run kept, as (tasks, dim_y)
-stacks; the two reverse sweeps need them recorded (inner.is_recorded), and
-the others read only the last one, y_T. Each reads the problem's oracles
-from one point per (iterate, split) it visits (inner.InnerRun.at), so the
-sweeps reuse the points the inner steps were taken from, and every CG
-iteration applies the Hessian of one point at y_T.
+Every estimator takes an inner run (inner.InnerRun), the (tasks, dim_y)
+stacks it kept with its problem, x and batch; the two reverse sweeps need
+it recorded (inner.is_recorded), and the others read only its last stack,
+y_T. Each reads the problem's oracles from one point per (iterate, split)
+it visits (InnerRun.at), so the sweeps reuse the points the inner steps
+were taken from, and every CG iteration applies the Hessian of one point
+at y_T.
 
 Named compositions of (paradigm, inner rule, estimator) for ten methods from
 the meta-learning literature are exposed through compose_named_method.
@@ -284,8 +285,7 @@ def _darts(paradigm, run, cfg: Darts, step_size: float) -> HyperGradBatch:
     eps = (cfg.delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
     # the difference points share the run's train parts
     ys, shift, train = run[-1], eps * v, run.parts(Split.TRAIN)
-    plus = run.problem.at(run.x, ys + shift, train, Split.TRAIN)
-    minus = run.problem.at(run.x, ys - shift, train, Split.TRAIN)
+    plus, minus = run.problem.at(train, ys + shift), run.problem.at(train, ys - shift)
     scale = step_size / (2.0 * eps)
     if paradigm is Paradigm.META_INIT:
         bracket = plus.grad_y() - minus.grad_y()
@@ -396,29 +396,18 @@ def compute_hypergradient(
     """Dispatch on the method type; trajectory-free estimators read only the
     final iterate (and the step size, for the darts estimator)."""
     run = _solo(problem, x, task, traj.iterates)
-    return compute_hypergradient_batch(
-        method, problem, paradigm, traj.config, x, run, run.batch
-    ).row(0, x.layout)
+    return compute_hypergradient_batch(method, paradigm, traj.config, run).row(0, x.layout)
 
 
 def compute_hypergradient_batch(
-    method: HyperGradMethod,
-    problem: BilevelObjective,
-    paradigm: Paradigm,
-    config: InnerConfig,
-    x: ParamVector,
-    ys: np.ndarray,
-    batch: TaskBatch,
+    method: HyperGradMethod, paradigm: Paradigm, config: InnerConfig, run: InnerRun
 ) -> HyperGradBatch:
-    """compute_hypergradient for every task of `batch` at once.
+    """compute_hypergradient for every task of the run's batch at once.
 
-    ys is the tuple of (tasks, dim_y) stacks that run_inner_batch kept under
-    `config`; the reverse sweeps need it recorded, and the other estimators
-    read only its last stack, y_T. The InnerRun that run_inner_batch
-    returns for this problem, x and batch lends its points.
+    run is the InnerRun that run_inner_batch returned under `config`, whose
+    points the estimators read; the reverse sweeps need it recorded, and
+    the other estimators read only its last stack, y_T.
     """
-    lends = isinstance(ys, InnerRun) and ys.problem is problem and ys.x is x and ys.batch is batch
-    run = ys if lends else InnerRun(ys, problem, x, batch)
     if isinstance(method, Reverse):
         return _reverse(paradigm, config, run)
     if isinstance(method, TruncatedReverse):

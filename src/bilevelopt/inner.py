@@ -16,15 +16,16 @@ Rules with a factor keep its meta-parameters inside extra segments of x:
 
 The steps and their transposed products are written once, on (tasks, dim_y)
 stacks of y with one row per task; the per-task functions run them on a
-batch of one. Both read the problem's oracles from its points
-(BilevelObjective.at), one per split the rule reads. A run keeps either
-every iterate y_0..y_T or only y_0 and y_T; it is recorded when it kept all
-T + 1 (is_recorded), as the reverse sweeps need, which a run of at most one
-step always is. A recorded run also keeps the points its steps were taken
-from, so the reverse sweeps reuse their forward passes (InnerRun); a
-built-in point answers grad_y once. A run builds once what its points on a
-split share, whatever y (split_parts), and its rule's step map (scale,
-factor d(x) and pullback), which the sweep over it reuses.
+batch of one. Both read the problem's oracles from its points,
+problem.at(parts, ys), one per split the rule reads, where parts is what
+the points on that split share whatever y (split_parts), built once per
+run and split. A run keeps either every iterate y_0..y_T or only y_0 and
+y_T; it is recorded when it kept all T + 1 (is_recorded), as the reverse
+sweeps need, which a run of at most one step always is. A recorded run
+also keeps the points its steps were taken from, so the reverse sweeps
+reuse their forward passes (InnerRun); a built-in point answers grad_y
+once. A run builds its rule's step map (scale, factor d(x) and pullback)
+once, and the sweep over it reuses it.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class _SharedParts(dict):
 
     def at(self, ys: np.ndarray, split: Split) -> Point:
         """The problem's point at the stack ys on `split`."""
-        return self.problem.at(self.x, ys, self[split], split)
+        return self.problem.at(self[split], ys)
 
 
 class InnerRun(tuple):
@@ -323,6 +324,11 @@ def _step(config: InnerConfig, points: tuple[Point, ...], step_map) -> np.ndarra
     return y_next
 
 
+def _solo_at(problem: BilevelObjective, x: ParamVector, y: ParamVector, task):
+    """at(split), the point at y of one task as a batch of one."""
+    return partial(_SharedParts(problem, x, TaskBatch((task,))).at, y.values[None])
+
+
 def inner_step(
     rule: InnerRule,
     config: InnerConfig,
@@ -332,7 +338,7 @@ def inner_step(
     task,
 ) -> ParamVector:
     config = _with_rule(config, rule)
-    points = step_points(config, partial(problem.at, x, y_prev.values[None], TaskBatch((task,))))
+    points = step_points(config, _solo_at(problem, x, y_prev, task))
     return y_prev.like(_step(config, points, _step_map(config, x, problem.y_layout))[0])
 
 
@@ -402,8 +408,8 @@ def step_transposed_jvps(
     meta-gradient.
     """
     config = _with_rule(config, rule)
-    at = partial(problem.at, x, y_prev.values[None], TaskBatch((task,)))
-    a_t, b_t = step_transposed_jvps_batch(config, step_points(config, at), v.values[None])
+    points = step_points(config, _solo_at(problem, x, y_prev, task))
+    a_t, b_t = step_transposed_jvps_batch(config, points, v.values[None])
     return v.like(a_t[0]), x.like(b_t[0])
 
 

@@ -14,18 +14,17 @@ feature map with a per-task softmax head, and a per-task MLP whose
 initialization is the meta-parameter.
 
 The trainer runs a whole batch of tasks at once on (tasks, dim) stacks.
-It asks a problem for a point, at(x, ys, batch, split), and reads every
-oracle it needs there from that point. BilevelObjective's points call the
-batch forms, <oracle>_batch, whose defaults here (and val_losses_and_scores,
-the validation losses and classifier scores of an evaluation) call the
-per-task oracle task by task. The two classifier problems build a point
-from one forward pass, and their per-task oracles and batch forms are views
-of it. What their points on one split share whatever ys, the split's
-features and one-hot targets (SplitParts), a run builds once per split
-(split_parts) and hands to each point. Their logit-shaped arrays are
-class-major in memory, (tasks, classes, rows), and the kernels read them
-through (tasks, rows, classes) views, so the reductions over the few
-classes run along contiguous rows.
+It asks a problem for what the points of one split share, whatever ys,
+split_parts(x, batch, split), and for a point on those parts,
+at(parts, ys), and reads every oracle it needs there; evaluation reads the
+validation losses and classifier scores from val_losses_and_scores(parts,
+ys). BilevelObjective's points call the per-task oracles task by task. The
+two classifier problems build a point from one forward pass, and their
+per-task oracles are views of it; their parts add the split's features and
+one-hot targets. Their logit-shaped arrays are class-major in memory,
+(tasks, classes, rows), and the kernels read them through (tasks, rows,
+classes) views, so the reductions over the few classes run along
+contiguous rows.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import TaskBatch, TaskDataset
+from .data import TaskBatch
 from .errors import LayoutMismatch, LengthMismatch, NonFiniteValue
 from .numerics import Layout, ParamVector, segment_rows
 
@@ -134,60 +133,88 @@ class Regularizer:
         return np.zeros_like(v)
 
 
-def _split_data(
-    data: TaskDataset | TaskBatch, split: Split
-) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels of one split, of a task or stacked over a batch."""
-    if split is Split.TRAIN:
-        return data.train_features, data.train_labels
-    return data.val_features, data.val_labels
+class SplitParts:
+    """What every point of a problem at x on the `split` of `batch` shares,
+    whatever its ys. split_parts builds one; a run builds one per split and
+    hands it to each of its points. This one carries x, the batch and the
+    split; a problem whose points share more extends it."""
+
+    def __init__(self, x: ParamVector, batch, split: Split):
+        self.x, self.batch, self.split = x, batch, split
 
 
 class Point:
-    """The five oracles of `problem` at x and the (tasks, dim_y) stack ys on
-    the `split` of `batch`; hvp_yy and cross_hvp take a (tasks, dim_y) stack
-    vs. Each answer is a stack with one row per task. This one asks the
-    problem's batch forms on every call; BilevelObjective.at of a problem
-    with a forward pass worth sharing returns its own."""
+    """The five oracles of `problem` at the (tasks, dim_y) stack ys on the
+    split parts `parts`; hvp_yy and cross_hvp take a stack vs of ys's shape.
+    Each answer is a stack with one row per task. This one calls the
+    problem's per-task oracles task by task; BilevelObjective.at of a
+    problem with a forward pass worth sharing returns its own."""
 
-    def __init__(self, problem, x: ParamVector, ys: np.ndarray, batch, split: Split):
-        self.problem, self.x, self.ys, self.batch, self.split = problem, x, ys, batch, split
+    def __init__(self, problem, ys: np.ndarray, parts: SplitParts):
+        self.problem, self.ys, self.parts = problem, ys, parts
+        self.x, self.split = parts.x, parts.split
 
     def value(self) -> np.ndarray:
-        return self.problem.value_batch(self.x, self.ys, self.batch, self.split)
+        return self._per_task(self.problem.value)
 
     def grad_y(self) -> np.ndarray:
-        return self.problem.grad_y_batch(self.x, self.ys, self.batch, self.split)
+        return self._per_task(self.problem.grad_y)
 
     def grad_x(self) -> np.ndarray:
-        return self.problem.grad_x_batch(self.x, self.ys, self.batch, self.split)
+        return self._per_task(self.problem.grad_x)
 
     def hvp_yy(self, vs: np.ndarray) -> np.ndarray:
-        return self.problem.hvp_yy_batch(self.x, self.ys, self.batch, self.split, vs)
+        self._check_directions(vs)
+        return self._hvp_yy(vs)
 
     def cross_hvp(self, vs: np.ndarray) -> np.ndarray:
-        return self.problem.cross_hvp_batch(self.x, self.ys, self.batch, self.split, vs)
+        self._check_directions(vs)
+        return self._cross_hvp(vs)
+
+    def _hvp_yy(self, vs: np.ndarray) -> np.ndarray:
+        return self._per_task(self.problem.hvp_yy, vs)
+
+    def _cross_hvp(self, vs: np.ndarray) -> np.ndarray:
+        return self._per_task(self.problem.cross_hvp, vs)
+
+    def _check_directions(self, vs: np.ndarray):
+        if vs.shape != self.ys.shape:
+            raise LayoutMismatch(f"direction stack shape {vs.shape} != y stack {self.ys.shape}")
+
+    def _per_task(self, oracle, *stacks: np.ndarray) -> np.ndarray:
+        """oracle(x, y, task, split, *v) at each task's row y of ys, with its
+        row v of each stack, in task order; the answers stacked."""
+        tasks = self.parts.batch
+        if len(self.ys) != len(tasks):
+            raise LengthMismatch(f"{len(self.ys)} parameter rows for {len(tasks)} tasks")
+        layout = self.problem.y_layout
+        answers = []
+        for j, task in enumerate(tasks):
+            y, *vs = (ParamVector(layout, stack[j]) for stack in (self.ys,) + stacks)
+            answer = oracle(self.x, y, task, self.split, *vs)
+            answers.append(answer.values if isinstance(answer, ParamVector) else answer)
+        return np.array(answers)
 
 
 class BilevelObjective:
     """Oracle bundle: value, grad_y, grad_x, hvp_yy, and the transposed
-    cross second-order product, all per task and split, their batch forms,
-    and the point at(x, ys, batch, split) that training reads them from. A
-    classifier also defines predict(x, y, features), its class scores.
+    cross second-order product, all per task and split, and the point
+    at(parts, ys) that training reads them from. A classifier also defines
+    predict(x, y, features), its class scores.
 
     grad_x / cross_hvp answer in the layout of the x argument (which may
     carry extra method-specific segments beyond the problem's own); segments
     the problem does not read are zero.
 
-    Batch forms take (x, ys, batch, split), plus a vs stack for hvp_yy and
-    cross_hvp, with ys and vs (tasks, dim_y) stacks. They answer with the
-    per-task answers stacked on a leading task axis. val_losses_and_scores
-    gives each task's validation loss and, for a classifier, its predict
-    scores on the validation features. The ones here call the per-task
-    oracle task by task, and at returns a Point over the batch forms; a
-    problem may override them for speed. Training reads every oracle from
-    at and evaluation from val_losses_and_scores, so a subclass that changes
-    an oracle of a problem with its own at overrides at as well.
+    split_parts(x, batch, split) builds what the points on one split share;
+    at(parts, ys) is the point at the (tasks, dim_y) stack ys on those
+    parts, and val_losses_and_scores(parts, ys) gives each task's
+    validation loss and, for a classifier, its predict scores on the
+    validation features. The ones here call the per-task oracles task by
+    task; a problem may override them for speed. Training reads every
+    oracle from at and evaluation from val_losses_and_scores, so a subclass
+    that changes an oracle of a problem with its own at overrides at as
+    well.
     """
 
     x_layout: Layout
@@ -215,55 +242,24 @@ class BilevelObjective:
         """Gradient with respect to x of <grad_y(x, y), v>."""
         return ParamVector.zeros(x.layout)
 
-    def at(self, x: ParamVector, ys: np.ndarray, batch: TaskBatch, split: Split) -> Point:
-        """The oracles at the rows of the (tasks, dim_y) stack ys on the
-        `split` of `batch`, or of what split_parts(x, batch, split) made of
-        it."""
-        return Point(self, x, ys, batch, split)
+    def split_parts(self, x: ParamVector, batch: TaskBatch, split: Split) -> SplitParts:
+        return SplitParts(x, batch, split)
 
-    def split_parts(self, x: ParamVector, batch: TaskBatch, split: Split):
-        """What every point at x on the `split` of `batch` shares, whatever
-        its ys, for a run to build once per split and pass to at and
-        val_losses_and_scores in place of the batch: here the batch itself."""
-        return batch
+    def at(self, parts: SplitParts, ys: np.ndarray) -> Point:
+        return Point(self, ys, parts)
 
-    def _per_task(self, oracle, x: ParamVector, ys: np.ndarray, tasks, *args) -> np.ndarray:
-        """oracle at each row of ys with the matching task, and the matching
-        row of each stack in args, in task order; the answers stacked."""
-        if len(ys) != len(tasks):
-            raise LengthMismatch(f"{len(ys)} parameter rows for {len(tasks)} tasks")
-        layout = self.y_layout
-        answers = []
-        for j, (y, task) in enumerate(zip(ys, tasks)):
-            rest = [a if isinstance(a, Split) else ParamVector(layout, a[j]) for a in args]
-            answer = oracle(x, ParamVector(layout, y), task, *rest)
-            answers.append(answer.values if isinstance(answer, ParamVector) else answer)
-        return np.array(answers)
-
-    def value_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        return self._per_task(self.value, x, ys, batch, split)
-
-    def grad_y_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        return self._per_task(self.grad_y, x, ys, batch, split)
-
-    def grad_x_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        return self._per_task(self.grad_x, x, ys, batch, split)
-
-    def hvp_yy_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
-        return self._per_task(self.hvp_yy, x, ys, batch, split, vs)
-
-    def cross_hvp_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
-        return self._per_task(self.cross_hvp, x, ys, batch, split, vs)
-
-    def val_losses_and_scores(self, x: ParamVector, ys: np.ndarray, batch: TaskBatch):
-        """Each task's validation loss at its row of the (tasks, dim_y) stack
-        ys and, for a classifier, its class scores on the validation
-        features (None otherwise). batch may be split_parts of its val
-        split."""
-        losses = self.value_batch(x, ys, batch, Split.VAL)
+    def val_losses_and_scores(self, parts: SplitParts, ys: np.ndarray):
+        """Each task's validation loss at its row of ys and, for a
+        classifier, its class scores on the validation features (None
+        otherwise), on the val split's parts."""
+        _check_val(parts)
+        losses = self.at(parts, ys).value()
         if not self.is_classifier:
             return losses, None
-        return losses, self._per_task(self.predict, x, ys, batch.val_features)
+        rows = zip(ys, parts.batch.val_features)
+        return losses, np.array(
+            [self.predict(parts.x, ParamVector(self.y_layout, y), f) for y, f in rows]
+        )
 
     def _check_xy(self, x: ParamVector, y: ParamVector):
         for seg in self.x_layout.segments:
@@ -273,6 +269,11 @@ class BilevelObjective:
                 )
         if y.layout != self.y_layout:
             raise LayoutMismatch(f"y layout {y.layout} != expected {self.y_layout}")
+
+
+def _check_val(parts: SplitParts):
+    if parts.split is not Split.VAL:
+        raise ValueError(f"validation losses read the val split's parts, not {parts.split.value}")
 
 
 def eval_f(problem: BilevelObjective, x: ParamVector, y: ParamVector, task) -> float:
@@ -405,7 +406,7 @@ def _class_major(w: np.ndarray, rows: np.ndarray, bias: np.ndarray) -> np.ndarra
 
 def _cross_entropy(scores: np.ndarray, at_labels: tuple) -> np.ndarray:
     """Mean cross-entropy of softmax(scores) over the rows, per task;
-    at_labels indexes each row's entry at its label (SplitParts). The
+    at_labels indexes each row's entry at its label (_TaskAxisParts). The
     log-softmax at the labels, as _log_softmax computes it, with the exp
     taken in place, so grading holds one array of the scores' size."""
     stable = scores - scores.max(axis=-1, keepdims=True)
@@ -465,18 +466,19 @@ def _join(like: np.ndarray, *parts: np.ndarray) -> np.ndarray:
     return np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
 
 
-class SplitParts:
-    """What every point of a built-in classifier problem at x on the
-    `split` of `batch` (a TaskBatch, or one TaskDataset) shares, whatever
-    its ys: the split's inputs phi and labels, their one-hot targets, the
-    index of each row's entry at its label, and h, the input of the forward
-    pass (the features phi M^T of the feature softmax, phi itself for the
-    MLP). An inner run builds one per split (split_parts) and passes it to
-    at in place of the batch, so its points build these once."""
+class _TaskAxisParts(SplitParts):
+    """The split parts of a _TaskAxisObjective, for a TaskBatch or one
+    TaskDataset: the split's inputs phi and labels, their one-hot targets,
+    the index of each row's entry at its label, and h, the input of the
+    forward pass (the features phi M^T of the feature softmax, phi itself
+    for the MLP)."""
 
     def __init__(self, problem, x: ParamVector, batch, split: Split):
-        self.x, self.batch, self.split = x, batch, split
-        self.phi, self.labels = _split_data(batch, split)
+        super().__init__(x, batch, split)
+        if split is Split.TRAIN:
+            self.phi, self.labels = batch.train_features, batch.train_labels
+        else:
+            self.phi, self.labels = batch.val_features, batch.val_labels
         self.classes = problem.classes
         self.at_labels = np.indices(self.labels.shape, sparse=True) + (self.labels,)
         self.h = problem._features(x, self.phi)
@@ -486,22 +488,19 @@ class SplitParts:
         # built on first use, as grading cross-entropy scores never reads it
         return (self.labels[..., None] == np.arange(self.classes)).astype(np.float64)
 
-    def __len__(self) -> int:
-        return len(self.batch)
-
 
 class _TaskAxisPoint(Point):
-    """A point of a _TaskAxisObjective at the stack ys with the SplitParts
-    `parts`, whose ys and batch may carry any leading task axes, or none
-    for one task. The forward pass and the residual run when the point is
-    built, and every oracle reads them. A problem's subclass writes each
-    oracle kernel once (grad_y's as _grad_y, run once per point), for its
-    per-task oracles and batch forms alike. grad_x and cross_hvp here are
-    those of a loss that never reads x: zero in every row."""
+    """A point of a _TaskAxisObjective at the stack ys on its parts, whose
+    ys and batch may carry any leading task axes, or none for one task. The
+    forward pass and the residual run when the point is built, and every
+    oracle reads them. A problem's subclass writes each oracle kernel once
+    (grad_y's as _grad_y, run once per point), for its per-task oracles and
+    points alike. grad_x and cross_hvp here are those of a loss that never
+    reads x: zero in every row."""
 
-    def __init__(self, problem, ys, parts: SplitParts):
-        super().__init__(problem, parts.x, ys, parts.batch, parts.split)
-        self.parts, self.phi, self.h, self._g = parts, parts.phi, parts.h, None
+    def __init__(self, problem, ys, parts: _TaskAxisParts):
+        super().__init__(problem, ys, parts)
+        self.phi, self.h, self._g = parts.phi, parts.h, None
         self.scores = self._run()
         self.p, self.delta = self._residual()
 
@@ -531,39 +530,26 @@ class _TaskAxisPoint(Point):
     def grad_x(self):
         return np.zeros(self.ys.shape[:-1] + (self.x.layout.dim,))
 
-    def cross_hvp(self, vs):
+    def _cross_hvp(self, vs):
         return self.grad_x()
 
 
 class _TaskAxisObjective(BilevelObjective):
     """A problem whose points (_point_type) run its kernels on y and v as
-    (..., dim_y) arrays over any leading task axes. Every oracle is a view
-    of a point: a per-task oracle of the point of one task, a batch form of
-    the point of a stack, so each row of a batch answer matches the per-task
-    oracle bit for bit. Training reads every oracle from at, and evaluation
-    reads val_losses_and_scores, one forward pass through _scores and
-    _loss. A subclass that changes an oracle therefore overrides at (and,
-    for value or predict, val_losses_and_scores).
-
-    Both take, in place of the batch, the SplitParts that split_parts built
-    for the same x and split, and share its arrays."""
+    (..., dim_y) arrays over any leading task axes. Every per-task oracle is
+    a view of the point of one task, so each row of a point's answer matches
+    the per-task oracle bit for bit. Training reads every oracle from at,
+    and evaluation reads val_losses_and_scores, one forward pass through
+    _scores and _loss. A subclass that changes an oracle therefore overrides
+    at (and, for value or predict, val_losses_and_scores)."""
 
     _point_type: type[_TaskAxisPoint]
     classes: int
 
-    def split_parts(self, x, batch, split) -> SplitParts:
-        return SplitParts(self, x, batch, split)
+    def split_parts(self, x, batch, split) -> _TaskAxisParts:
+        return _TaskAxisParts(self, x, batch, split)
 
-    def _split_parts(self, x, batch, split) -> SplitParts:
-        """batch itself if split_parts built it, for this x and split."""
-        if not isinstance(batch, SplitParts):
-            return self.split_parts(x, batch, split)
-        if batch.x is not x or batch.split is not split:
-            raise ValueError("split parts were built for another x or split")
-        return batch
-
-    def at(self, x, ys, batch, split):
-        parts = self._split_parts(x, batch, split)
+    def at(self, parts, ys):
         self._check_stack(parts, ys)
         return self._point_type(self, ys, parts)
 
@@ -593,37 +579,19 @@ class _TaskAxisObjective(BilevelObjective):
         """The input of the forward pass: phi itself here."""
         return phi
 
-    def _loss(self, scores: np.ndarray, parts: SplitParts) -> np.ndarray:
+    def _loss(self, scores: np.ndarray, parts: _TaskAxisParts) -> np.ndarray:
         return _cross_entropy(scores, parts.at_labels)
 
-    def _check_stack(self, batch, *stacks: np.ndarray):
-        for ys in stacks:
-            if ys.shape != (len(batch), self.y_layout.dim):
-                raise LayoutMismatch(
-                    f"y stack shape {ys.shape} != ({len(batch)}, {self.y_layout.dim})"
-                )
+    def _check_stack(self, parts, ys: np.ndarray):
+        if ys.shape != (len(parts.batch), self.y_layout.dim):
+            raise LayoutMismatch(
+                f"y stack shape {ys.shape} != ({len(parts.batch)}, {self.y_layout.dim})"
+            )
 
-    def value_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        return self.at(x, ys, batch, split).value()
-
-    def grad_y_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        return self.at(x, ys, batch, split).grad_y()
-
-    def grad_x_batch(self, x, ys: np.ndarray, batch: TaskBatch, split: Split) -> np.ndarray:
-        return self.at(x, ys, batch, split).grad_x()
-
-    def hvp_yy_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
-        self._check_stack(batch, vs)
-        return self.at(x, ys, batch, split).hvp_yy(vs)
-
-    def cross_hvp_batch(self, x, ys, batch: TaskBatch, split: Split, vs) -> np.ndarray:
-        self._check_stack(batch, vs)
-        return self.at(x, ys, batch, split).cross_hvp(vs)
-
-    def val_losses_and_scores(self, x, ys: np.ndarray, batch: TaskBatch):
-        """value_batch on the val split and, for a classifier, the predict
+    def val_losses_and_scores(self, parts, ys):
+        """The val split's point's value and, for a classifier, the predict
         scores on its features, from one forward pass."""
-        parts = self._split_parts(x, batch, Split.VAL)
+        _check_val(parts)
         self._check_stack(parts, ys)
         scores = self._scores(ys, parts.h)
         return self._loss(scores, parts), scores if self.is_classifier else None
@@ -653,14 +621,14 @@ class _SoftmaxPoint(_TaskAxisPoint):
         gm = (self.delta @ self.w).swapaxes(-1, -2) @ self.phi
         return self.problem._feat_gradient(self.x, gm)
 
-    def hvp_yy(self, vs):
+    def _hvp_yy(self, vs):
         _, u = self._head_jvp(vs)
         out = _join(vs, u.swapaxes(-1, -2) @ self.h, u.sum(axis=-2))
         if self.split is Split.TRAIN:
             out += self.problem.reg.hvp(vs)
         return out
 
-    def cross_hvp(self, vs):
+    def _cross_hvp(self, vs):
         vw, u = self._head_jvp(vs)
         gm = (self.delta @ vw + u @ self.w).swapaxes(-1, -2) @ self.phi
         return self.problem._feat_gradient(self.x, gm)
@@ -749,7 +717,7 @@ class _MlpPoint(_TaskAxisPoint):
             out += self.problem.reg.grad(self.ys)
         return out
 
-    def hvp_yy(self, vs):
+    def _hvp_yy(self, vs):
         p, delta, phi, act, w1 = self.p, self.delta, self.phi, self.act, self.w1
         n = delta.shape[-2]
 

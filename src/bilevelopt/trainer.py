@@ -51,6 +51,7 @@ from .hypergrad import (
 from .inner import (
     InnerConfig,
     InnerRule,
+    InnerRun,
     init_task_params_batch,
     required_x_segments,
     run_inner_batch,
@@ -488,11 +489,11 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[Experiment, TrainState]:
 def _adapt(
     exp: Experiment, x: ParamVector, n_tasks: int,
     task_stream: int, init_stream: int, index: int, record: bool = False,
-) -> tuple[TaskBatch, tuple[np.ndarray, ...]]:
+) -> InnerRun:
     """Draw n_tasks y_0s on child `index` of the run's `init_stream` and
     n_tasks tasks on child `index` of its `task_stream` (None tasks for the
     quadratic, which has no data), then run every inner loop against x.
-    Returns the batch and the (tasks, dim_y) stacks kept."""
+    Returns the run, which carries its batch."""
     seed = exp.cfg.run.seed
     # the streams are independent, so the order of the two draws changes no value
     ys = init_task_params_batch(
@@ -503,7 +504,7 @@ def _adapt(
     else:
         spec = replace(exp.episode_spec, batch_size=n_tasks)
         batch = sample_task_batch(exp.source, spec, RngStream(seed, task_stream).child(index))
-    return batch, run_inner_batch(exp.inner_config, exp.problem, x, ys, batch, record)
+    return run_inner_batch(exp.inner_config, exp.problem, x, ys, batch, record)
 
 
 def meta_train(
@@ -525,20 +526,18 @@ def _train_rounds(exp: Experiment, state: TrainState):
     """meta_train one round at a time: yields the state after each round
     with the round's MetricsRecord, so a caller can keep the records of the
     rounds that completed before an error."""
-    cfg, problem = exp.cfg, exp.problem
+    cfg = exp.cfg
     n_batch = cfg.data.batch_size
     for _ in range(cfg.run.meta_iterations):
         start = time.perf_counter()
         it = state.iteration
         x = state.x
         try:
-            batch, kept = _adapt(
+            kept = _adapt(
                 exp, x, n_batch, _TASK_STREAM, _INIT_STREAM, it,
                 record=needs_full_trajectory(exp.method),
             )
-            res = compute_hypergradient_batch(
-                exp.method, problem, exp.paradigm, exp.inner_config, x, kept, batch
-            )
+            res = compute_hypergradient_batch(exp.method, exp.paradigm, exp.inner_config, kept)
             inner_final = kept.at(-1, Split.TRAIN).value()
 
             # task order, one addition at a time, as a loop over tasks would
@@ -582,13 +581,11 @@ def meta_evaluate(
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     r = state.iteration if round_index is None else round_index
-    batch, kept = _adapt(exp, state.x, n_tasks, _EVAL_TASK_STREAM, _EVAL_INIT_STREAM, r)
+    kept = _adapt(exp, state.x, n_tasks, _EVAL_TASK_STREAM, _EVAL_INIT_STREAM, r)
     # the run's val split parts, which BDA's steps built already
-    losses, scores = exp.problem.val_losses_and_scores(
-        state.x, kept[-1], kept.parts(Split.VAL)
-    )
+    losses, scores = exp.problem.val_losses_and_scores(kept.parts(Split.VAL), kept[-1])
     mean_loss = float(np.mean(losses))
     if scores is None:
         return mean_loss, None
-    hits = predicted_classes(scores) == batch.val_labels
+    hits = predicted_classes(scores) == kept.batch.val_labels
     return mean_loss, float(np.mean(np.mean(hits, axis=-1)))

@@ -1,6 +1,6 @@
 """Batched meta-training: every task of a stacked batch gets the numbers of
-its run alone, whether the problem's batch oracles are stacked kernels or
-the per-task loops of BilevelObjective."""
+its run alone, whether the problem's points run stacked kernels or the
+per-task loops of BilevelObjective."""
 
 from collections import Counter
 from dataclasses import replace
@@ -158,7 +158,7 @@ def test_each_row_of_a_batch_matches_its_one_row_run(raw):
     batch, ys0 = _batch_and_ys0(exp, x)
     record = needs_full_trajectory(exp.method)
     kept = run_inner_batch(inner, problem, x, ys0, batch, record=record)
-    res = compute_hypergradient_batch(exp.method, problem, exp.paradigm, inner, x, kept, batch)
+    res = compute_hypergradient_batch(exp.method, exp.paradigm, inner, kept)
     y_final = kept[-1]
     for j, task in enumerate(batch):
         traj = run_inner(
@@ -198,7 +198,7 @@ def test_an_unrecorded_run_of_at_most_one_step_feeds_the_batched_sweeps(name, me
     batch, ys0 = _batch_and_ys0(exp, x)
     kept = run_inner_batch(inner, problem, x, ys0, batch)
     assert len(kept) == steps + 1
-    res = compute_hypergradient_batch(method, problem, exp.paradigm, inner, x, kept, batch)
+    res = compute_hypergradient_batch(method, exp.paradigm, inner, kept)
     solo_sweep = hypergrad_reverse if isinstance(method, Reverse) else hypergrad_truncated
     for j, task in enumerate(batch):
         traj = run_inner(
@@ -226,7 +226,7 @@ def test_an_unrecorded_run_of_two_or_more_steps_cannot_feed_the_batched_sweeps(
     kept = run_inner_batch(inner, problem, x, ys0, batch)
     assert len(kept) == 2
     with pytest.raises(error):
-        compute_hypergradient_batch(method, problem, exp.paradigm, inner, x, kept, batch)
+        compute_hypergradient_batch(method, exp.paradigm, inner, kept)
 
 
 class _Forwarding(BilevelObjective):
@@ -296,7 +296,7 @@ def test_a_wrapped_problem_trains_to_the_same_bytes(raw, wrapper):
 # calls hvp_yy more often than the rows' solves alone would
 @pytest.mark.parametrize("raw", [c for c in _cases() if c.id != "HOAG"])
 def test_a_forwarding_wrapper_sees_the_calls_of_a_per_task_loop(raw):
-    # the batch methods it forwards never stand in for the oracles it overrides
+    # the points it inherits call the per-task oracles it overrides
     raw["run"]["eval_every"] = 100
     exp, state = build_experiment(ExperimentConfig.from_dict(raw))
     batched = replace(exp, problem=_Forwarding(exp.problem))
@@ -314,12 +314,12 @@ def test_a_subclass_that_overrides_at_trains_to_the_same_bytes():
     calls = []
 
     class Counted(MetaFeatureSoftmax):
-        def at(self, x, ys, batch, split):
-            point = super().at(x, ys, batch, split)
+        def at(self, parts, ys):
+            point = super().at(parts, ys)
             grad_y = point.grad_y
 
             def counted():
-                calls.append((split, len(ys)))
+                calls.append((parts.split, len(ys)))
                 return grad_y()
 
             point.grad_y = counted

@@ -301,7 +301,8 @@ def test_an_overflowing_warp_raises_without_a_numpy_warning(softmax_problem, sma
         with pytest.raises(NonFiniteValue, match="inner step under rule warp_grad_diag"):
             run_inner_batch(cfg, softmax_problem, x, ys, small_batch)
         step_map = _step_map(cfg, x, softmax_problem.y_layout)
-        points = step_points(cfg, partial(softmax_problem.at, x, ys, small_batch))
+        parts = partial(softmax_problem.split_parts, x, small_batch)
+        points = step_points(cfg, lambda split: softmax_problem.at(parts(split), ys))
         with pytest.raises(NonFiniteValue, match="transposed products under rule"):
             step_transposed_jvps_batch(cfg, points, np.ones_like(ys), step_map)
 

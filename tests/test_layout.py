@@ -19,7 +19,7 @@ from bilevelopt import (
     make_meta_init_mlp,
     sample_task_batch,
 )
-from bilevelopt.objectives import SplitParts, predicted_classes
+from bilevelopt.objectives import predicted_classes
 
 DIM_IN, DIM_FEAT, HIDDEN = 8, 16, 16
 SPLITS = pytest.mark.parametrize("split", [Split.TRAIN, Split.VAL], ids=lambda s: s.value)
@@ -52,6 +52,15 @@ def _cases():
             yield pytest.param(way, name, id=f"way{way}-{name}")
 
 
+def _at(prob, x, ys, batch, split):
+    """The point at ys on the parts of `split` of the batch."""
+    return prob.at(prob.split_parts(x, batch, split), ys)
+
+
+def _val_losses_and_scores(prob, x, ys, batch):
+    return prob.val_losses_and_scores(prob.split_parts(x, batch, Split.VAL), ys)
+
+
 def _draws(prob, n, seed):
     gen = np.random.default_rng(seed)
     x = ParamVector(prob.x_layout, 0.5 * gen.standard_normal(prob.x_layout.dim))
@@ -65,7 +74,7 @@ def _draws(prob, n, seed):
 def test_every_batch_row_equals_its_per_task_oracle_bit_for_bit(way, name, split):
     prob, batch = _problems(way)[name], _batch(way)
     x, ys, vs = _draws(prob, len(batch), 3)
-    point = prob.at(x, ys, batch, split)
+    point = _at(prob, x, ys, batch, split)
     batched = {
         "value": point.value(), "grad_y": point.grad_y(), "grad_x": point.grad_x(),
         "hvp_yy": point.hvp_yy(vs), "cross_hvp": point.cross_hvp(vs),
@@ -88,7 +97,7 @@ def test_every_batch_row_equals_its_per_task_oracle_bit_for_bit(way, name, split
 def test_val_losses_and_scores_rows_equal_the_per_task_oracles_bit_for_bit(way, name):
     prob, batch = _problems(way)[name], _batch(way)
     x, ys, _ = _draws(prob, len(batch), 4)
-    losses, scores = prob.val_losses_and_scores(x, ys, batch)
+    losses, scores = _val_losses_and_scores(prob, x, ys, batch)
     for j, task in enumerate(batch):
         y = ParamVector(prob.y_layout, ys[j])
         assert losses[j] == prob.value(x, y, task, Split.VAL)
@@ -161,7 +170,7 @@ def _row_major_reference(prob, x, ys, vs, batch, split):
 def test_way_5_numbers_equal_the_row_major_formulas_bit_for_bit(name, split):
     prob, batch = _problems(5)[name], _batch(5)
     x, ys, vs = _draws(prob, len(batch), 6)
-    point = prob.at(x, ys, batch, split)
+    point = _at(prob, x, ys, batch, split)
     z, loss, grad_w, hvp = _row_major_reference(prob, x, ys, vs, batch, split)
     assert point.scores.tobytes() == z.tobytes()
     assert point.value().tobytes() == loss.tobytes()
@@ -170,7 +179,7 @@ def test_way_5_numbers_equal_the_row_major_formulas_bit_for_bit(name, split):
     if hvp is not None:
         assert point.hvp_yy(vs).tobytes() == hvp.tobytes()
     if split is Split.VAL:
-        losses, scores = prob.val_losses_and_scores(x, ys, batch)
+        losses, scores = _val_losses_and_scores(prob, x, ys, batch)
         assert losses.tobytes() == loss.tobytes()
         assert scores.tobytes() == z.tobytes()
 
@@ -179,7 +188,7 @@ def test_way_5_numbers_equal_the_row_major_formulas_bit_for_bit(name, split):
 def test_logits_are_class_major_in_memory(name):
     prob, batch = _problems(5)[name], _batch(5)
     x, ys, vs = _draws(prob, len(batch), 7)
-    point = prob.at(x, ys, batch, Split.VAL)
+    point = _at(prob, x, ys, batch, Split.VAL)
     for logits in (point.scores, point.p):
         assert logits.swapaxes(-1, -2).flags.c_contiguous
     # the residual stays row-major, so its row sums keep their order
@@ -190,21 +199,11 @@ def test_the_points_of_a_split_share_its_parts():
     prob, batch = _problems(5)["softmax"], _batch(5)
     x, ys, _ = _draws(prob, len(batch), 8)
     parts = prob.split_parts(x, batch, Split.VAL)
-    first, second = prob.at(x, ys, parts, Split.VAL), prob.at(x, 2.0 * ys, parts, Split.VAL)
+    first, second = prob.at(parts, ys), prob.at(parts, 2.0 * ys)
     assert first.h is second.h is parts.h
-    assert second.value().tobytes() == prob.at(x, 2.0 * ys, batch, Split.VAL).value().tobytes()
-    losses, _ = prob.val_losses_and_scores(x, ys, parts)
+    assert second.value().tobytes() == _at(prob, x, 2.0 * ys, batch, Split.VAL).value().tobytes()
+    losses, _ = prob.val_losses_and_scores(parts, ys)
     assert losses.tobytes() == first.value().tobytes()
-
-
-def test_parts_are_refused_for_another_x_or_split():
-    prob, batch = _problems(5)["softmax"], _batch(5)
-    x, ys, _ = _draws(prob, len(batch), 9)
-    parts = SplitParts(prob, x, batch, Split.VAL)
-    with pytest.raises(ValueError, match="another x or split"):
-        prob.at(x, ys, parts, Split.TRAIN)
-    with pytest.raises(ValueError, match="another x or split"):
-        prob.at(x.like(x.values.copy()), ys, parts, Split.VAL)
 
 
 # --------------------------------------------------------------------------

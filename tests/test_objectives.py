@@ -1,6 +1,8 @@
 """Loss/gradient/HVP oracles: pinned hand values, finite-difference
 agreement, Hessian symmetry, and split semantics."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -419,12 +421,12 @@ def test_problems_accept_extended_x_but_reject_wrong_y(
 
 
 # --------------------------------------------------------------------------
-# batch methods over a leading task axis
+# points over a leading task axis
 # --------------------------------------------------------------------------
 
 
 def _batch_problems():
-    # the quadratic has no batch methods of its own: BilevelObjective's loops
+    # the quadratic has no point of its own: BilevelObjective's loops
     yield pytest.param(
         make_quadratic([[2.0, -0.7], [0.4, 1.5]], 1.0, [1.0, -0.5]), id="quadratic"
     )
@@ -455,13 +457,14 @@ def test_batch_methods_match_the_per_task_oracles_row_by_row(prob, split, small_
     x = _randvec(prob.x_layout, 70)
     ys, stack = _stacked(prob.y_layout, 71, len(small_batch))
     vs, v_stack = _stacked(prob.y_layout, 81, len(small_batch))
-    values = prob.value_batch(x, stack, small_batch, split)
+    point = prob.at(prob.split_parts(x, small_batch, split), stack)
+    values = point.value()
     assert values.shape == (len(small_batch),)
     batched = {
-        "grad_y": prob.grad_y_batch(x, stack, small_batch, split),
-        "grad_x": prob.grad_x_batch(x, stack, small_batch, split),
-        "hvp_yy": prob.hvp_yy_batch(x, stack, small_batch, split, v_stack),
-        "cross_hvp": prob.cross_hvp_batch(x, stack, small_batch, split, v_stack),
+        "grad_y": point.grad_y(),
+        "grad_x": point.grad_x(),
+        "hvp_yy": point.hvp_yy(v_stack),
+        "cross_hvp": point.cross_hvp(v_stack),
     }
     for j, (y, v, task) in enumerate(zip(ys, vs, small_batch)):
         assert values[j] == pytest.approx(prob.value(x, y, task, split), rel=1e-12, abs=0)
@@ -499,8 +502,9 @@ class _PerTaskOnly(BilevelObjective):
 def test_val_losses_and_scores_match_the_per_task_oracles_row_by_row(prob, loop, small_batch):
     x = _randvec(prob.x_layout, 70)
     ys, stack = _stacked(prob.y_layout, 71, len(small_batch))
-    losses, scores = (_PerTaskOnly(prob) if loop else prob).val_losses_and_scores(
-        x, stack, small_batch
+    problem = _PerTaskOnly(prob) if loop else prob
+    losses, scores = problem.val_losses_and_scores(
+        problem.split_parts(x, small_batch, Split.VAL), stack
     )
     assert losses.shape == (len(small_batch),)
     assert (scores is None) is not prob.is_classifier
@@ -510,22 +514,49 @@ def test_val_losses_and_scores_match_the_per_task_oracles_row_by_row(prob, loop,
             assert _rel_gap(scores[j], prob.predict(x, y, task.val_features)) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["quad2", "softmax_problem", "mlp_problem"])
+def test_val_losses_and_scores_refuse_the_parts_of_the_train_split(name, small_batch, request):
+    prob = request.getfixturevalue(name)
+    x = _randvec(prob.x_layout, 93)
+    _, stack = _stacked(prob.y_layout, 94, len(small_batch))
+    with pytest.raises(ValueError, match="val split"):
+        prob.val_losses_and_scores(prob.split_parts(x, small_batch, Split.TRAIN), stack)
+
+
 def test_a_default_batch_method_rejects_a_row_count_unlike_the_task_count(quad2, small_batch):
     x = _randvec(quad2.x_layout, 90)
     stack = np.zeros((len(small_batch) + 1, quad2.y_layout.dim))
+    parts = quad2.split_parts(x, small_batch, Split.TRAIN)
     with pytest.raises(LengthMismatch):
-        quad2.grad_y_batch(x, stack, small_batch, Split.TRAIN)
+        quad2.at(parts, stack).grad_y()
     with pytest.raises(LengthMismatch):
-        quad2.hvp_yy_batch(x, stack[:1], small_batch, Split.TRAIN, stack[:1])
+        quad2.at(parts, stack[:1]).hvp_yy(stack[:1])
 
 
 def test_batch_methods_reject_a_stack_of_the_wrong_shape(softmax_problem, small_batch):
     x = _randvec(softmax_problem.x_layout, 80)
     stack = np.zeros((len(small_batch) + 1, softmax_problem.y_layout.dim))
+    parts = partial(softmax_problem.split_parts, x, small_batch)
     with pytest.raises(LayoutMismatch):
-        softmax_problem.grad_y_batch(x, stack, small_batch, Split.TRAIN)
+        softmax_problem.at(parts(Split.TRAIN), stack).grad_y()
     with pytest.raises(LayoutMismatch):
-        softmax_problem.value_batch(x, stack[:, 1:], small_batch, Split.VAL)
+        softmax_problem.at(parts(Split.VAL), stack[:, 1:]).value()
+
+
+@pytest.mark.parametrize("oracle", ["hvp_yy", "cross_hvp"])
+@pytest.mark.parametrize("split", [Split.TRAIN, Split.VAL], ids=lambda s: s.value)
+@pytest.mark.parametrize("name", ["quad2", "softmax_problem", "mlp_problem"])
+def test_a_point_rejects_directions_of_another_shape_than_its_stack(
+    name, split, oracle, small_batch, request
+):
+    # one row would broadcast to every task, and an extra column be dropped
+    prob = request.getfixturevalue(name)
+    x = _randvec(prob.x_layout, 91)
+    _, stack = _stacked(prob.y_layout, 92, len(small_batch))
+    point = prob.at(prob.split_parts(x, small_batch, split), stack)
+    for vs in (stack[:1], np.ones((len(stack), prob.y_layout.dim + 1))):
+        with pytest.raises(LayoutMismatch, match="direction stack shape"):
+            getattr(point, oracle)(vs)
 
 
 # --------------------------------------------------------------------------

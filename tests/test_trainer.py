@@ -596,7 +596,8 @@ def test_meta_evaluate_matches_a_per_task_loop(raw):
 
 def test_meta_evaluate_makes_no_per_task_oracle_calls_on_the_classifiers():
     # cost model: both built-in classifier problems evaluate through their
-    # batch methods, so the per-task oracles below record no calls
+    # points and val_losses_and_scores, so the per-task oracles below record
+    # no calls
     for raw in (_maml_raw(), _feature_raw()):
         exp, state = build_experiment(ExperimentConfig.from_dict(raw))
         calls = []
@@ -609,7 +610,7 @@ def test_meta_evaluate_makes_no_per_task_oracle_calls_on_the_classifiers():
             setattr(exp.problem, name, counted)
         meta_evaluate(exp, state, 6)
         assert calls == []
-        # training runs through the batch methods too
+        # training runs through the points too
         meta_train(exp, state)
         assert calls == []
 
