@@ -15,12 +15,12 @@ Each estimator is written once, for a batch of tasks stacked on a leading
 axis (compute_hypergradient_batch); the per-task functions run it on a
 batch of one, so a task's estimate never depends on the rest of its batch.
 Every estimator takes an inner run (inner.InnerRun), the (tasks, dim_y)
-stacks it kept with its problem, x and batch; the two reverse sweeps need
-it recorded (inner.is_recorded), and the others read only its last stack,
-y_T. Each reads the problem's oracles from one point per (iterate, split)
-it visits (InnerRun.at), so the sweeps reuse the points the inner steps
-were taken from, and every CG iteration applies the Hessian of one point
-at y_T.
+stacks it kept with its config, problem, x and batch; the two reverse
+sweeps need it recorded (InnerRun.recorded), and the others read only its
+last stack, y_T. Each reads the problem's oracles from one point per
+(iterate, split) it visits (InnerRun.at), so the sweeps reuse the points
+the inner steps were taken from, and every CG iteration applies the
+Hessian of one point at y_T.
 
 Named compositions of (paradigm, inner rule, estimator) for ten methods from
 the meta-learning literature are exposed through compose_named_method.
@@ -35,7 +35,6 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .data import TaskBatch
 from .errors import (
     IndefiniteCurvature,
     InsufficientIterates,
@@ -44,11 +43,10 @@ from .errors import (
     UnknownMethod,
 )
 from .inner import (
-    InnerConfig,
     InnerRule,
     InnerRun,
     InnerTrajectory,
-    is_recorded,
+    solo_run,
     step_points,
     step_transposed_jvps_batch,
 )
@@ -175,29 +173,24 @@ class HyperGradBatch:
         )
 
 
-def _solo(problem: BilevelObjective, x: ParamVector, task, iterates) -> InnerRun:
-    """One task's kept iterates as the run of a batch of one: (1, dim_y) stacks."""
-    return InnerRun([y.values[None] for y in iterates], problem, x, TaskBatch((task,)))
-
-
 def _reverse_sweep(
-    config: InnerConfig, run: InnerRun, first_step: int, include_init: bool
+    run: InnerRun, first_step: int, include_init: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint recurrence over steps T..first_step of a recorded run, the
     (tasks, dim_y) stacks y_0..y_T, every task at once.
 
     lam starts as the validation gradient at y_T; each visited step t adds
     the x-coupling term and pulls lam back through the step Jacobian, at the
-    points step t was taken from, under the run's one step map. When
+    points step t was taken from, under the run's step map. When
     include_init is set (meta-init paradigm, sweep reaching y_0), what is
     left of lam is exactly the gradient through the initialization.
     """
+    config = run.config
     final = run.at(-1, Split.VAL)
     ul, lam, g = final.value(), final.grad_y(), final.grad_x()
-    step_map = run.step_map(config) if config.steps >= first_step else None
     for t in range(config.steps, first_step - 1, -1):
         points = step_points(config, partial(run.at, t - 1))
-        a_t, b_t = step_transposed_jvps_batch(config, points, lam, step_map)
+        a_t, b_t = step_transposed_jvps_batch(config, points, lam, run.step_map)
         g = g + b_t
         lam = a_t
     if include_init:
@@ -205,29 +198,27 @@ def _reverse_sweep(
     return g, ul
 
 
-def _reverse(paradigm, config, run) -> HyperGradBatch:
-    if not is_recorded(config, run):
+def _reverse(paradigm, run) -> HyperGradBatch:
+    if not run.recorded:
         raise TrajectoryNotRecorded(
             "reverse hypergradient needs the full trajectory; rerun with record=True"
         )
-    g, ul = _reverse_sweep(
-        config, run, first_step=1, include_init=paradigm is Paradigm.META_INIT
-    )
+    g, ul = _reverse_sweep(run, first_step=1, include_init=paradigm is Paradigm.META_INIT)
     return HyperGradBatch(grad_x=g, ul_value=ul)
 
 
-def _truncated(paradigm, config, run, k) -> HyperGradBatch:
-    t_total = config.steps
+def _truncated(paradigm, run, k) -> HyperGradBatch:
+    t_total = run.config.steps
     if k is None:
         k = max(1, math.ceil(t_total / 2))
     if t_total < 1 or not 1 <= k <= t_total:
         raise InsufficientIterates(f"truncation k={k} outside 1..{t_total}")
-    if not is_recorded(config, run):
+    if not run.recorded:
         raise InsufficientIterates(
             "truncated reverse needs recorded iterates; rerun with record=True"
         )
     g, ul = _reverse_sweep(
-        config, run,
+        run,
         first_step=t_total - k + 1,
         include_init=(paradigm is Paradigm.META_INIT and k == t_total),
     )
@@ -306,7 +297,7 @@ def hypergrad_reverse(
     """Exact meta-gradient for the realized trajectory by backpropagating
     through every inner step (and through the initialization under the
     meta-init paradigm)."""
-    res = _reverse(paradigm, traj.config, _solo(problem, x, task, traj.iterates))
+    res = _reverse(paradigm, solo_run(traj.config, problem, x, task, traj.iterates))
     return res.row(0, x.layout)
 
 
@@ -324,7 +315,7 @@ def hypergrad_truncated(
     through the initialization is cut, so under meta-init only the step
     couplings survive.
     """
-    res = _truncated(paradigm, traj.config, _solo(problem, x, task, traj.iterates), k)
+    res = _truncated(paradigm, solo_run(traj.config, problem, x, task, traj.iterates), k)
     return res.row(0, x.layout)
 
 
@@ -345,7 +336,7 @@ def hypergrad_implicit(
     (prox/2)*||y - x["init"]||^2 supplies the missing dependence; prox = 0
     there degenerates to a zero init gradient.
     """
-    res = _implicit(paradigm, _solo(problem, x, task, (y_final,)), cfg)
+    res = _implicit(paradigm, solo_run(None, problem, x, task, (y_final,)), cfg)
     return res.row(0, x.layout)
 
 
@@ -357,7 +348,7 @@ def hypergrad_first_order(
     task,
 ) -> HyperGradResult:
     """Curvature-free estimate: y_final is treated as a constant."""
-    res = _first_order(paradigm, _solo(problem, x, task, (y_final,)))
+    res = _first_order(paradigm, solo_run(None, problem, x, task, (y_final,)))
     return res.row(0, x.layout)
 
 
@@ -377,7 +368,7 @@ def hypergrad_darts(
     delta controls absolute perturbation size. Cost is two gradient
     evaluations regardless of dimension.
     """
-    res = _darts(paradigm, _solo(problem, x, task, (y_final,)), Darts(delta), step_size)
+    res = _darts(paradigm, solo_run(None, problem, x, task, (y_final,)), Darts(delta), step_size)
     return res.row(0, x.layout)
 
 
@@ -395,29 +386,29 @@ def compute_hypergradient(
 ) -> HyperGradResult:
     """Dispatch on the method type; trajectory-free estimators read only the
     final iterate (and the step size, for the darts estimator)."""
-    run = _solo(problem, x, task, traj.iterates)
-    return compute_hypergradient_batch(method, paradigm, traj.config, run).row(0, x.layout)
+    run = solo_run(traj.config, problem, x, task, traj.iterates)
+    return compute_hypergradient_batch(method, paradigm, run).row(0, x.layout)
 
 
 def compute_hypergradient_batch(
-    method: HyperGradMethod, paradigm: Paradigm, config: InnerConfig, run: InnerRun
+    method: HyperGradMethod, paradigm: Paradigm, run: InnerRun
 ) -> HyperGradBatch:
     """compute_hypergradient for every task of the run's batch at once.
 
-    run is the InnerRun that run_inner_batch returned under `config`, whose
-    points the estimators read; the reverse sweeps need it recorded, and
-    the other estimators read only its last stack, y_T.
+    run is the InnerRun that run_inner_batch returned, whose points the
+    estimators read; the reverse sweeps need it recorded, and the other
+    estimators read only its last stack, y_T.
     """
     if isinstance(method, Reverse):
-        return _reverse(paradigm, config, run)
+        return _reverse(paradigm, run)
     if isinstance(method, TruncatedReverse):
-        return _truncated(paradigm, config, run, method.k)
+        return _truncated(paradigm, run, method.k)
     if isinstance(method, Implicit):
         return _implicit(paradigm, run, method)
     if isinstance(method, FirstOrder):
         return _first_order(paradigm, run)
     if isinstance(method, Darts):
-        return _darts(paradigm, run, method, config.step_size)
+        return _darts(paradigm, run, method, run.config.step_size)
     raise TypeError(f"unknown hypergradient method {method!r}")
 
 

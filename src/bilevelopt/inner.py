@@ -18,21 +18,21 @@ The steps and their transposed products are written once, on (tasks, dim_y)
 stacks of y with one row per task; the per-task functions run them on a
 batch of one. Both read the problem's oracles from its points,
 problem.at(parts, ys), one per split the rule reads, where parts is what
-the points on that split share whatever y (split_parts), built once per
-run and split. A run keeps either every iterate y_0..y_T or only y_0 and
-y_T; it is recorded when it kept all T + 1 (is_recorded), as the reverse
-sweeps need, which a run of at most one step always is. A recorded run
-also keeps the points its steps were taken from, so the reverse sweeps
-reuse their forward passes (InnerRun); a built-in point answers grad_y
-once. A run builds its rule's step map (scale, factor d(x) and pullback)
-once, and the sweep over it reuses it.
+the points on that split share whatever y (split_parts). An inner run
+(InnerRun) carries its config, problem, x and batch, and builds each
+split's parts and its rule's step map (scale, factor d(x) and pullback) at
+most once. It keeps either every iterate y_0..y_T or only y_0 and y_T; it
+is recorded when it kept all T + 1, as the reverse sweeps need, which a
+run of at most one step always is. A recorded run also keeps the points
+its steps were taken from, so the reverse sweeps reuse their forward
+passes and its step map; a built-in point answers grad_y once.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -46,12 +46,12 @@ __all__ = [
     "InnerConfig",
     "InnerTrajectory",
     "InnerRun",
-    "is_recorded",
     "init_task_params",
     "init_task_params_batch",
     "inner_step",
     "run_inner",
     "run_inner_batch",
+    "solo_run",
     "step_transposed_jvps",
     "step_transposed_jvps_batch",
     "step_points",
@@ -109,22 +109,17 @@ class InnerConfig:
             raise ValueError("bda_alpha must be in [0, 1]")
 
 
-def is_recorded(config: InnerConfig, kept) -> bool:
-    """Whether the iterates kept by a run under config are all of y_0..y_T."""
-    return len(kept) == config.steps + 1
-
-
 @dataclass(frozen=True)
 class InnerTrajectory:
-    """Iterates of one inner run: y_0..y_T when recorded (is_recorded),
-    otherwise only y_0 and y_T, which the reverse sweeps cannot run on."""
+    """Iterates of one inner run: y_0..y_T when recorded, otherwise only
+    y_0 and y_T, which the reverse sweeps cannot run on."""
 
     iterates: tuple[ParamVector, ...]
     config: InnerConfig
 
     @property
     def recorded(self) -> bool:
-        return is_recorded(self.config, self.iterates)
+        return len(self.iterates) == self.steps + 1
 
     @property
     def steps(self) -> int:
@@ -146,56 +141,63 @@ class InnerTrajectory:
         raise IndexError(f"iterate {t} was not recorded")
 
 
-class _SharedParts(dict):
-    """problem.split_parts at x of each split of `batch`, built on first
-    use: what the points of one run on a split share."""
+class InnerRun:
+    """One inner run of `problem` at x on `batch` under `config`: the
+    (tasks, dim_y) stacks it kept, run[0]..run[-1], y_0..y_T when recorded,
+    otherwise y_0 and y_T. at(t, split) is the problem's point at stack t,
+    built at most once; a recorded run holds the points its steps were
+    taken from. All its points on a split share one parts(split), and all
+    its steps one step_map, each built at most once."""
 
-    def __init__(self, problem: BilevelObjective, x: ParamVector, batch):
-        super().__init__()
-        self.problem, self.x, self.batch = problem, x, batch
-
-    def __missing__(self, split: Split):
-        parts = self[split] = self.problem.split_parts(self.x, self.batch, split)
-        return parts
-
-    def at(self, ys: np.ndarray, split: Split) -> Point:
-        """The problem's point at the stack ys on `split`."""
-        return self.problem.at(self[split], ys)
-
-
-class InnerRun(tuple):
-    """The (tasks, dim_y) stacks an inner run of `problem` at x on `batch`
-    kept, as a tuple: y_0..y_T when recorded (is_recorded), otherwise y_0
-    and y_T. at(t, split) is the problem's point at stack t, built at most
-    once; a recorded run holds the points its steps were taken from. All
-    its points on a split share one parts(split), and all its steps under a
-    config one step_map(config)."""
-
-    def __new__(
-        cls, stacks, problem: BilevelObjective, x: ParamVector, batch, points=(), shared=None,
-        maps=(),
+    def __init__(
+        self, config: InnerConfig, problem: BilevelObjective, x: ParamVector, batch, stacks
     ):
-        run = super().__new__(cls, stacks)
-        run.problem, run.x, run.batch = problem, x, batch
-        run._points, run._maps = dict(points), dict(maps)
-        run._shared = _SharedParts(problem, x, batch) if shared is None else shared
-        return run
+        self.config, self.problem, self.x, self.batch = config, problem, x, batch
+        self.stacks = list(stacks)
+        self._parts, self._points = {}, {}
 
-    def step_map(self, config: InnerConfig):
-        """The step map of config at x (_step_map), built at most once."""
-        if self._maps.get(config) is None:
-            self._maps[config] = _step_map(config, self.x, self.problem.y_layout)
-        return self._maps[config]
+    def __len__(self) -> int:
+        return len(self.stacks)
+
+    def __getitem__(self, t):
+        return self.stacks[t]
+
+    @property
+    def recorded(self) -> bool:
+        """Whether the run kept all of y_0..y_T."""
+        return len(self.stacks) == self.config.steps + 1
+
+    @cached_property
+    def step_map(self):
+        """The step map of the run's config at x (_step_map)."""
+        return _step_map(self.config, self.x, self.problem.y_layout)
 
     def parts(self, split: Split):
-        """problem.split_parts at x on `split` of the batch, built at most once."""
-        return self._shared[split]
+        """problem.split_parts at x on `split` of the batch."""
+        if split not in self._parts:
+            self._parts[split] = self.problem.split_parts(self.x, self.batch, split)
+        return self._parts[split]
+
+    def point(self, ys: np.ndarray, split: Split) -> Point:
+        """The problem's point at the stack ys on `split`, which the run does not keep."""
+        return self.problem.at(self.parts(split), ys)
 
     def at(self, t: int, split: Split) -> Point:
-        key = (t % len(self), split)
+        n = len(self.stacks)
+        if not -n <= t < n:
+            raise IndexError(f"stack {t} outside the run's {n}")
+        key = (t % n, split)
         if key not in self._points:
-            self._points[key] = self._shared.at(self[t], split)
+            self._points[key] = self.point(self.stacks[t], split)
         return self._points[key]
+
+
+def solo_run(
+    config: InnerConfig | None, problem: BilevelObjective, x: ParamVector, task, iterates
+) -> InnerRun:
+    """One task's iterates as the run of a batch of one, on (1, dim_y)
+    stacks. config is None for the estimators that read only y_T."""
+    return InnerRun(config, problem, x, TaskBatch((task,)), [y.values[None] for y in iterates])
 
 
 def required_x_segments(rule: InnerRule, y_layout: Layout) -> tuple[tuple[str, int], ...]:
@@ -307,7 +309,7 @@ def step_points(config: InnerConfig, at) -> tuple[Point, ...]:
     return (at(Split.TRAIN),)
 
 
-def _step(config: InnerConfig, points: tuple[Point, ...], step_map) -> np.ndarray:
+def _step(config: InnerConfig, step_map, points: tuple[Point, ...]) -> np.ndarray:
     """One step of config.rule under step_map on every row of the points' stack."""
     ys = points[0].ys
     g = _mix(config, points, lambda point: point.grad_y())
@@ -324,11 +326,6 @@ def _step(config: InnerConfig, points: tuple[Point, ...], step_map) -> np.ndarra
     return y_next
 
 
-def _solo_at(problem: BilevelObjective, x: ParamVector, y: ParamVector, task):
-    """at(split), the point at y of one task as a batch of one."""
-    return partial(_SharedParts(problem, x, TaskBatch((task,))).at, y.values[None])
-
-
 def inner_step(
     rule: InnerRule,
     config: InnerConfig,
@@ -338,8 +335,8 @@ def inner_step(
     task,
 ) -> ParamVector:
     config = _with_rule(config, rule)
-    points = step_points(config, _solo_at(problem, x, y_prev, task))
-    return y_prev.like(_step(config, points, _step_map(config, x, problem.y_layout))[0])
+    run = solo_run(config, problem, x, task, (y_prev,))
+    return y_prev.like(_step(config, run.step_map, step_points(config, partial(run.at, 0)))[0])
 
 
 def run_inner(
@@ -352,9 +349,9 @@ def run_inner(
     record: bool = True,
 ) -> InnerTrajectory:
     config = _with_rule(config, rule)
-    kept = run_inner_batch(config, problem, x, y_0.values[None], TaskBatch((task,)), record)
+    run = run_inner_batch(config, problem, x, y_0.values[None], TaskBatch((task,)), record)
     return InnerTrajectory(
-        iterates=(y_0,) + tuple(y_0.like(ys[0]) for ys in kept[1:]), config=config
+        iterates=(y_0,) + tuple(y_0.like(ys[0]) for ys in run[1:]), config=config
     )
 
 
@@ -369,26 +366,18 @@ def run_inner_batch(
     """The inner runs of every task of `batch` at once under config.rule,
     from the rows of the (tasks, dim_y) stack ys.
 
-    Returns the (tasks, dim_y) stacks it kept: y_0..y_T with record, else
-    y_0 and (after any step) y_T. Either way the last one is y_T. With
-    record it keeps the points of each step too. Its points on a split
-    share one problem.split_parts, and its steps one step map, which the
-    returned run lends on.
+    Returns the run, which keeps y_0..y_T with record, else y_0 and (after
+    any step) y_T; either way its last stack is y_T. With record it keeps
+    the points of each step too.
     """
-    shared = _SharedParts(problem, x, batch)
-    step_map = _step_map(config, x, problem.y_layout) if config.steps else None
-    kept, kept_points = [ys], {}
+    run = InnerRun(config, problem, x, batch, [ys])
     for t in range(config.steps):
-        at = partial(shared.at, ys)
-        if record:
-            points = step_points(config, at)
-            kept_points.update(zip(((t, Split.TRAIN), (t, Split.VAL)), points))
-            ys = _step(config, points, step_map)
-        else:
-            ys = _step(config, step_points(config, at), step_map)
+        # an unrecorded run's points live for their step alone
+        at = partial(run.at, t) if record else partial(run.point, ys)
+        ys = _step(config, run.step_map, step_points(config, at))
         if record or t + 1 == config.steps:
-            kept.append(ys)
-    return InnerRun(kept, problem, x, batch, kept_points, shared, {config: step_map})
+            run.stacks.append(ys)
+    return run
 
 
 def step_transposed_jvps(
@@ -408,22 +397,22 @@ def step_transposed_jvps(
     meta-gradient.
     """
     config = _with_rule(config, rule)
-    points = step_points(config, _solo_at(problem, x, y_prev, task))
-    a_t, b_t = step_transposed_jvps_batch(config, points, v.values[None])
+    run = solo_run(config, problem, x, task, (y_prev,))
+    points = step_points(config, partial(run.at, 0))
+    a_t, b_t = step_transposed_jvps_batch(config, points, v.values[None], run.step_map)
     return v.like(a_t[0]), x.like(b_t[0])
 
 
 def step_transposed_jvps_batch(
-    config: InnerConfig, points: tuple[Point, ...], vs: np.ndarray, step_map=None
+    config: InnerConfig, points: tuple[Point, ...], vs: np.ndarray, step_map
 ) -> tuple[np.ndarray, np.ndarray]:
     """step_transposed_jvps for every task of a batch at once, under
-    config.rule, at the points of one stack (step_points) and the rows of
-    the (tasks, dim_y) stack vs; returns the (tasks, dim_y) and
-    (tasks, dim_x) stacks. step_map is the rule's map at the points' x
-    (InnerRun.step_map), built here when None."""
+    config.rule and its step map at the points' x (InnerRun.step_map), at
+    the points of one stack (step_points) and the rows of the (tasks,
+    dim_y) stack vs; returns the (tasks, dim_y) and (tasks, dim_x) stacks."""
     train = points[0]
     x = train.x
-    scale, d, name, pullback = step_map or _step_map(config, x, train.problem.y_layout)
+    scale, d, name, pullback = step_map
     # an overflow here leaves a non-finite product, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         w = vs if d is None else d * vs

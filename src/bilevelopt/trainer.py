@@ -533,12 +533,12 @@ def _train_rounds(exp: Experiment, state: TrainState):
         it = state.iteration
         x = state.x
         try:
-            kept = _adapt(
+            run = _adapt(
                 exp, x, n_batch, _TASK_STREAM, _INIT_STREAM, it,
                 record=needs_full_trajectory(exp.method),
             )
-            res = compute_hypergradient_batch(exp.method, exp.paradigm, exp.inner_config, kept)
-            inner_final = kept.at(-1, Split.TRAIN).value()
+            res = compute_hypergradient_batch(exp.method, exp.paradigm, run)
+            inner_final = run.at(-1, Split.TRAIN).value()
 
             # task order, one addition at a time, as a loop over tasks would
             g_total = res.grad_x[0]
@@ -581,11 +581,11 @@ def meta_evaluate(
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     r = state.iteration if round_index is None else round_index
-    kept = _adapt(exp, state.x, n_tasks, _EVAL_TASK_STREAM, _EVAL_INIT_STREAM, r)
+    run = _adapt(exp, state.x, n_tasks, _EVAL_TASK_STREAM, _EVAL_INIT_STREAM, r)
     # the run's val split parts, which BDA's steps built already
-    losses, scores = exp.problem.val_losses_and_scores(kept.parts(Split.VAL), kept[-1])
+    losses, scores = exp.problem.val_losses_and_scores(run.parts(Split.VAL), run[-1])
     mean_loss = float(np.mean(losses))
     if scores is None:
         return mean_loss, None
-    hits = predicted_classes(scores) == kept.batch.val_labels
+    hits = predicted_classes(scores) == run.batch.val_labels
     return mean_loss, float(np.mean(np.mean(hits, axis=-1)))

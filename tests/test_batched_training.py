@@ -2,6 +2,7 @@
 its run alone, whether the problem's points run stacked kernels or the
 per-task loops of BilevelObjective."""
 
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -158,7 +159,7 @@ def test_each_row_of_a_batch_matches_its_one_row_run(raw):
     batch, ys0 = _batch_and_ys0(exp, x)
     record = needs_full_trajectory(exp.method)
     kept = run_inner_batch(inner, problem, x, ys0, batch, record=record)
-    res = compute_hypergradient_batch(exp.method, exp.paradigm, inner, kept)
+    res = compute_hypergradient_batch(exp.method, exp.paradigm, kept)
     y_final = kept[-1]
     for j, task in enumerate(batch):
         traj = run_inner(
@@ -198,7 +199,7 @@ def test_an_unrecorded_run_of_at_most_one_step_feeds_the_batched_sweeps(name, me
     batch, ys0 = _batch_and_ys0(exp, x)
     kept = run_inner_batch(inner, problem, x, ys0, batch)
     assert len(kept) == steps + 1
-    res = compute_hypergradient_batch(method, exp.paradigm, inner, kept)
+    res = compute_hypergradient_batch(method, exp.paradigm, kept)
     solo_sweep = hypergrad_reverse if isinstance(method, Reverse) else hypergrad_truncated
     for j, task in enumerate(batch):
         traj = run_inner(
@@ -226,7 +227,7 @@ def test_an_unrecorded_run_of_two_or_more_steps_cannot_feed_the_batched_sweeps(
     kept = run_inner_batch(inner, problem, x, ys0, batch)
     assert len(kept) == 2
     with pytest.raises(error):
-        compute_hypergradient_batch(method, exp.paradigm, inner, kept)
+        compute_hypergradient_batch(method, exp.paradigm, kept)
 
 
 class _Forwarding(BilevelObjective):
@@ -405,18 +406,67 @@ def test_every_softmax_preset_has_a_feature_map_count():
     assert meta_feature == set(_FEATURE_MAPS)
 
 
-def test_a_recorded_bda_run_shares_one_feature_map_per_split():
-    exp, state = build_experiment(ExperimentConfig.from_dict(_raw("BDA")))
+def _reference_batch(name):
+    """An experiment of the named preset with the x, y_0 stack and task
+    batch of a reference-shape round."""
+    exp, state = build_experiment(ExperimentConfig.from_dict(_raw(name)))
     n = DATA["batch_size"]
     batch = sample_task_batch(exp.source, exp.episode_spec, RngStream(3, _TASK_STREAM))
     ys = init_task_params_batch(exp.paradigm, exp.problem, state.x, RngStream(3, _INIT_STREAM), n)
-    kept = run_inner_batch(exp.inner_config, exp.problem, state.x, ys, batch, record=True)
+    return exp, state.x, ys, batch
+
+
+def test_a_recorded_bda_run_shares_one_feature_map_per_split():
+    exp, x, ys, batch = _reference_batch("BDA")
+    n = DATA["batch_size"]
+    kept = run_inner_batch(exp.inner_config, exp.problem, x, ys, batch, record=True)
     steps = exp.inner_config.steps
     for split in Split:
         h = kept.parts(split).h
         assert h.shape[0] == n
         # the points the steps were taken from, and the ones at y_T
         assert all(kept.at(t, split).h is h for t in range(steps + 1))
+
+
+def test_a_run_refuses_a_stack_outside_its_own_whatever_it_has_cached():
+    exp, x, ys, batch = _reference_batch("RHG")
+    run = run_inner_batch(exp.inner_config, exp.problem, x, ys, batch, record=True)
+    n = len(run)
+    assert n == 6
+    outside = (n, n + 3, -n - 1)
+
+    def refused():
+        for split in Split:
+            for t in outside:
+                with pytest.raises(IndexError):
+                    run.at(t, split)
+
+    refused()
+    for split in Split:
+        for t in (0, -1, -n):
+            assert run.at(t, split) is run.at(t % n, split)
+    refused()
+
+
+@pytest.mark.parametrize(
+    "name, alive", [("RHG", [0] * 5), ("BDA", [0, 1] * 5)], ids=["RHG", "BDA"]
+)
+def test_an_unrecorded_run_keeps_no_point_past_its_step(monkeypatch, name, alive):
+    # the working set evaluation is tuned to: a step's points die in the step
+    exp, x, ys, batch = _reference_batch(name)
+    refs, alive_at_build = [], []
+
+    def watched(parts, ys, at=exp.problem.at):
+        alive_at_build.append(sum(ref() is not None for ref in refs))
+        point = at(parts, ys)
+        refs.append(weakref.ref(point))
+        return point
+
+    monkeypatch.setattr(exp.problem, "at", watched)
+    run = run_inner_batch(exp.inner_config, exp.problem, x, ys, batch, record=False)
+    assert alive_at_build == alive
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert len(run) == 2
 
 
 def test_the_quadratic_trains_and_evaluates_through_its_per_task_oracles():

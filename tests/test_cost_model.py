@@ -244,8 +244,12 @@ def test_counts_equal_the_checked_in_table(monkeypatch, name, batch_size):
 
 
 @pytest.mark.parametrize("name", ["RHG", "BDA", "MAML", "MT-net", "Meta-SGD", "WarpGrad"])
-def test_a_sweep_on_a_run_without_a_step_map_builds_it_once(monkeypatch, name):
-    # the per-task path: the sweep gets the run's iterates, not its map
+def test_run_inner_and_the_solo_run_of_compute_hypergradient_each_build_one_step_map(
+    monkeypatch, name
+):
+    # the per-task path: run_inner's run builds the map its steps share;
+    # compute_hypergradient gets the trajectory's iterates, not that run, so
+    # the solo run it makes builds one more, which its whole sweep shares
     exp, state = _preset(name)
     task = sample_task_batch(exp.source, exp.episode_spec, RngStream(1, 2)).tasks[0]
     y_0 = init_task_params(exp.paradigm, exp.problem, state.x, RngStream(1, 3))
