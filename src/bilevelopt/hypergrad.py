@@ -192,7 +192,10 @@ def _reverse_sweep(
         points = step_points(config, partial(run.at, t - 1))
         a_t, b_t = step_transposed_jvps_batch(config, points, lam, run.step_map)
         g = g + b_t
+        # lam is the sweep's own and never changes, so a point may reuse in
+        # cross_hvp what its hvp_yy computed from it
         lam = a_t
+        lam.setflags(write=False)
     if include_init:
         g = segment_add(g, run.x.layout, "init", lam)
     return g, ul

@@ -308,12 +308,12 @@ def conjugate_gradient_batch(
 
     Every row keeps its own step sizes, stopping test and restart from its
     true residual, so its solution, iteration count and residual are those
-    of its solve alone.
-    The map is applied to the whole stack, finished rows included, and every
-    update runs on the whole stack too: finished rows step by zero. Returns
-    (q, iters, residual, converged), one entry per row. Raises what the
-    first row, in row order, to fail would raise alone, at the iteration
-    where it would.
+    of its solve alone. The map is applied to the whole stack, where a
+    finished row keeps its last direction, but each pass updates only the
+    rows still live. Returns (q, iters, residual, converged), one entry per
+    row. Raises what the first row, in row order, to fail would raise alone,
+    at the iteration where it would; a row of b that is not finite, or whose
+    norm overflows, raises NonFiniteValue at the first iteration.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -322,54 +322,59 @@ def conjugate_gradient_batch(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    # fmax and the negated test keep a NaN row live, so it raises below
-    bound = tol * np.fmax(1.0, np.sqrt(row_dots(b, b)))
-    q = np.zeros_like(b)
-    r = b.copy()
-    p = b.copy()
-    rs = row_dots(r, r)
+    rs = row_dots(b, b)
     residual = np.sqrt(rs)
-    live = ~(residual <= bound)  # rows still iterating; they share the count
+    bound = tol * np.fmax(1.0, residual)
+    # rows still iterating, in row order; they share the count. A row whose
+    # residual is NaN or inf stays live, so it raises below
+    live = np.flatnonzero(~((residual <= bound) & (residual < np.inf)))
+    rows = slice(None) if len(live) == len(b) else live  # p's and q's live rows
+    q, p = np.zeros_like(b), b.copy()
+    r, rs, bound_live = b[live], rs[live], bound[live]
+    rs_max = rs.max(initial=0.0)  # of the live rows' <r, r>, NaN if one is
     iters = np.zeros(len(b), dtype=int)
     count = 0
-    while live.any() and count < max_iter:
+    while len(live) and count < max_iter:
         ap = apply(p)
-        pap = row_dots(p, ap)
-        failed = live & ~(np.isfinite(pap) & np.isfinite(rs) & (pap > 0.0))
-        if failed.any():
-            j = int(np.argmax(failed))
+        p_live, ap = p[rows], ap[rows]
+        pap = row_dots(p_live, ap)
+        # a NaN fails every comparison, so three reductions screen the pass;
+        # only a pass that fails them looks for its first failing row
+        if not (rs_max < np.inf and 0.0 < pap.min() and pap.max() < np.inf):
+            j = int(np.argmax(~(np.isfinite(pap) & np.isfinite(rs) & (pap > 0.0))))
             if not (np.isfinite(pap[j]) and np.isfinite(rs[j])):
                 raise NonFiniteValue("non-finite inner product in CG")
-            raise IndefiniteCurvature(
-                f"<p, Ap> = {pap[j]:.3e} <= 0: map is not positive definite"
-            )
-        # finished rows step by zero, so a live row's arithmetic is its own
-        alpha = np.divide(rs, pap, out=np.zeros_like(rs), where=live)[:, None]
-        q += alpha * p
+            raise IndefiniteCurvature(f"<p, Ap> = {pap[j]:.3e} <= 0: map is not positive definite")
+        alpha = (rs / pap)[:, None]
+        q[rows] += alpha * p_live
         r -= alpha * ap
         count += 1
 
         rs_new = row_dots(r, r)
-        if not np.isfinite(rs_new[live]).all():
+        rs_max = rs_new.max()
+        if not rs_max < np.inf:
             raise NonFiniteValue("non-finite residual in CG")
-        small = live & (np.sqrt(rs_new) <= bound)
-        if small.any():
-            true_r = b - apply(q)
-            true_norm = np.sqrt(row_dots(true_r, true_r))
-            done = small & (true_norm <= bound)
-            iters[done], residual[done] = count, true_norm[done]
-            live &= ~done
-            # the recursive residual was optimistic: restart from the true one
-            restart = small & ~done
-            r[restart] = true_r[restart]
-            p[restart] = true_r[restart]
-            rs[restart] = row_dots(r[restart], r[restart])
-        onward = live & ~small
-        beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=onward)[:, None]
-        p = np.where(onward[:, None], r + beta * p, p)
-        rs = np.where(onward, rs_new, rs)
+        small = np.sqrt(rs_new) <= bound_live
+        if not small.any():
+            p[rows] = r + (rs_new / rs)[:, None] * p_live
+            rs = rs_new
+            continue
+        true_r = b - apply(q)
+        true_norm = np.sqrt(row_dots(true_r, true_r))[live]
+        done = small & (true_norm <= bound_live)
+        iters[live[done]], residual[live[done]] = count, true_norm[done]
+        onward = ~small
+        p[live[onward]] = r[onward] + (rs_new / rs)[onward, None] * p_live[onward]
+        # the recursive residual was optimistic: restart from the true one
+        restart = small & ~done
+        r[restart] = p[live[restart]] = true_r[live[restart]]
+        rs = rs_new
+        rs[restart] = row_dots(r[restart], r[restart])
+        keep = ~done
+        live, r, rs, bound_live = live[keep], r[keep], rs[keep], bound_live[keep]
+        rows, rs_max = live, rs.max(initial=0.0)
 
-    if live.any():
+    if len(live):
         tail = b - apply(q)
         iters[live], residual[live] = count, np.sqrt(row_dots(tail, tail))[live]
     return q, iters, residual, residual <= bound

@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import TaskBatch
 from .errors import LayoutMismatch, LengthMismatch, NonFiniteValue
-from .numerics import Layout, ParamVector, segment_rows
+from .numerics import Layout, ParamVector
 
 __all__ = [
     "Split",
@@ -599,7 +599,12 @@ class _TaskAxisObjective(BilevelObjective):
 
 class _SoftmaxPoint(_TaskAxisPoint):
     """MetaFeatureSoftmax at a point: the shared features h = phi M^T, head
-    W, logits."""
+    W, logits. hvp_yy keeps the head R-op of its last direction if that
+    cannot change under it, a read-only array that owns its memory, and
+    cross_hvp of that same array reads it; either way, cross_hvp leaves the
+    point without one."""
+
+    _kept = None
 
     def _run(self):
         self.w, logits = self.problem._logits(self.ys, self.h)
@@ -607,31 +612,30 @@ class _SoftmaxPoint(_TaskAxisPoint):
 
     def _head_jvp(self, v):
         """Head direction Vw and the softmax-Jacobian product u, over n."""
-        vw, vb = _unpack(v, self.problem._y_parts)
+        vw, vb = self.problem._head(v)
         return vw, _softmax_jvp(self.p, _class_major(vw, self.h, vb)) / self.h.shape[-2]
 
     def _grad_y(self):
-        delta = self.delta
-        out = _join(self.ys, delta.swapaxes(-1, -2) @ self.h, delta.sum(axis=-2))
+        out = self.problem._head_gradient(self.delta, self.h)
         if self.split is Split.TRAIN:
             out += self.problem.reg.grad(self.ys)
         return out
 
     def grad_x(self):
-        gm = (self.delta @ self.w).swapaxes(-1, -2) @ self.phi
-        return self.problem._feat_gradient(self.x, gm)
+        return self.problem._feat_gradient(self.x, self.delta @ self.w, self.phi)
 
     def _hvp_yy(self, vs):
-        _, u = self._head_jvp(vs)
-        out = _join(vs, u.swapaxes(-1, -2) @ self.h, u.sum(axis=-2))
+        vw, u = self._head_jvp(vs)
+        self._kept = (vs, vw, u) if vs.flags.owndata and not vs.flags.writeable else None
+        out = self.problem._head_gradient(u, self.h)
         if self.split is Split.TRAIN:
             out += self.problem.reg.hvp(vs)
         return out
 
     def _cross_hvp(self, vs):
-        vw, u = self._head_jvp(vs)
-        gm = (self.delta @ vw + u @ self.w).swapaxes(-1, -2) @ self.phi
-        return self.problem._feat_gradient(self.x, gm)
+        kept, self._kept = self._kept, None
+        vw, u = kept[1:] if kept is not None and kept[0] is vs else self._head_jvp(vs)
+        return self.problem._feat_gradient(self.x, self.delta @ vw + u @ self.w, self.phi)
 
 
 class MetaFeatureSoftmax(_TaskAxisObjective):
@@ -657,23 +661,42 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
         self.reg = reg or Regularizer.none()
         self.x_layout = Layout([("feat", dim_feat * dim_in)])
         self.y_layout = Layout([("w", way * dim_feat), ("b", way)])
-        self._y_parts = _parts(self.y_layout, ((way, dim_feat), (way, 1)))
 
     def _features(self, x, phi):
         """Features h = phi M^T."""
         return phi @ x.segment("feat").reshape(self.dim_feat, self.dim_in).T
 
+    def _head(self, yv: np.ndarray):
+        """The head weights W, (..., way, dim_feat), and the bias column,
+        (..., way, 1), of the rows yv in y's layout: views of them."""
+        k = self.way * self.dim_feat
+        return yv[..., :k].reshape(yv.shape[:-1] + (self.way, self.dim_feat)), yv[..., k:, None]
+
     def _logits(self, yv: np.ndarray, h: np.ndarray):
         """Head weights W and the class-major logits h W^T + c."""
-        w, c = _unpack(yv, self._y_parts)
+        w, c = self._head(yv)
         return w, _class_major(w, h, c)
 
     def _scores(self, yv, h):
         return self._logits(yv, h)[1]
 
-    def _feat_gradient(self, x, gm):
-        """Rows in x's layout with gm, (..., dim_feat, dim_in), in segment "feat"."""
-        return segment_rows(x.layout, "feat", gm.reshape(gm.shape[:-2] + (-1,)))
+    def _head_gradient(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Rows in y's layout with a^T h in "w" and the column sums of a in
+        "b", for a (..., rows, way) stack a, each written in its rows."""
+        out = np.empty(a.shape[:-2] + (self.y_layout.dim,))
+        w, c = self._head(out)
+        np.matmul(a.swapaxes(-1, -2), h, out=w)
+        a.sum(axis=-2, out=c[..., 0])
+        return out
+
+    def _feat_gradient(self, x, a, phi):
+        """Rows in x's layout with a^T phi, (..., dim_feat, dim_in), written
+        in segment "feat", for a (..., rows, dim_feat) stack a."""
+        out = np.zeros(a.shape[:-2] + (x.layout.dim,))
+        gm = out[..., x.layout.slice_of("feat")]
+        gm = gm.reshape(gm.shape[:-1] + (self.dim_feat, self.dim_in))
+        np.matmul(a.swapaxes(-1, -2), phi, out=gm)
+        return out
 
 
 make_meta_feature_softmax = MetaFeatureSoftmax

@@ -316,6 +316,64 @@ def test_cg_raises_on_a_nan_right_hand_side_row():
         conjugate_gradient_batch(_row_map(mats), b)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, 1e300], ids=["inf", "-inf", "overflow"])
+def test_cg_raises_on_a_right_hand_side_row_that_is_not_finite(entry):
+    # a positive diagonal map per row, so an inf entry stays inf and never
+    # meets a zero; 1e300 squared overflows the row's norm
+    gen = np.random.default_rng(11)
+    n = 4
+    scales = 1.0 + gen.random((3, n))
+    b = gen.standard_normal((3, n))
+    b[1, 2] = entry
+    with pytest.raises(NonFiniteValue, match="non-finite inner product in CG"):
+        conjugate_gradient(
+            lambda v: v.like(scales[1] * v.values), ParamVector(Layout([("q", n)]), b[1])
+        )
+    with pytest.raises(NonFiniteValue, match="non-finite inner product in CG"):
+        conjugate_gradient_batch(lambda v: scales * v, b)
+
+
+def _ill_conditioned(gen, n, top):
+    """An SPD matrix with eigenvalues logspaced from 1 to 10**top."""
+    basis, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    return (basis * np.logspace(0, top, n)) @ basis.T
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cg_batch_rows_that_restart_match_their_solves_alone(seed):
+    # at tol 1e-10 the recursive residual of an ill-conditioned row meets
+    # the bound before the true one does, so the row restarts from it
+    gen = np.random.default_rng(seed)
+    n, tol, max_iter = 12, 1e-10, 100
+    mats = [_ill_conditioned(gen, n, top) for top in (6.0, 6.5, 7.0, 7.5, 12.0)]
+    mats.insert(2, np.eye(n))
+    b = gen.standard_normal((len(mats), n))
+    b[2] = 0.0
+    q, iters, residual, converged = conjugate_gradient_batch(
+        _row_map(mats), b, tol=tol, max_iter=max_iter
+    )
+    restarted = []
+    for j, a in enumerate(mats):
+        applied = []
+
+        def apply(v, a=a, applied=applied):
+            applied.append(1)
+            return v.like(a @ v.values)
+
+        solo = conjugate_gradient(apply, ParamVector(Layout([("q", n)]), b[j]), tol, max_iter)
+        assert q[j].tobytes() == solo.q.values.tobytes()
+        assert (iters[j], residual[j], converged[j]) == (
+            solo.iters, solo.residual, solo.converged
+        )
+        # one application per iteration and one per true-residual check or
+        # final residual: a row whose only check stopped it has one more
+        restarted.append(len(applied) > solo.iters + 1)
+    assert (iters[2], converged[2]) == (0, True)
+    assert converged.any() and not converged.all()
+    assert any(restarted)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_cg_converges_on_a_low_rank_plus_ridge_map(seed):
     # the shape of a softmax head's Hessian: a rank-12 data term and a small
