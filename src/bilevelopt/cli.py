@@ -11,8 +11,8 @@ Three subcommands:
   list-methods  print the ten built-in method compositions
 
 Exit codes: 0 success; 1 verification failures; 2 bad configuration or
-arguments, an unwritable --out or --report included; 3 training aborted by
-any library error.
+arguments, an unreadable or non-UTF-8 config and an unwritable --out or
+--report included; 3 training aborted by any library error.
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ def _cmd_run(args) -> int:
         raw = json.loads(config_path.read_text())
     except json.JSONDecodeError as e:
         print(f"error: {config_path}: invalid JSON: {e}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: {config_path}: {e}", file=sys.stderr)
         return 2
 
     overrides = args.overrides

@@ -176,6 +176,9 @@ class DatasetSource(abc.ABC):
         return np.array([np.inf if c is None else c for c in caps])
 
 
+_MAX_FLOAT = float(np.finfo(np.float64).max)
+
+
 @dataclass(frozen=True)
 class SyntheticGaussian(DatasetSource):
     """Gaussian clusters around class centers drawn once per seed.
@@ -199,8 +202,15 @@ class SyntheticGaussian(DatasetSource):
             raise ValueError("num_classes must be >= 2")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        # the centers are drawn on first use, so what numpy cannot draw them
+        # from fails here; the comparisons reject NaN too
+        if not 0 <= self.cluster_spread <= _MAX_FLOAT / 2:
+            raise ValueError(
+                f"cluster_spread must be >= 0 with 2 * cluster_spread finite, "
+                f"got {self.cluster_spread!r}"
+            )
+        if not 0 <= self.noise_sd <= _MAX_FLOAT:
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd!r}")
 
     @cached_property
     def centers(self) -> np.ndarray:

@@ -228,14 +228,10 @@ def _truncated(paradigm, run, k) -> HyperGradBatch:
     return HyperGradBatch(grad_x=g, ul_value=ul, truncation_k=k)
 
 
-def _resolve_prox(cfg: Implicit, paradigm: Paradigm) -> float:
-    if cfg.prox_lambda is not None:
-        return cfg.prox_lambda
-    return 1.0 if paradigm is Paradigm.META_INIT else 0.0
-
-
 def _implicit(paradigm, run, cfg: Implicit) -> HyperGradBatch:
-    prox = _resolve_prox(cfg, paradigm)
+    prox = cfg.prox_lambda
+    if prox is None:
+        prox = 1.0 if paradigm is Paradigm.META_INIT else 0.0
     inner, final = run.at(-1, Split.TRAIN), run.at(-1, Split.VAL)
 
     def apply(v: np.ndarray) -> np.ndarray:
@@ -290,6 +286,19 @@ def _darts(paradigm, run, cfg: Darts, step_size: float) -> HyperGradBatch:
     return HyperGradBatch(grad_x=g, ul_value=final.value())
 
 
+def _run_of(traj: InnerTrajectory, problem: BilevelObjective, x: ParamVector, task) -> InnerRun:
+    """The run behind traj, which the per-task estimators read; a problem,
+    x or task other than its own is a ValueError, not a second run."""
+    run = traj.run
+    if problem is not run.problem:
+        raise ValueError("the trajectory was run on another problem object")
+    if x != run.x:
+        raise ValueError("the trajectory was run at another x")
+    if task is not run.batch.tasks[0]:
+        raise ValueError("the trajectory was run on another task object")
+    return run
+
+
 def hypergrad_reverse(
     problem: BilevelObjective,
     paradigm: Paradigm,
@@ -300,8 +309,7 @@ def hypergrad_reverse(
     """Exact meta-gradient for the realized trajectory by backpropagating
     through every inner step (and through the initialization under the
     meta-init paradigm)."""
-    res = _reverse(paradigm, solo_run(traj.config, problem, x, task, traj.iterates))
-    return res.row(0, x.layout)
+    return _reverse(paradigm, _run_of(traj, problem, x, task)).row(0, x.layout)
 
 
 def hypergrad_truncated(
@@ -318,8 +326,7 @@ def hypergrad_truncated(
     through the initialization is cut, so under meta-init only the step
     couplings survive.
     """
-    res = _truncated(paradigm, solo_run(traj.config, problem, x, task, traj.iterates), k)
-    return res.row(0, x.layout)
+    return _truncated(paradigm, _run_of(traj, problem, x, task), k).row(0, x.layout)
 
 
 def hypergrad_implicit(
@@ -339,8 +346,7 @@ def hypergrad_implicit(
     (prox/2)*||y - x["init"]||^2 supplies the missing dependence; prox = 0
     there degenerates to a zero init gradient.
     """
-    res = _implicit(paradigm, solo_run(None, problem, x, task, (y_final,)), cfg)
-    return res.row(0, x.layout)
+    return _implicit(paradigm, solo_run(None, problem, x, task, y_final), cfg).row(0, x.layout)
 
 
 def hypergrad_first_order(
@@ -351,8 +357,7 @@ def hypergrad_first_order(
     task,
 ) -> HyperGradResult:
     """Curvature-free estimate: y_final is treated as a constant."""
-    res = _first_order(paradigm, solo_run(None, problem, x, task, (y_final,)))
-    return res.row(0, x.layout)
+    return _first_order(paradigm, solo_run(None, problem, x, task, y_final)).row(0, x.layout)
 
 
 def hypergrad_darts(
@@ -371,8 +376,8 @@ def hypergrad_darts(
     delta controls absolute perturbation size. Cost is two gradient
     evaluations regardless of dimension.
     """
-    res = _darts(paradigm, solo_run(None, problem, x, task, (y_final,)), Darts(delta), step_size)
-    return res.row(0, x.layout)
+    run = solo_run(None, problem, x, task, y_final)
+    return _darts(paradigm, run, Darts(delta), step_size).row(0, x.layout)
 
 
 def needs_full_trajectory(method: HyperGradMethod) -> bool:
@@ -387,9 +392,8 @@ def compute_hypergradient(
     x: ParamVector,
     task,
 ) -> HyperGradResult:
-    """Dispatch on the method type; trajectory-free estimators read only the
-    final iterate (and the step size, for the darts estimator)."""
-    run = solo_run(traj.config, problem, x, task, traj.iterates)
+    """compute_hypergradient_batch on the run behind traj, a batch of one."""
+    run = _run_of(traj, problem, x, task)
     return compute_hypergradient_batch(method, paradigm, run).row(0, x.layout)
 
 

@@ -109,38 +109,6 @@ class InnerConfig:
             raise ValueError("bda_alpha must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class InnerTrajectory:
-    """Iterates of one inner run: y_0..y_T when recorded, otherwise only
-    y_0 and y_T, which the reverse sweeps cannot run on."""
-
-    iterates: tuple[ParamVector, ...]
-    config: InnerConfig
-
-    @property
-    def recorded(self) -> bool:
-        return len(self.iterates) == self.steps + 1
-
-    @property
-    def steps(self) -> int:
-        return self.config.steps
-
-    @property
-    def y_final(self) -> ParamVector:
-        return self.iterates[-1]
-
-    def iterate(self, t: int) -> ParamVector:
-        if not 0 <= t <= self.steps:
-            raise IndexError(f"iterate {t} outside 0..{self.steps}")
-        if self.recorded:
-            return self.iterates[t]
-        if t == 0:
-            return self.iterates[0]
-        if t == self.steps:
-            return self.iterates[-1]
-        raise IndexError(f"iterate {t} was not recorded")
-
-
 class InnerRun:
     """One inner run of `problem` at x on `batch` under `config`: the
     (tasks, dim_y) stacks it kept, run[0]..run[-1], y_0..y_T when recorded,
@@ -192,12 +160,41 @@ class InnerRun:
         return self._points[key]
 
 
+class InnerTrajectory:
+    """One task's inner run as run_inner returns it: a view of the one-task
+    InnerRun it built (run), which the per-task estimators read, so a
+    recorded trajectory keeps the points of its steps alive. Its iterates
+    are y_0..y_T when recorded, otherwise only y_0 and y_T."""
+
+    def __init__(self, run: InnerRun):
+        self.run, self.config, self.steps = run, run.config, run.config.steps
+
+    @property
+    def recorded(self) -> bool:
+        return self.run.recorded
+
+    @cached_property
+    def iterates(self) -> tuple[ParamVector, ...]:
+        return tuple(ParamVector(self.run.problem.y_layout, ys[0], copy=False) for ys in self.run)
+
+    @property
+    def y_final(self) -> ParamVector:
+        return self.iterates[-1]
+
+    def iterate(self, t: int) -> ParamVector:
+        if not 0 <= t <= self.steps:
+            raise IndexError(f"iterate {t} outside 0..{self.steps}")
+        if not (self.recorded or t in (0, self.steps)):
+            raise IndexError(f"iterate {t} was not recorded")
+        return self.iterates[min(t, len(self.iterates) - 1)]
+
+
 def solo_run(
-    config: InnerConfig | None, problem: BilevelObjective, x: ParamVector, task, iterates
+    config: InnerConfig | None, problem: BilevelObjective, x: ParamVector, task, y: ParamVector
 ) -> InnerRun:
-    """One task's iterates as the run of a batch of one, on (1, dim_y)
-    stacks. config is None for the estimators that read only y_T."""
-    return InnerRun(config, problem, x, TaskBatch((task,)), [y.values[None] for y in iterates])
+    """y of one task as the one-stack run of a batch of one, to step from,
+    or, with config None, for the estimators that read only y_T."""
+    return InnerRun(config, problem, x, TaskBatch((task,)), [y.values[None]])
 
 
 def required_x_segments(rule: InnerRule, y_layout: Layout) -> tuple[tuple[str, int], ...]:
@@ -335,7 +332,7 @@ def inner_step(
     task,
 ) -> ParamVector:
     config = _with_rule(config, rule)
-    run = solo_run(config, problem, x, task, (y_prev,))
+    run = solo_run(config, problem, x, task, y_prev)
     return y_prev.like(_step(config, run.step_map, step_points(config, partial(run.at, 0)))[0])
 
 
@@ -350,9 +347,7 @@ def run_inner(
 ) -> InnerTrajectory:
     config = _with_rule(config, rule)
     run = run_inner_batch(config, problem, x, y_0.values[None], TaskBatch((task,)), record)
-    return InnerTrajectory(
-        iterates=(y_0,) + tuple(y_0.like(ys[0]) for ys in run[1:]), config=config
-    )
+    return InnerTrajectory(run)
 
 
 def run_inner_batch(
@@ -397,7 +392,7 @@ def step_transposed_jvps(
     meta-gradient.
     """
     config = _with_rule(config, rule)
-    run = solo_run(config, problem, x, task, (y_prev,))
+    run = solo_run(config, problem, x, task, y_prev)
     points = step_points(config, partial(run.at, 0))
     a_t, b_t = step_transposed_jvps_batch(config, points, v.values[None], run.step_map)
     return v.like(a_t[0]), x.like(b_t[0])

@@ -85,7 +85,10 @@ def read_params(path) -> ParamVector:
             )
         expected_offset += length
         sizes.append((name, length))
-    layout = Layout(sizes)
+    try:
+        layout = Layout(sizes)
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from e
     raw = r.take(8 * layout.dim)
     if r.pos != len(blob):
         raise ParseError(f"{path}: {len(blob) - r.pos} trailing bytes")

@@ -23,6 +23,7 @@ training-task sampling.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import get_args, get_type_hints
@@ -297,6 +298,11 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"{key}.{field_name}: expected "
                         f"{section_cls.__annotations__[field_name]}, got {value!r}"
+                    )
+                # JSON admits NaN and Infinity, which the sections' range checks let through
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(
+                        f"{key}.{field_name}: expected a finite number, got {value!r}"
                     )
             try:
                 parts[key] = section_cls(**body)

@@ -115,6 +115,56 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    code = entry(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and "utf-8" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_an_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path)
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    # a mode of 000 does not stop a process that runs as root
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code = entry(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and "Permission denied" in err
+    assert len(err.splitlines()) == 1
+
+
+_FINITE = "expected a finite number"
+
+
+@pytest.mark.parametrize(
+    "updates, start",
+    [
+        ({"data": {"cluster_spread": -5}}, "error: data: cluster_spread"),
+        ({"data": {"cluster_spread": 1e308}}, "error: data: cluster_spread"),
+        ({"data": {"cluster_spread": float("nan")}}, f"error: data.cluster_spread: {_FINITE}"),
+        ({"data": {"cluster_spread": float("inf")}}, f"error: data.cluster_spread: {_FINITE}"),
+        ({"data": {"noise_sd": float("nan")}}, f"error: data.noise_sd: {_FINITE}"),
+        ({"inner": {"step_size": float("nan")}}, f"error: inner.step_size: {_FINITE}"),
+        ({"meta_opt": {"lr": float("inf")}}, f"error: meta_opt.lr: {_FINITE}"),
+    ],
+)
+def test_a_number_the_run_cannot_use_exits_2(tmp_path, capsys, updates, start):
+    cfg = _write_config(tmp_path, **updates)
+    code = entry(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(start)
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_field_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, run={"method": "reptile"})
     code = entry(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -243,21 +243,41 @@ def test_counts_equal_the_checked_in_table(monkeypatch, name, batch_size):
     assert got == _checked_in()[name][str(batch_size)]
 
 
-@pytest.mark.parametrize("name", ["RHG", "BDA", "MAML", "MT-net", "Meta-SGD", "WarpGrad"])
-def test_run_inner_and_the_solo_run_of_compute_hypergradient_each_build_one_step_map(
-    monkeypatch, name
-):
-    # the per-task path: run_inner's run builds the map its steps share;
-    # compute_hypergradient gets the trajectory's iterates, not that run, so
-    # the solo run it makes builds one more, which its whole sweep shares
-    exp, state = _preset(name)
+def _one_task(exp, state):
+    """A task of the preset's episode shape and its y_0."""
     task = sample_task_batch(exp.source, exp.episode_spec, RngStream(1, 2)).tasks[0]
-    y_0 = init_task_params(exp.paradigm, exp.problem, state.x, RngStream(1, 3))
+    return task, init_task_params(exp.paradigm, exp.problem, state.x, RngStream(1, 3))
+
+
+@pytest.mark.parametrize("name", ["RHG", "BDA", "MAML", "MT-net", "Meta-SGD", "WarpGrad"])
+def test_run_inner_and_compute_hypergradient_build_one_step_map(monkeypatch, name):
+    # the per-task path: run_inner's run builds the map its steps share, and
+    # compute_hypergradient sweeps that same run, so its sweep shares it too
+    exp, state = _preset(name)
+    task, y_0 = _one_task(exp, state)
     builds = _count(monkeypatch, inner_mod, "_step_map")
     traj = run_inner(exp.inner_config.rule, exp.inner_config, exp.problem, state.x, y_0, task)
     assert len(builds) == 1
     compute_hypergradient(exp.method, exp.problem, exp.paradigm, traj, state.x, task)
-    assert len(builds) == 2
+    assert len(builds) == 1
+
+
+# points run_inner and compute_hypergradient build on one task: a recorded
+# run's 5 steps build one point per split their rule reads, and the
+# estimator adds only the points it reads that no step was taken from: the
+# val point at y_T, HOAG's train point there, DARTS's two difference points
+_PER_TASK_POINTS = {"RHG": 6, "MAML": 6, "WarpGrad": 6, "BDA": 11, "HOAG": 7, "DARTS": 8}
+
+
+@pytest.mark.parametrize("name", list(_PER_TASK_POINTS))
+def test_the_per_task_path_builds_each_point_once(name):
+    exp, state = _preset(name)
+    task, y_0 = _one_task(exp, state)
+    counting = _Counting(exp.problem)
+    rule, x = exp.inner_config.rule, state.x
+    traj = run_inner(rule, exp.inner_config, counting, x, y_0, task)
+    compute_hypergradient(exp.method, counting, exp.paradigm, traj, x, task)
+    assert sum(counting.tally.points.values()) == _PER_TASK_POINTS[name]
 
 
 # (tasks, batch size, KB) per preset: perfbench's evaluation of each, and a

@@ -130,6 +130,30 @@ def test_episode_spec_validates_fields():
         EpisodeSpec(way=2, shot=1, query=1, batch_size=0)
 
 
+@pytest.mark.parametrize(
+    "field, spread, noise_sd",
+    [
+        ("cluster_spread", -5.0, 0.1),
+        ("cluster_spread", float("nan"), 0.1),
+        ("cluster_spread", float("inf"), 0.1),
+        ("cluster_spread", 1e308, 0.1),  # 2 * spread overflows
+        ("noise_sd", 1.0, float("nan")),
+        ("noise_sd", 1.0, float("inf")),
+        ("noise_sd", 1.0, -0.1),
+    ],
+)
+def test_synthetic_source_rejects_what_its_centers_or_noise_cannot_use(field, spread, noise_sd):
+    # the centers are drawn on first use, so the constructor checks for them
+    with pytest.raises(ValueError, match=field):
+        SyntheticGaussian(4, 2, cluster_spread=spread, noise_sd=noise_sd)
+
+
+@pytest.mark.parametrize("spread", [0.0, np.finfo(np.float64).max / 2])
+def test_synthetic_source_draws_at_each_end_of_the_spreads_it_accepts(spread):
+    centers = SyntheticGaussian(4, 2, cluster_spread=spread).centers
+    assert np.isfinite(centers).all() and np.abs(centers).max() <= spread
+
+
 def test_bounded_class_capacity_is_enforced(tmp_path):
     for cls in ("x", "y"):
         d = tmp_path / cls

@@ -1,6 +1,8 @@
 """Meta-gradient estimators: hand-unrolled values, estimator identities,
 trajectory requirements, and the named method table."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,37 @@ def test_dispatcher_routes_every_method(quad2):
         assert np.array_equal(
             direct[key].grad_x.values, via_dispatch[key].grad_x.values
         ), key
+
+
+_SWEEPS = {
+    "compute": lambda prob, traj, x, task: compute_hypergradient(
+        Reverse(), prob, Paradigm.META_FEATURE, traj, x, task
+    ),
+    "reverse": lambda prob, traj, x, task: hypergrad_reverse(
+        prob, Paradigm.META_FEATURE, traj, x, task
+    ),
+    "truncated": lambda prob, traj, x, task: hypergrad_truncated(
+        prob, Paradigm.META_FEATURE, traj, x, task, k=1
+    ),
+}
+
+
+@pytest.mark.parametrize("estimate", list(_SWEEPS.values()), ids=list(_SWEEPS))
+def test_a_trajectory_is_read_only_with_the_problem_x_and_task_it_was_run_with(
+    estimate, softmax_problem, small_task, small_batch
+):
+    gen = RngStream(18, 1).generator()
+    x = ParamVector(softmax_problem.x_layout, 0.3 * gen.standard_normal(30))
+    _, traj = _run(softmax_problem, x, np.zeros(21), steps=3, step_size=0.3, task=small_task)
+    # an equal x is the run's x
+    same = estimate(softmax_problem, traj, x.like(x.values), small_task)
+    assert same.grad_x == estimate(softmax_problem, traj, x, small_task).grad_x
+    with pytest.raises(ValueError, match="another problem"):
+        estimate(copy.copy(softmax_problem), traj, x, small_task)
+    with pytest.raises(ValueError, match="another x"):
+        estimate(softmax_problem, traj, x.add_to_segment("feat", 1e-9), small_task)
+    with pytest.raises(ValueError, match="another task"):
+        estimate(softmax_problem, traj, x, small_batch.tasks[0])
 
 
 def test_needs_full_trajectory_only_for_reverse_family():

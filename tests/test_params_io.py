@@ -113,3 +113,32 @@ def test_inconsistent_offsets_are_rejected(tmp_path):
     path.write_bytes(header + bytes(16))
     with pytest.raises(ParseError):
         read_params(path)
+
+
+def _file_of(segments):
+    """A parameter file whose segment table is (name, length) pairs, each
+    at its contiguous offset, followed by its values."""
+    chunks = [MAGIC, struct.pack("<H", FORMAT_VERSION), struct.pack("<I", len(segments))]
+    offset = 0
+    for name, length in segments:
+        raw = name.encode("utf-8")
+        chunks += [struct.pack("<H", len(raw)), raw, struct.pack("<QQ", offset, length)]
+        offset += length
+    return b"".join(chunks) + bytes(8 * offset)
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        ([("a", 2), ("b", 0)], "non-positive length"),
+        ([("a", 2), ("a", 1)], "duplicate segment name"),
+        ([("", 2)], "non-empty"),
+    ],
+    ids=["zero-length", "repeated", "empty-name"],
+)
+def test_a_segment_table_no_layout_admits_is_a_parse_error(tmp_path, segments, message):
+    path = tmp_path / "params.bin"
+    path.write_bytes(_file_of(segments))
+    with pytest.raises(ParseError, match=message) as exc:
+        read_params(path)
+    assert str(exc.value).startswith(f"{path}: ")

@@ -2,8 +2,10 @@
 training determinism, and evaluation purity."""
 
 import copy
+import math
 import threading
 from dataclasses import replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from bilevelopt import (
     sample_task_batch,
 )
 from bilevelopt.inner import softplus_inverse
-from bilevelopt.trainer import _EVAL_INIT_STREAM, _EVAL_TASK_STREAM
+from bilevelopt.trainer import _EVAL_INIT_STREAM, _EVAL_TASK_STREAM, _SECTIONS
 
 
 def _maml_raw(**run_fields):
@@ -227,6 +229,29 @@ def test_json_type_of_each_value_is_checked(section, field, value):
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_dict({section: {field: value}})
     assert str(exc.value).startswith(f"{section}.{field}:")
+
+
+# every (section, field) whose annotation admits a float
+_FLOAT_FIELDS = [
+    (key, name)
+    for key, cls in _SECTIONS.items()
+    for name, hint in get_type_hints(cls).items()
+    if float in (get_args(hint) or (hint,))
+]
+
+
+def test_the_float_fields_are_the_ones_of_the_sections():
+    assert len(_FLOAT_FIELDS) == 14
+    assert ("inner", "step_size") in _FLOAT_FIELDS
+    assert ("hypergrad", "prox_lambda") in _FLOAT_FIELDS
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, field", _FLOAT_FIELDS)
+def test_a_float_field_rejects_a_number_that_is_not_finite(section, field, value):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict({section: {field: value}})
+    assert str(exc.value) == f"{section}.{field}: expected a finite number, got {value!r}"
 
 
 def test_json_types_that_fit_the_annotation_are_accepted():
