@@ -297,10 +297,15 @@ def load_class_directory(root, file_format: str = "csv") -> dict[str, np.ndarray
                     line = line.strip()
                     if not line:
                         continue
+                    tokens = line.split(",")
                     try:
-                        row = np.array([float(tok) for tok in line.split(",")])
+                        row = np.array([float(tok) for tok in tokens])
                     except ValueError as exc:
                         raise ParseError(f"{csv_path}:{lineno}: {exc}") from None
+                    finite = np.isfinite(row)
+                    if not finite.all():
+                        bad = tokens[int(finite.argmin())].strip()
+                        raise ParseError(f"{csv_path}:{lineno}: {bad!r} is not a finite number")
                     if dim is None:
                         dim = row.size
                     elif row.size != dim:

@@ -77,9 +77,12 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 
 def softplus_inverse(s: float) -> float:
-    """Solve softplus(r) = s for r; s must be positive."""
+    """Solve softplus(r) = s for r; s must be positive. Above 700, near
+    where expm1(s) overflows, as s + log(1 - e^-s)."""
     if s <= 0:
         raise ValueError("softplus is positive; no preimage for s <= 0")
+    if s > 700:
+        return float(s + np.log(-np.expm1(-s)))
     return float(np.log(np.expm1(s)))
 
 

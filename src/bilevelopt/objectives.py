@@ -21,9 +21,11 @@ validation losses and classifier scores from val_losses_and_scores(parts,
 ys). BilevelObjective's points call the per-task oracles task by task. The
 two classifier problems build a point from one forward pass, and their
 per-task oracles are views of it; their parts add the split's features and
-one-hot targets. Their logit-shaped arrays are class-major in memory,
-(tasks, classes, rows), and the kernels read them through (tasks, rows,
-classes) views, so the reductions over the few classes run along
+one-hot targets. Their kernels read y through views of its dense layers
+(_dense) and write each answer into its own rows (_dense_gradient);
+nothing is concatenated. Their logit-shaped arrays are class-major in
+memory, (tasks, classes, rows), and the kernels read them through (tasks,
+rows, classes) views, so the reductions over the few classes run along
 contiguous rows.
 """
 
@@ -444,26 +446,21 @@ def predicted_classes(scores: np.ndarray) -> np.ndarray:
     return classes
 
 
-def _parts(layout: Layout, shapes) -> tuple:
-    """(slice, shape) of each segment of the layout, for _unpack."""
-    return tuple(
-        (slice(seg.offset, seg.offset + seg.length), shape)
-        for seg, shape in zip(layout.segments, shapes)
-    )
+def _dense(yv: np.ndarray, at: int, rows: int, cols: int):
+    """Views of the weights W, (..., rows, cols), and the bias b, (..., rows),
+    of the dense layer stored at offset `at` of the rows yv: W row-major,
+    then b."""
+    end = at + rows * cols
+    return yv[..., at:end].reshape(yv.shape[:-1] + (rows, cols)), yv[..., end:end + rows]
 
 
-def _unpack(values: np.ndarray, parts) -> list[np.ndarray]:
-    """The segments of values (..., dim) reshaped to the shapes in `parts`,
-    keeping any leading task axes. A hidden layer's bias is (1, length), so
-    it broadcasts over rows; a logit bias is (classes, 1), for _class_major."""
-    lead = values.shape[:-1]
-    return [values[..., where].reshape(lead + shape) for where, shape in parts]
-
-
-def _join(like: np.ndarray, *parts: np.ndarray) -> np.ndarray:
-    """Flatten each part behind the leading task axes of `like` and concatenate."""
-    lead = like.shape[:-1]
-    return np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
+def _dense_gradient(out: np.ndarray, at: int, a: np.ndarray, h: np.ndarray):
+    """Write a^T h and the column sums of a, for a (..., n, rows) stack a and
+    its layer's (..., n, cols) inputs h, into the dense layer at offset `at`
+    of the rows out."""
+    w, b = _dense(out, at, a.shape[-1], h.shape[-1])
+    np.matmul(a.swapaxes(-1, -2), h, out=w)
+    a.sum(axis=-2, out=b)
 
 
 class _TaskAxisParts(SplitParts):
@@ -612,11 +609,13 @@ class _SoftmaxPoint(_TaskAxisPoint):
 
     def _head_jvp(self, v):
         """Head direction Vw and the softmax-Jacobian product u, over n."""
-        vw, vb = self.problem._head(v)
-        return vw, _softmax_jvp(self.p, _class_major(vw, self.h, vb)) / self.h.shape[-2]
+        vw, vb = _dense(v, 0, self.problem.way, self.problem.dim_feat)
+        u = _softmax_jvp(self.p, _class_major(vw, self.h, vb[..., None]))
+        return vw, u / self.h.shape[-2]
 
     def _grad_y(self):
-        out = self.problem._head_gradient(self.delta, self.h)
+        out = np.empty(self.ys.shape)
+        _dense_gradient(out, 0, self.delta, self.h)
         if self.split is Split.TRAIN:
             out += self.problem.reg.grad(self.ys)
         return out
@@ -627,7 +626,8 @@ class _SoftmaxPoint(_TaskAxisPoint):
     def _hvp_yy(self, vs):
         vw, u = self._head_jvp(vs)
         self._kept = (vs, vw, u) if vs.flags.owndata and not vs.flags.writeable else None
-        out = self.problem._head_gradient(u, self.h)
+        out = np.empty(vs.shape)
+        _dense_gradient(out, 0, u, self.h)
         if self.split is Split.TRAIN:
             out += self.problem.reg.hvp(vs)
         return out
@@ -666,28 +666,13 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
         """Features h = phi M^T."""
         return phi @ x.segment("feat").reshape(self.dim_feat, self.dim_in).T
 
-    def _head(self, yv: np.ndarray):
-        """The head weights W, (..., way, dim_feat), and the bias column,
-        (..., way, 1), of the rows yv in y's layout: views of them."""
-        k = self.way * self.dim_feat
-        return yv[..., :k].reshape(yv.shape[:-1] + (self.way, self.dim_feat)), yv[..., k:, None]
-
     def _logits(self, yv: np.ndarray, h: np.ndarray):
         """Head weights W and the class-major logits h W^T + c."""
-        w, c = self._head(yv)
-        return w, _class_major(w, h, c)
+        w, c = _dense(yv, 0, self.way, self.dim_feat)
+        return w, _class_major(w, h, c[..., None])
 
     def _scores(self, yv, h):
         return self._logits(yv, h)[1]
-
-    def _head_gradient(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Rows in y's layout with a^T h in "w" and the column sums of a in
-        "b", for a (..., rows, way) stack a, each written in its rows."""
-        out = np.empty(a.shape[:-2] + (self.y_layout.dim,))
-        w, c = self._head(out)
-        np.matmul(a.swapaxes(-1, -2), h, out=w)
-        a.sum(axis=-2, out=c[..., 0])
-        return out
 
     def _feat_gradient(self, x, a, phi):
         """Rows in x's layout with a^T phi, (..., dim_feat, dim_in), written
@@ -708,13 +693,13 @@ make_meta_feature_softmax = MetaFeatureSoftmax
 
 
 class _MlpPoint(_TaskAxisPoint):
-    """MetaInitMlp at a point: outputs, hidden activations and output
-    weights (the last two None without a hidden layer)."""
+    """MetaInitMlp at a point: outputs, the output layer's input act (the
+    hidden activations, or phi without a hidden layer) and weights w1."""
 
     def _run(self):
         out, self.act, self.w1 = self.problem._forward(self.ys, self.phi)
         # tanh' at the hidden layer
-        self.slope = None if self.act is None else 1.0 - self.act * self.act
+        self.slope = 1.0 - self.act * self.act if self.problem.hidden else None
         return out
 
     def _residual(self) -> tuple[np.ndarray | None, np.ndarray]:
@@ -726,22 +711,16 @@ class _MlpPoint(_TaskAxisPoint):
         return None, np.subtract(self.scores, onehot, order="C") / onehot.shape[-2]
 
     def _grad_y(self):
-        delta, phi = self.delta, self.phi
-        delta_t = delta.swapaxes(-1, -2)
-        if self.problem.hidden > 0:
-            back = (delta @ self.w1) * self.slope
-            out = _join(
-                self.ys, back.swapaxes(-1, -2) @ phi, back.sum(axis=-2),
-                delta_t @ self.act, delta.sum(axis=-2),
-            )
-        else:
-            out = _join(self.ys, delta_t @ phi, delta.sum(axis=-2))
+        out = np.empty(self.ys.shape)
+        _dense_gradient(out, self.problem._out_at, self.delta, self.act)
+        if self.problem.hidden:
+            _dense_gradient(out, 0, (self.delta @ self.w1) * self.slope, self.phi)
         if self.split is Split.TRAIN:
             out += self.problem.reg.grad(self.ys)
         return out
 
     def _hvp_yy(self, vs):
-        p, delta, phi, act, w1 = self.p, self.delta, self.phi, self.act, self.w1
+        prob, p, delta, act, w1 = self.problem, self.p, self.delta, self.act, self.w1
         n = delta.shape[-2]
 
         def r_residual(r_out):
@@ -751,24 +730,25 @@ class _MlpPoint(_TaskAxisPoint):
                 return np.divide(r_out, n, order="C")
             return _softmax_jvp(p, r_out) / n
 
-        if self.problem.hidden == 0:
-            v0, vb0 = _unpack(vs, self.problem._y_parts)
-            r_delta = r_residual(_class_major(v0, phi, vb0))
-            out = _join(vs, r_delta.swapaxes(-1, -2) @ phi, r_delta.sum(axis=-2))
+        out = np.empty(vs.shape)
+        v1, vb1 = _dense(vs, prob._out_at, prob.dim_out, act.shape[-1])
+        if prob.hidden == 0:
+            r_delta = r_residual(_class_major(v1, act, vb1[..., None]))
+            _dense_gradient(out, 0, r_delta, act)
         else:
-            v0, vb0, v1, vb1 = _unpack(vs, self.problem._y_parts)
-            slope = self.slope
-            r_act = (phi @ v0.swapaxes(-1, -2) + vb0) * slope
-            r_out = w1 @ r_act.swapaxes(-1, -2) + v1 @ act.swapaxes(-1, -2) + vb1
+            v0, vb0 = _dense(vs, 0, prob.hidden, prob.dim_in)
+            phi, slope = self.phi, self.slope
+            r_act = (phi @ v0.swapaxes(-1, -2) + vb0[..., None, :]) * slope
+            # this order of the three terms, or the bits move
+            r_out = w1 @ r_act.swapaxes(-1, -2) + v1 @ act.swapaxes(-1, -2) + vb1[..., None]
             r_delta = r_residual(r_out.swapaxes(-1, -2))
             r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * (delta @ w1) * act * r_act
-            gw1 = r_delta.swapaxes(-1, -2) @ act + delta.swapaxes(-1, -2) @ r_act
-            out = _join(
-                vs, r_back.swapaxes(-1, -2) @ phi, r_back.sum(axis=-2), gw1,
-                r_delta.sum(axis=-2),
-            )
+            _dense_gradient(out, 0, r_back, phi)
+            _dense_gradient(out, prob._out_at, r_delta, act)
+            gw1 = _dense(out, prob._out_at, prob.dim_out, prob.hidden)[0]
+            np.add(gw1, delta.swapaxes(-1, -2) @ r_act, out=gw1)
         if self.split is Split.TRAIN:
-            out += self.problem.reg.hvp(vs)
+            out += prob.reg.hvp(vs)
         return out
 
 
@@ -801,29 +781,26 @@ class MetaInitMlp(_TaskAxisObjective):
         self.reg = reg or Regularizer.none()
         self.is_classifier = loss is LossKind.CROSS_ENTROPY
         if hidden > 0:
-            shapes = {
-                "w0": (hidden, dim_in),
-                "b0": (1, hidden),
-                "w1": (dim_out, hidden),
-                "b1": (dim_out, 1),
-            }
+            segments = [("w0", hidden * dim_in), ("b0", hidden)]
+            segments += [("w1", dim_out * hidden), ("b1", dim_out)]
         else:
-            shapes = {"w0": (dim_out, dim_in), "b0": (dim_out, 1)}
-        self.y_layout = Layout([(name, rows * cols) for name, (rows, cols) in shapes.items()])
-        self._y_parts = _parts(self.y_layout, shapes.values())
+            segments = [("w0", dim_out * dim_in), ("b0", dim_out)]
+        self.y_layout = Layout(segments)
+        # the offset of the output layer, behind the hidden one if any
+        self._out_at = hidden * (dim_in + 1)
         self.x_layout = Layout([("init", self.y_layout.dim)])
 
     def _forward(self, yv: np.ndarray, phi: np.ndarray):
-        """Class-major network outputs, hidden activations and output
-        weights (the last two None without a hidden layer)."""
+        """Class-major network outputs, the output layer's input act (the
+        hidden activations, or phi without a hidden layer) and its weights."""
+        act = phi
         if self.hidden > 0:
-            w0, b0, w1, b1 = _unpack(yv, self._y_parts)
-            a = phi @ w0.swapaxes(-1, -2)
-            a += b0
-            np.tanh(a, out=a)
-            return _class_major(w1, a, b1), a, w1
-        w0, b0 = _unpack(yv, self._y_parts)
-        return _class_major(w0, phi, b0), None, None
+            w0, b0 = _dense(yv, 0, self.hidden, self.dim_in)
+            act = phi @ w0.swapaxes(-1, -2)
+            act += b0[..., None, :]
+            np.tanh(act, out=act)
+        w1, b1 = _dense(yv, self._out_at, self.dim_out, act.shape[-1])
+        return _class_major(w1, act, b1[..., None]), act, w1
 
     def _loss(self, scores, parts):
         if self.loss is LossKind.CROSS_ENTROPY:

@@ -23,7 +23,7 @@ training-task sampling.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import get_args, get_type_hints
@@ -299,8 +299,9 @@ class ExperimentConfig:
                         f"{key}.{field_name}: expected "
                         f"{section_cls.__annotations__[field_name]}, got {value!r}"
                     )
-                # JSON admits NaN and Infinity, which the sections' range checks let through
-                if isinstance(value, float) and not math.isfinite(value):
+                # JSON admits NaN, Infinity and integers too large for a double,
+                # which the sections' range checks let through; none is <= the largest
+                if float in types and value is not None and not abs(value) <= sys.float_info.max:
                     raise ConfigError(
                         f"{key}.{field_name}: expected a finite number, got {value!r}"
                     )

@@ -153,6 +153,11 @@ _FINITE = "expected a finite number"
         ({"data": {"noise_sd": float("nan")}}, f"error: data.noise_sd: {_FINITE}"),
         ({"inner": {"step_size": float("nan")}}, f"error: inner.step_size: {_FINITE}"),
         ({"meta_opt": {"lr": float("inf")}}, f"error: meta_opt.lr: {_FINITE}"),
+        # integers too large for a double
+        ({"inner": {"step_size": 10**400}}, f"error: inner.step_size: {_FINITE}"),
+        ({"meta_opt": {"lr": 10**400}}, f"error: meta_opt.lr: {_FINITE}"),
+        ({"hypergrad": {"cg_tol": 10**400}}, f"error: hypergrad.cg_tol: {_FINITE}"),
+        ({"problem": {"quad_lam": 10**400}}, f"error: problem.quad_lam: {_FINITE}"),
     ],
 )
 def test_a_number_the_run_cannot_use_exits_2(tmp_path, capsys, updates, start):
@@ -162,6 +167,21 @@ def test_a_number_the_run_cannot_use_exits_2(tmp_path, capsys, updates, start):
     err = capsys.readouterr().err
     assert err.startswith(start)
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_class_directory_with_a_value_that_is_not_finite_exits_2(tmp_path, capsys):
+    # three classes of shot + query = 5 rows: every task draws every row
+    root = tmp_path / "corpus"
+    for k, name in enumerate(("a", "b", "c")):
+        (root / name).mkdir(parents=True)
+        (root / name / "rows.csv").write_text("".join(f"{k},{i}\n" for i in range(5)))
+    (root / "b" / "rows.csv").write_text("1,0\n1,nan\n1,2\n1,3\n1,4\n")
+    cfg = _write_config(tmp_path, data={"source": "directory", "root": str(root)})
+    code = entry(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {root / 'b' / 'rows.csv'}:2: 'nan' is not a finite number\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -225,6 +225,16 @@ def test_parse_error_names_file_and_line(tmp_path):
     assert "rows.csv:2" in str(exc.value)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_a_value_that_is_not_finite_is_a_parse_error_naming_file_and_line(tmp_path, token):
+    d = tmp_path / "bad"
+    d.mkdir()
+    (d / "rows.csv").write_text(f"1.0,2.0\n1.0, {token}\n")
+    with pytest.raises(ParseError) as exc:
+        load_class_directory(tmp_path)
+    assert str(exc.value) == f"{d / 'rows.csv'}:2: {token!r} is not a finite number"
+
+
 def test_mixed_row_widths_rejected(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()

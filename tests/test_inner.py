@@ -79,6 +79,14 @@ def test_softplus_is_positive_and_invertible():
         )
 
 
+@pytest.mark.parametrize("s", [710.0, 1e4, 1e300])
+def test_softplus_inverse_of_a_large_value_is_exact_and_warns_nothing(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = softplus_inverse(s)
+    assert softplus(np.array([r]))[0] == s
+
+
 def test_sigmoid_is_stable_at_extremes():
     z = np.array([-800.0, 0.0, 800.0])
     s = sigmoid(z)

@@ -246,7 +246,9 @@ def test_the_float_fields_are_the_ones_of_the_sections():
     assert ("hypergrad", "prox_lambda") in _FLOAT_FIELDS
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "int-1e400"]
+)
 @pytest.mark.parametrize("section, field", _FLOAT_FIELDS)
 def test_a_float_field_rejects_a_number_that_is_not_finite(section, field, value):
     with pytest.raises(ConfigError) as exc:
@@ -311,6 +313,13 @@ def test_meta_sgd_appends_rates_initialized_at_the_step_size():
     rates = state.x.segment("rates")
     assert np.allclose(rates, softplus_inverse(0.05))
     assert len(rates) == exp.problem.y_layout.dim
+
+
+def test_meta_sgd_rates_at_a_step_size_past_the_overflow_of_expm1_are_finite():
+    raw = _maml_raw(method="Meta-SGD")
+    raw["inner"]["step_size"] = 800.0
+    _, state = build_experiment(ExperimentConfig.from_dict(raw))
+    assert (state.x.segment("rates") == 800.0).all()
 
 
 def test_warpgrad_and_mtnet_segments_start_at_zero():
