@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Mapping
 
@@ -335,7 +335,7 @@ def sample_task_batch(
     task order, so growing batch_size never changes the earlier tasks.
     The train and val stacks are C-contiguous copies that own their memory,
     so the batch never keeps the draw, all shot + query items of each
-    class, alive.
+    class, alive. The label stacks are shared per shape, read-only.
     """
     names = source.class_names()
     if len(names) < spec.way:
@@ -354,10 +354,16 @@ def sample_task_batch(
     items = np.asarray(
         source.draw_batch(chosen, need, rng.child(1).generator()), dtype=np.float64
     )
-    labels = np.arange(spec.way, dtype=np.int64)
     return TaskBatch.stacked(
         items[:, :, :shot].copy().reshape(n, spec.way * shot, -1),
-        np.tile(np.repeat(labels, shot), (n, 1)),
+        _label_stack(spec.way, shot, n),
         items[:, :, shot:].copy().reshape(n, spec.way * spec.query, -1),
-        np.tile(np.repeat(labels, spec.query), (n, 1)),
+        _label_stack(spec.way, spec.query, n),
     )
+
+
+@lru_cache(maxsize=64)
+def _label_stack(way: int, count: int, n: int) -> np.ndarray:
+    labels = np.tile(np.repeat(np.arange(way, dtype=np.int64), count), (n, 1))
+    labels.setflags(write=False)
+    return labels

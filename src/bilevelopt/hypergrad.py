@@ -54,7 +54,6 @@ from .numerics import (
     ParamVector,
     conjugate_gradient_batch,
     row_dots,
-    segment_add,
     segment_rows,
 )
 from .objectives import BilevelObjective, Paradigm, Split
@@ -180,24 +179,24 @@ def _reverse_sweep(
     (tasks, dim_y) stacks y_0..y_T, every task at once.
 
     lam starts as the validation gradient at y_T; each visited step t adds
-    the x-coupling term and pulls lam back through the step Jacobian, at the
-    points step t was taken from, under the run's step map. When
+    the x-coupling term into g and pulls lam back through the step Jacobian,
+    at the points step t was taken from, under the run's step map. When
     include_init is set (meta-init paradigm, sweep reaching y_0), what is
     left of lam is exactly the gradient through the initialization.
     """
     config = run.config
     final = run.at(-1, Split.VAL)
-    ul, lam, g = final.value(), final.grad_y(), final.grad_x()
-    for t in range(config.steps, first_step - 1, -1):
-        points = step_points(config, partial(run.at, t - 1))
-        a_t, b_t = step_transposed_jvps_batch(config, points, lam, run.step_map)
-        g = g + b_t
-        # lam is the sweep's own and never changes, so a point may reuse in
-        # cross_hvp what its hvp_yy computed from it
-        lam = a_t
-        lam.setflags(write=False)
+    ul, lam = final.value(), final.grad_y()
+    g = final.grad_x().copy() if final.couples_x else np.zeros((len(lam), run.x.layout.dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # each step raises on a non-finite product
+        for t in range(config.steps, first_step - 1, -1):
+            points = step_points(config, partial(run.at, t - 1))
+            lam = step_transposed_jvps_batch(config, points, lam, run.step_map, g)
+            # lam is the sweep's own and never changes, so a point may reuse
+            # in cross_hvp what its hvp_yy computed from it
+            lam.setflags(write=False)
     if include_init:
-        g = segment_add(g, run.x.layout, "init", lam)
+        g[..., run.x.layout.slice_of("init")] += lam
     return g, ul
 
 
@@ -252,7 +251,7 @@ def _implicit(paradigm, run, cfg: Implicit) -> HyperGradBatch:
         raise
     g = final.grad_x() - inner.cross_hvp(q)
     if paradigm is Paradigm.META_INIT and prox != 0.0:
-        g = segment_add(g, run.x.layout, "init", prox * q)
+        g[..., run.x.layout.slice_of("init")] += prox * q
     return HyperGradBatch(
         grad_x=g, ul_value=final.value(),
         cg_iters=iters, cg_residual=residual, cg_converged=converged,

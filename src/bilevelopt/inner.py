@@ -38,7 +38,7 @@ import numpy as np
 
 from .data import TaskBatch
 from .errors import MissingSegment, NonFiniteValue
-from .numerics import Layout, ParamVector, RngStream, segment_add
+from .numerics import Layout, ParamVector, RngStream
 from .objectives import BilevelObjective, Paradigm, Point, Split
 
 __all__ = [
@@ -224,7 +224,9 @@ def init_task_params_batch(
     if paradigm is Paradigm.META_INIT:
         if not x.layout.has("init"):
             raise MissingSegment("meta-init paradigm needs x segment 'init'")
-        return np.tile(x.segment("init"), (n_tasks, 1))
+        ys = np.empty((n_tasks, problem.y_layout.dim))
+        ys[...] = x.segment("init")
+        return ys
     gen = rng.generator()
     return DEFAULT_INIT_SD * gen.standard_normal((n_tasks, problem.y_layout.dim))
 
@@ -263,6 +265,8 @@ def _step_map(config: InnerConfig, x: ParamVector, y_layout: Layout):
     only x, comes first in each product, so each keeps its evaluation order.
     """
     rule, s = config.rule, config.step_size
+    if rule in (InnerRule.GD, InnerRule.BDA):
+        return s, None, None, None
     # an overflow here leaves a non-finite factor, on which the steps raise
     with np.errstate(over="ignore", invalid="ignore"):
         if rule is InnerRule.META_SGD:
@@ -285,11 +289,9 @@ def _step_map(config: InnerConfig, x: ParamVector, y_layout: Layout):
                 return coef * np.add.reduceat(g * v, offsets, axis=-1)
 
             return s, mask, "mask_logits", pullback
-        if rule is InnerRule.WARP_GRAD_DIAG:
-            d = np.exp(_require_segment(x, "warp_logdiag", rule))
-            coef = -s * d
-            return s, d, "warp_logdiag", lambda g, v: coef * g * v
-    return s, None, None, None
+        d = np.exp(_require_segment(x, "warp_logdiag", rule))
+        coef = -s * d
+        return s, d, "warp_logdiag", lambda g, v: coef * g * v
 
 
 def _mix(config: InnerConfig, points: tuple[Point, ...], f):
@@ -318,9 +320,7 @@ def _step(config: InnerConfig, step_map, points: tuple[Point, ...]) -> np.ndarra
     # measured more page faults per evaluation
     del points
     scale, d, _, _ = step_map
-    # an overflow here leaves a non-finite y, which raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        y_next = ys - scale * g if d is None else ys - scale * d * g
+    y_next = ys - scale * g if d is None else ys - scale * d * g
     if not np.isfinite(y_next).all():
         raise NonFiniteValue(f"inner step under rule {config.rule.value} produced non-finite y")
     return y_next
@@ -334,9 +334,9 @@ def inner_step(
     y_prev: ParamVector,
     task,
 ) -> ParamVector:
-    config = _with_rule(config, rule)
-    run = solo_run(config, problem, x, task, y_prev)
-    return y_prev.like(_step(config, run.step_map, step_points(config, partial(run.at, 0)))[0])
+    config = replace(_with_rule(config, rule), steps=1)
+    run = run_inner_batch(config, problem, x, y_prev.values[None], TaskBatch((task,)))
+    return y_prev.like(run[-1][0])
 
 
 def run_inner(
@@ -369,12 +369,13 @@ def run_inner_batch(
     the points of each step too.
     """
     run = InnerRun(config, problem, x, batch, [ys])
-    for t in range(config.steps):
-        # an unrecorded run's points live for their step alone
-        at = partial(run.at, t) if record else partial(run.point, ys)
-        ys = _step(config, run.step_map, step_points(config, at))
-        if record or t + 1 == config.steps:
-            run.stacks.append(ys)
+    with np.errstate(over="ignore", invalid="ignore"):  # each step raises on a non-finite y
+        for t in range(config.steps):
+            # an unrecorded run's points live for their step alone
+            at = partial(run.at, t) if record else partial(run.point, ys)
+            ys = _step(config, run.step_map, step_points(config, at))
+            if record or t + 1 == config.steps:
+                run.stacks.append(ys)
     return run
 
 
@@ -397,28 +398,30 @@ def step_transposed_jvps(
     config = _with_rule(config, rule)
     run = solo_run(config, problem, x, task, y_prev)
     points = step_points(config, partial(run.at, 0))
-    a_t, b_t = step_transposed_jvps_batch(config, points, v.values[None], run.step_map)
+    b_t = np.zeros((1, x.layout.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_t = step_transposed_jvps_batch(config, points, v.values[None], run.step_map, b_t)
     return v.like(a_t[0]), x.like(b_t[0])
 
 
 def step_transposed_jvps_batch(
-    config: InnerConfig, points: tuple[Point, ...], vs: np.ndarray, step_map
-) -> tuple[np.ndarray, np.ndarray]:
+    config: InnerConfig, points: tuple[Point, ...], vs: np.ndarray, step_map, g: np.ndarray
+) -> np.ndarray:
     """step_transposed_jvps for every task of a batch at once, under
     config.rule and its step map at the points' x (InnerRun.step_map), at
     the points of one stack (step_points) and the rows of the (tasks,
-    dim_y) stack vs; returns the (tasks, dim_y) and (tasks, dim_x) stacks."""
-    train = points[0]
-    x = train.x
-    scale, d, name, pullback = step_map
-    # an overflow here leaves a non-finite product, which raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = vs if d is None else d * vs
-        a_t = vs - scale * _mix(config, points, lambda point: point.hvp_yy(w))
+    dim_y) stack vs: returns aT_v and adds bT_v into the (tasks, dim_x) stack g."""
+    train, (scale, d, name, pullback) = points[0], step_map
+    w = vs if d is None else d * vs
+    a_t = vs - scale * _mix(config, points, lambda point: point.hvp_yy(w))
+    b_t = part = None
+    if train.couples_x:
         b_t = -scale * _mix(config, points, lambda point: point.cross_hvp(w))
-        if d is not None:
-            b_t = segment_add(b_t, x.layout, name, pullback(train.grad_y(), vs))
-
-    if not (np.isfinite(a_t).all() and np.isfinite(b_t).all()):
+    if d is not None:
+        part = pullback(train.grad_y(), vs)
+        (g if b_t is None else b_t)[..., train.x.layout.slice_of(name)] += part
+    if b_t is not None:
+        g += b_t
+    if not all(np.isfinite(s).all() for s in (a_t, b_t, part) if s is not None):
         raise NonFiniteValue(f"transposed products under rule {config.rule.value} are non-finite")
-    return a_t, b_t
+    return a_t

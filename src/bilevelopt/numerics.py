@@ -23,7 +23,6 @@ __all__ = [
     "CgSolve",
     "conjugate_gradient",
     "conjugate_gradient_batch",
-    "segment_add",
     "segment_rows",
     "row_dots",
 ]
@@ -95,7 +94,7 @@ class Layout:
         return Layout([(s.name, s.length) for s in self._segments] + [(name, length)])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Layout) and self._segments == other._segments
+        return other is self or (isinstance(other, Layout) and self._segments == other._segments)
 
     def __hash__(self) -> int:
         return hash(self._segments)
@@ -151,7 +150,8 @@ class ParamVector:
         return ParamVector(self.layout, out, copy=False)
 
     def add_to_segment(self, name: str, values) -> "ParamVector":
-        out = segment_add(self.values, self.layout, name, np.asarray(values, dtype=np.float64))
+        out = self.values.copy()
+        out[self.layout.slice_of(name)] += np.asarray(values, dtype=np.float64)
         return ParamVector(self.layout, out, copy=False)
 
     def _check_same_layout(self, other: "ParamVector"):
@@ -201,14 +201,6 @@ class ParamVector:
 
     def __repr__(self) -> str:
         return f"ParamVector({self.layout}, {self.values!r})"
-
-
-def segment_add(rows: np.ndarray, layout: Layout, name: str, part) -> np.ndarray:
-    """A copy of rows, (..., layout.dim), with part added to segment `name`
-    of each row."""
-    out = rows.copy()
-    out[..., layout.slice_of(name)] += part
-    return out
 
 
 def segment_rows(layout: Layout, name: str, part: np.ndarray) -> np.ndarray:

@@ -152,6 +152,8 @@ class Point:
     problem's per-task oracles task by task; BilevelObjective.at of a
     problem with a forward pass worth sharing returns its own."""
 
+    couples_x = True  # False where the loss never reads x: no sweep asks for x terms
+
     def __init__(self, problem, ys: np.ndarray, parts: SplitParts):
         self.problem, self.ys, self.parts = problem, ys, parts
         self.x, self.split = parts.x, parts.split
@@ -489,17 +491,23 @@ class _TaskAxisParts(SplitParts):
 class _TaskAxisPoint(Point):
     """A point of a _TaskAxisObjective at the stack ys on its parts, whose
     ys and batch may carry any leading task axes, or none for one task. The
-    forward pass and the residual run when the point is built, and every
-    oracle reads them. A problem's subclass writes each oracle kernel once
-    (grad_y's as _grad_y, run once per point), for its per-task oracles and
-    points alike. grad_x and cross_hvp here are those of a loss that never
-    reads x: zero in every row."""
+    forward pass runs when the point is built, the residual on its first
+    read, before the kernel that reads it allocates. A problem's subclass
+    writes each oracle kernel once (grad_y's as _grad_y, run once per
+    point), for its per-task oracles and points alike. grad_x and cross_hvp
+    here are those of a loss that never reads x: zero in every row."""
 
     def __init__(self, problem, ys, parts: _TaskAxisParts):
         super().__init__(problem, ys, parts)
-        self.phi, self.h, self._g = parts.phi, parts.h, None
+        self.phi, self.h, self._g, self._pd = parts.phi, parts.h, None, None
         self.scores = self._run()
-        self.p, self.delta = self._residual()
+
+    p = property(lambda self: (self._pd or self._read_residual())[0])
+    delta = property(lambda self: (self._pd or self._read_residual())[1])
+
+    def _read_residual(self):
+        self._pd = self._residual()
+        return self._pd
 
     def _run(self) -> np.ndarray:
         """Run the problem's forward pass on h, keep what the oracles read,
@@ -614,8 +622,8 @@ class _SoftmaxPoint(_TaskAxisPoint):
         return vw, u / self.h.shape[-2]
 
     def _grad_y(self):
-        out = np.empty(self.ys.shape)
-        _dense_gradient(out, 0, self.delta, self.h)
+        delta, out = self.delta, np.empty(self.ys.shape)
+        _dense_gradient(out, 0, delta, self.h)
         if self.split is Split.TRAIN:
             out += self.problem.reg.grad(self.ys)
         return out
@@ -696,25 +704,29 @@ class _MlpPoint(_TaskAxisPoint):
     """MetaInitMlp at a point: outputs, the output layer's input act (the
     hidden activations, or phi without a hidden layer) and weights w1."""
 
+    couples_x = False
+
     def _run(self):
         out, self.act, self.w1 = self.problem._forward(self.ys, self.phi)
-        # tanh' at the hidden layer
-        self.slope = 1.0 - self.act * self.act if self.problem.hidden else None
         return out
 
     def _residual(self) -> tuple[np.ndarray | None, np.ndarray]:
         """Softmax p (None for a squared error) and the residual dloss/dout,
-        row-major."""
+        row-major, between tanh' at the hidden layer (slope) and delta W1."""
+        self.slope = 1.0 - self.act * self.act if self.problem.hidden else None
         if self.problem.loss is LossKind.CROSS_ENTROPY:
-            return super()._residual()
-        onehot = self.parts.onehot
-        return None, np.subtract(self.scores, onehot, order="C") / onehot.shape[-2]
+            p, delta = super()._residual()
+        else:
+            onehot = self.parts.onehot
+            p, delta = None, np.subtract(self.scores, onehot, order="C") / onehot.shape[-2]
+        self.delta_w1 = delta @ self.w1 if self.problem.hidden else None
+        return p, delta
 
     def _grad_y(self):
-        out = np.empty(self.ys.shape)
-        _dense_gradient(out, self.problem._out_at, self.delta, self.act)
+        delta, out = self.delta, np.empty(self.ys.shape)
+        _dense_gradient(out, self.problem._out_at, delta, self.act)
         if self.problem.hidden:
-            _dense_gradient(out, 0, (self.delta @ self.w1) * self.slope, self.phi)
+            _dense_gradient(out, 0, self.delta_w1 * self.slope, self.phi)
         if self.split is Split.TRAIN:
             out += self.problem.reg.grad(self.ys)
         return out
@@ -742,7 +754,7 @@ class _MlpPoint(_TaskAxisPoint):
             # this order of the three terms, or the bits move
             r_out = w1 @ r_act.swapaxes(-1, -2) + v1 @ act.swapaxes(-1, -2) + vb1[..., None]
             r_delta = r_residual(r_out.swapaxes(-1, -2))
-            r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * (delta @ w1) * act * r_act
+            r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * self.delta_w1 * act * r_act
             _dense_gradient(out, 0, r_back, phi)
             _dense_gradient(out, prob._out_at, r_delta, act)
             gw1 = _dense(out, prob._out_at, prob.dim_out, prob.hidden)[0]

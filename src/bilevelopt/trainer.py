@@ -261,6 +261,8 @@ def _json_types(hint) -> tuple[type, ...]:
     return tuple(t for o in options for t in ((int, float) if o is float else (o,)))
 
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
 # resolved once, because get_type_hints costs more than the rest of from_dict
 _FIELD_TYPES = {
     key: {name: _json_types(hint) for name, hint in get_type_hints(cls).items()}
@@ -304,6 +306,12 @@ class ExperimentConfig:
                 if float in types and value is not None and not abs(value) <= sys.float_info.max:
                     raise ConfigError(
                         f"{key}.{field_name}: expected a finite number, got {value!r}"
+                    )
+                # and integers that no numpy array size or index can hold
+                if float not in types and isinstance(value, int) and abs(value) > _INTP_MAX:
+                    raise ConfigError(
+                        f"{key}.{field_name}: expected an integer of magnitude at most "
+                        f"{_INTP_MAX}, got {value!r}"
                     )
             try:
                 parts[key] = section_cls(**body)

@@ -141,6 +141,7 @@ def test_an_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
 
 
 _FINITE = "expected a finite number"
+_INTP = f"expected an integer of magnitude at most {np.iinfo(np.intp).max}"
 
 
 @pytest.mark.parametrize(
@@ -158,6 +159,13 @@ _FINITE = "expected a finite number"
         ({"meta_opt": {"lr": 10**400}}, f"error: meta_opt.lr: {_FINITE}"),
         ({"hypergrad": {"cg_tol": 10**400}}, f"error: hypergrad.cg_tol: {_FINITE}"),
         ({"problem": {"quad_lam": 10**400}}, f"error: problem.quad_lam: {_FINITE}"),
+        # integers that no numpy array size or index can hold
+        ({"run": {"eval_tasks": 10**30}}, f"error: run.eval_tasks: {_INTP}"),
+        ({"data": {"batch_size": 10**30}}, f"error: data.batch_size: {_INTP}"),
+        ({"problem": {"hidden": 10**30}}, f"error: problem.hidden: {_INTP}"),
+        ({"data": {"dim": 10**30}}, f"error: data.dim: {_INTP}"),
+        ({"data": {"shot": 10**30}}, f"error: data.shot: {_INTP}"),
+        ({"data": {"query": 10**30}}, f"error: data.query: {_INTP}"),
     ],
 )
 def test_a_number_the_run_cannot_use_exits_2(tmp_path, capsys, updates, start):

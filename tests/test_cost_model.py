@@ -18,6 +18,7 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bilevelopt.hypergrad as hg
@@ -95,6 +96,8 @@ class _Tally:
         self.generators = 0
         self.grad_y_kernels = 0
         self.step_maps = 0
+        self.residuals = 0  # softmax or squared-error residuals computed
+        self.errstates = 0  # np.errstate entries
 
     def call(self, key, rows):
         self.calls[key][0] += 1
@@ -110,6 +113,8 @@ class _Tally:
             "generators": self.generators,
             "grad_y_kernels": self.grad_y_kernels,
             "step_maps": self.step_maps,
+            "residuals": self.residuals,
+            "errstates": self.errstates,
         }
 
 
@@ -169,7 +174,8 @@ class _Counting:
 
 def _install_counters(monkeypatch, counting):
     """Count what the wrapper cannot see: feature maps, grad_y kernel runs,
-    step maps, CG map applications and generators, into counting.tally."""
+    step maps, residuals, np.errstate entries, CG map applications and
+    generators, into counting.tally."""
 
     def tally():
         return counting.tally
@@ -187,6 +193,9 @@ def _install_counters(monkeypatch, counting):
     bump(_SoftmaxPoint, "_grad_y", "grad_y_kernels")
     bump(_MlpPoint, "_grad_y", "grad_y_kernels")
     bump(inner_mod, "_step_map", "step_maps")
+    bump(_SoftmaxPoint, "_residual", "residuals")
+    bump(_MlpPoint, "_residual", "residuals")
+    bump(np, "errstate", "errstates")
     bump(RngStream, "generator", "generators")
     solve = hg.conjugate_gradient_batch
 

@@ -17,6 +17,8 @@ from bilevelopt import (
     NonFiniteValue,
     Paradigm,
     ParamVector,
+    Regularizer,
+    Reverse,
     RngStream,
     Split,
     fd_gradient,
@@ -25,13 +27,16 @@ from bilevelopt import (
     init_task_params,
     init_task_params_batch,
     inner_step,
+    make_meta_init_mlp,
     make_quadratic,
     required_x_segments,
     run_inner,
     step_transposed_jvps,
 )
+from bilevelopt.hypergrad import compute_hypergradient_batch
 from bilevelopt.inner import (
     DEFAULT_INIT_SD,
+    InnerRun,
     _step_map,
     run_inner_batch,
     sigmoid,
@@ -40,6 +45,8 @@ from bilevelopt.inner import (
     step_points,
     step_transposed_jvps_batch,
 )
+
+from conftest import DIM_IN, WAY
 
 ALL_RULES = (
     InnerRule.GD,
@@ -297,8 +304,9 @@ def test_nonfinite_step_is_caught():
 
 
 def test_an_overflowing_warp_raises_without_a_numpy_warning(softmax_problem, small_batch):
-    # the step map is built under the steps' errstate, so exp's overflow in
-    # the warp reaches the caller as the finiteness checks' errors alone
+    # the step map is built under its own errstate, so exp's overflow in the
+    # warp reaches the caller as the finiteness checks' errors alone; the
+    # transposed products run under their caller's errstate, as in a sweep
     rule = InnerRule.WARP_GRAD_DIAG
     x = _extended_x(softmax_problem, rule, seed=8)
     x = x.with_segment("warp_logdiag", np.full(softmax_problem.y_layout.dim, 1e3))
@@ -311,8 +319,104 @@ def test_an_overflowing_warp_raises_without_a_numpy_warning(softmax_problem, sma
         step_map = _step_map(cfg, x, softmax_problem.y_layout)
         parts = partial(softmax_problem.split_parts, x, small_batch)
         points = step_points(cfg, lambda split: softmax_problem.at(parts(split), ys))
-        with pytest.raises(NonFiniteValue, match="transposed products under rule"):
-            step_transposed_jvps_batch(cfg, points, np.ones_like(ys), step_map)
+        g = np.zeros((len(ys), x.layout.dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteValue, match="transposed products under rule"):
+                step_transposed_jvps_batch(cfg, points, np.ones_like(ys), step_map, g)
+
+
+def _meta_init_x(problem, rule, init, **segments):
+    """A meta-init x: the y vector init in "init", and each named rule
+    segment filled with its value."""
+    layout = problem.x_layout
+    for name, length in required_x_segments(rule, problem.y_layout):
+        layout = layout.extended(name, length)
+    x = ParamVector.zeros(layout).with_segment("init", init)
+    for name, value in segments.items():
+        x = x.with_segment(name, np.full(layout.length_of(name), value))
+    return x
+
+
+@pytest.mark.parametrize(
+    "rule, step_size, segments",
+    ((InnerRule.GD, 0.05, {}), (InnerRule.META_SGD, 1.0, {"rates": softplus_inverse(0.05)})),
+    ids=["gd", "meta_sgd"],
+)
+def test_a_run_whose_forward_pass_overflows_raises_without_a_numpy_warning(
+    rule, step_size, segments, small_batch
+):
+    # output weights and biases of 1e308 overflow the logits to inf, whose
+    # softmax is NaN: the forward pass runs under the run's one errstate,
+    # so only the step's finiteness check speaks
+    prob = make_meta_init_mlp(DIM_IN, 4, WAY)
+    y = ParamVector.zeros(prob.y_layout).with_segment("b0", np.ones(4))
+    y = y.with_segment("w1", np.full(4 * WAY, 1e308)).with_segment("b1", np.full(WAY, 1e308))
+    x = _meta_init_x(prob, rule, y.values, **segments)
+    cfg = InnerConfig(steps=2, step_size=step_size, rule=rule)
+    ys = init_task_params_batch(Paradigm.META_INIT, prob, x, RngStream(2), len(small_batch))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=f"inner step under rule {rule.value}"):
+            run_inner_batch(cfg, prob, x, ys, small_batch)
+
+
+@pytest.mark.parametrize(
+    "rule, step_size, segments",
+    ((InnerRule.GD, 1e308, {}), (InnerRule.META_SGD, 1.0, {"rates": 1e300})),
+    ids=["gd", "meta_sgd"],
+)
+def test_a_sweep_whose_products_overflow_raises_without_a_numpy_warning(
+    rule, step_size, segments, small_batch
+):
+    # a step of 1e308, or a rate of 1e300, times a ridge of 1e10 overflows
+    # the first transposed product; the recorded run is built by hand, so
+    # its forward steps never run
+    prob = make_meta_init_mlp(DIM_IN, 4, WAY, reg=Regularizer.l2(1e10))
+    init = 0.1 * RngStream(5).generator().standard_normal(prob.y_layout.dim)
+    x = _meta_init_x(prob, rule, init, **segments)
+    cfg = InnerConfig(steps=1, step_size=step_size, rule=rule)
+    ys = init_task_params_batch(Paradigm.META_INIT, prob, x, RngStream(2), len(small_batch))
+    run = InnerRun(cfg, prob, x, small_batch, [ys, ys])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=f"transposed products under rule {rule.value}"):
+            compute_hypergradient_batch(Reverse(), Paradigm.META_INIT, run)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    (InnerRule.GD, InnerRule.MTNET_MASK, InnerRule.META_SGD, InnerRule.WARP_GRAD_DIAG),
+    ids=["MAML", "MT-net", "Meta-SGD", "WarpGrad"],
+)
+def test_the_per_task_x_products_of_a_meta_init_step_are_the_pullback_alone(
+    rule, mlp_problem, small_task
+):
+    # the MLP's loss never reads x, so bT_v is the factor's pullback in its
+    # own segment and zero elsewhere: each segment is written out here in
+    # the order of the step map's own products, and must match exactly
+    s = 0.3
+    gen = RngStream(11, 54).generator()
+    x = _extended_x(mlp_problem, rule, seed=11)
+    y = ParamVector(mlp_problem.y_layout, 0.4 * gen.standard_normal(mlp_problem.y_layout.dim))
+    v = ParamVector(mlp_problem.y_layout, gen.standard_normal(mlp_problem.y_layout.dim))
+    cfg = InnerConfig(steps=1, step_size=s, rule=rule)
+    _, bT = step_transposed_jvps(rule, cfg, mlp_problem, x, y, small_task, v)
+    g = mlp_problem.grad_y(x, y, small_task, Split.TRAIN).values
+    want = np.zeros(x.layout.dim)
+    if rule is InnerRule.META_SGD:
+        want[x.layout.slice_of("rates")] = -sigmoid(x.segment("rates")) * g * v.values
+    elif rule is InnerRule.MTNET_MASK:
+        sig = sigmoid(x.segment("mask_logits"))
+        offsets = [seg.offset for seg in mlp_problem.y_layout.segments]
+        want[x.layout.slice_of("mask_logits")] = (
+            -s * sig * (1.0 - sig) * np.add.reduceat(g * v.values, offsets)
+        )
+    elif rule is InnerRule.WARP_GRAD_DIAG:
+        d = np.exp(x.segment("warp_logdiag"))
+        want[x.layout.slice_of("warp_logdiag")] = -s * d * g * v.values
+    assert bT.layout == x.layout
+    assert np.array_equal(bT.values, want)
+    assert rule is not InnerRule.GD or not bT.values.any()
 
 
 # --------------------------------------------------------------------------

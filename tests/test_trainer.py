@@ -256,6 +256,40 @@ def test_a_float_field_rejects_a_number_that_is_not_finite(section, field, value
     assert str(exc.value) == f"{section}.{field}: expected a finite number, got {value!r}"
 
 
+# every (section, field) whose annotation admits an int but not a float
+_INT_FIELDS = [
+    (key, name)
+    for key, cls in _SECTIONS.items()
+    for name, hint in get_type_hints(cls).items()
+    if int in (get_args(hint) or (hint,)) and float not in (get_args(hint) or (hint,))
+]
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
+def test_the_int_fields_are_the_ones_of_the_sections():
+    assert ("data", "num_classes") in _INT_FIELDS
+    assert ("run", "eval_tasks") in _INT_FIELDS
+    assert ("hypergrad", "truncation_k") in _INT_FIELDS
+
+
+@pytest.mark.parametrize(
+    "value", [10**30, -(10**30), _INTP_MAX + 1], ids=["1e30", "-1e30", "max+1"]
+)
+@pytest.mark.parametrize("section, field", _INT_FIELDS)
+def test_an_int_field_rejects_an_integer_no_array_can_hold(section, field, value):
+    # data.num_classes at 10**30 would otherwise build class names for as
+    # long as memory lasts
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict({section: {field: value}})
+    assert str(exc.value) == (
+        f"{section}.{field}: expected an integer of magnitude at most {_INTP_MAX}, got {value!r}"
+    )
+
+
+def test_the_largest_intp_passes_the_type_check():
+    assert ExperimentConfig.from_dict({"run": {"seed": _INTP_MAX}}).run.seed == _INTP_MAX
+
+
 def test_json_types_that_fit_the_annotation_are_accepted():
     cfg = ExperimentConfig.from_dict(
         {
