@@ -362,7 +362,7 @@ def sample_task_batch(
     )
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)  # one shape's two stacks: an evaluation's go when training samples
 def _label_stack(way: int, count: int, n: int) -> np.ndarray:
     labels = np.tile(np.repeat(np.arange(way, dtype=np.int64), count), (n, 1))
     labels.setflags(write=False)

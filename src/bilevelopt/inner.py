@@ -368,12 +368,14 @@ def run_inner_batch(
     any step) y_T; either way its last stack is y_T. With record it keeps
     the points of each step too.
     """
-    run = InnerRun(config, problem, x, batch, [ys])
-    with np.errstate(over="ignore", invalid="ignore"):  # each step raises on a non-finite y
+    run, caught = InnerRun(config, problem, x, batch, [ys]), []
+    with np.errstate(over="call", invalid="call", call=lambda err, flag: caught.append(err)):
         for t in range(config.steps):
             # an unrecorded run's points live for their step alone
             at = partial(run.at, t) if record else partial(run.point, ys)
             ys = _step(config, run.step_map, step_points(config, at))
+            if caught:  # one a pass absorbed (tanh saturated); one in the update made _step raise
+                raise NonFiniteValue(f"inner step under rule {config.rule.value}: {caught[0]}")
             if record or t + 1 == config.steps:
                 run.stacks.append(ys)
     return run

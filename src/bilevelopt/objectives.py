@@ -488,6 +488,10 @@ class _TaskAxisParts(SplitParts):
         return (self.labels[..., None] == np.arange(self.classes)).astype(np.float64)
 
 
+def _residual_part(i: int) -> property:  # item i of the residual, computed on first read
+    return property(lambda self: (self._pd or self._read_residual())[i])
+
+
 class _TaskAxisPoint(Point):
     """A point of a _TaskAxisObjective at the stack ys on its parts, whose
     ys and batch may carry any leading task axes, or none for one task. The
@@ -502,8 +506,7 @@ class _TaskAxisPoint(Point):
         self.phi, self.h, self._g, self._pd = parts.phi, parts.h, None, None
         self.scores = self._run()
 
-    p = property(lambda self: (self._pd or self._read_residual())[0])
-    delta = property(lambda self: (self._pd or self._read_residual())[1])
+    p, delta = _residual_part(0), _residual_part(1)
 
     def _read_residual(self):
         self._pd = self._residual()
@@ -515,8 +518,8 @@ class _TaskAxisPoint(Point):
         memory."""
         raise NotImplementedError
 
-    def _residual(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """Softmax p and the cross-entropy residual dloss/dscores."""
+    def _residual(self) -> tuple:
+        """Softmax p and the cross-entropy residual dloss/dscores, then a subclass's own."""
         return _softmax_residual(self.scores, self.parts.onehot)
 
     def grad_y(self):
@@ -531,6 +534,8 @@ class _TaskAxisPoint(Point):
         if self.split is Split.TRAIN:
             loss = loss + self.problem.reg.value(self.ys)
         return loss
+
+    couples_x = False  # grad_x and cross_hvp are zero, so a sweep asks for neither
 
     def grad_x(self):
         return np.zeros(self.ys.shape[:-1] + (self.x.layout.dim,))
@@ -609,7 +614,7 @@ class _SoftmaxPoint(_TaskAxisPoint):
     cross_hvp of that same array reads it; either way, cross_hvp leaves the
     point without one."""
 
-    _kept = None
+    couples_x, _kept = True, None
 
     def _run(self):
         self.w, logits = self.problem._logits(self.ys, self.h)
@@ -704,23 +709,22 @@ class _MlpPoint(_TaskAxisPoint):
     """MetaInitMlp at a point: outputs, the output layer's input act (the
     hidden activations, or phi without a hidden layer) and weights w1."""
 
-    couples_x = False
+    slope, delta_w1 = _residual_part(2), _residual_part(3)
 
     def _run(self):
         out, self.act, self.w1 = self.problem._forward(self.ys, self.phi)
         return out
 
-    def _residual(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """Softmax p (None for a squared error) and the residual dloss/dout,
-        row-major, between tanh' at the hidden layer (slope) and delta W1."""
-        self.slope = 1.0 - self.act * self.act if self.problem.hidden else None
+    def _residual(self):
+        """Softmax p (None for a squared error), the row-major residual dloss/dout,
+        then, None without a hidden layer, its tanh' (slope, first) and delta W1 (last)."""
+        slope = 1.0 - self.act * self.act if self.problem.hidden else None
         if self.problem.loss is LossKind.CROSS_ENTROPY:
             p, delta = super()._residual()
         else:
             onehot = self.parts.onehot
             p, delta = None, np.subtract(self.scores, onehot, order="C") / onehot.shape[-2]
-        self.delta_w1 = delta @ self.w1 if self.problem.hidden else None
-        return p, delta
+        return p, delta, slope, delta @ self.w1 if self.problem.hidden else None
 
     def _grad_y(self):
         delta, out = self.delta, np.empty(self.ys.shape)

@@ -307,8 +307,10 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"{key}.{field_name}: expected a finite number, got {value!r}"
                     )
-                # and integers that no numpy array size or index can hold
-                if float not in types and isinstance(value, int) and abs(value) > _INTP_MAX:
+                # and sizes and counts that no numpy array can hold; a seed is
+                # masked to 64 bits (RngStream), so any integer is one
+                if (float not in types and field_name != "seed" and isinstance(value, int)
+                        and abs(value) > _INTP_MAX):
                     raise ConfigError(
                         f"{key}.{field_name}: expected an integer of magnitude at most "
                         f"{_INTP_MAX}, got {value!r}"

@@ -1,7 +1,7 @@
 """Compare two checkouts on one perfbench workload in alternating pairs.
 
     python tests/bench_pairs.py BEFORE AFTER --workload init_unrolled \
-        --pairs 10 --seconds 30 --seed-base 7000 [--json runs.json]
+        --pairs 10 --seconds 30 --seed-base 7000
 
 BEFORE and AFTER are two checkouts of the repository. Pair i runs each
 tree's own perfbench/run.py with seed seed_base + i, BEFORE first in even
@@ -109,7 +109,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed-base", type=int, required=True)
-    parser.add_argument("--json", type=Path, help="also write every run's record to this file")
     args = parser.parse_args(argv)
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     spec = json.loads((trees["after"] / "BENCHMARK.json").read_text())
@@ -131,8 +130,6 @@ def main(argv=None) -> int:
                 f"failed {run['result']['failed']}"
             )
         print(f"pair {i} seed {seed} ({order[0]} first): " + " | ".join(cells), flush=True)
-    if args.json is not None:
-        args.json.write_text(json.dumps(pairs))
     summarize(pairs, better)
     return 0
 

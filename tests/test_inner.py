@@ -337,26 +337,37 @@ def _meta_init_x(problem, rule, init, **segments):
     return x
 
 
+# MLP layers of 1e308 that overflow a run's forward pass, and how it ends:
+# output weights and biases overflow the logits to inf, whose softmax is
+# NaN, so the step's finiteness check speaks; hidden weights overflow the
+# pre-activations to +-inf, which tanh saturates to +-1 (slope 0), so every
+# y stays finite and the run's own catch of the overflow speaks
+_FORWARD_OVERFLOWS = {
+    "logits": ({"b0": 1.0, "w1": 1e308, "b1": 1e308}, " produced non-finite y$"),
+    "tanh": ({"w0": 1e308, "w1": 0.1}, ": overflow$"),
+}
+
+
+@pytest.mark.parametrize("overflow", sorted(_FORWARD_OVERFLOWS))
 @pytest.mark.parametrize(
     "rule, step_size, segments",
     ((InnerRule.GD, 0.05, {}), (InnerRule.META_SGD, 1.0, {"rates": softplus_inverse(0.05)})),
     ids=["gd", "meta_sgd"],
 )
 def test_a_run_whose_forward_pass_overflows_raises_without_a_numpy_warning(
-    rule, step_size, segments, small_batch
+    rule, step_size, segments, overflow, small_batch
 ):
-    # output weights and biases of 1e308 overflow the logits to inf, whose
-    # softmax is NaN: the forward pass runs under the run's one errstate,
-    # so only the step's finiteness check speaks
+    fills, ending = _FORWARD_OVERFLOWS[overflow]
     prob = make_meta_init_mlp(DIM_IN, 4, WAY)
-    y = ParamVector.zeros(prob.y_layout).with_segment("b0", np.ones(4))
-    y = y.with_segment("w1", np.full(4 * WAY, 1e308)).with_segment("b1", np.full(WAY, 1e308))
+    y = ParamVector.zeros(prob.y_layout)
+    for name, value in fills.items():
+        y = y.with_segment(name, np.full(prob.y_layout.length_of(name), value))
     x = _meta_init_x(prob, rule, y.values, **segments)
     cfg = InnerConfig(steps=2, step_size=step_size, rule=rule)
     ys = init_task_params_batch(Paradigm.META_INIT, prob, x, RngStream(2), len(small_batch))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteValue, match=f"inner step under rule {rule.value}"):
+        with pytest.raises(NonFiniteValue, match=f"inner step under rule {rule.value}{ending}"):
             run_inner_batch(cfg, prob, x, ys, small_batch)
 
 

@@ -256,12 +256,14 @@ def test_a_float_field_rejects_a_number_that_is_not_finite(section, field, value
     assert str(exc.value) == f"{section}.{field}: expected a finite number, got {value!r}"
 
 
-# every (section, field) whose annotation admits an int but not a float
+# every (section, field) whose annotation admits an int but not a float,
+# seeds aside: those take any integer
 _INT_FIELDS = [
     (key, name)
     for key, cls in _SECTIONS.items()
     for name, hint in get_type_hints(cls).items()
     if int in (get_args(hint) or (hint,)) and float not in (get_args(hint) or (hint,))
+    and name != "seed"
 ]
 _INTP_MAX = int(np.iinfo(np.intp).max)
 
@@ -270,6 +272,7 @@ def test_the_int_fields_are_the_ones_of_the_sections():
     assert ("data", "num_classes") in _INT_FIELDS
     assert ("run", "eval_tasks") in _INT_FIELDS
     assert ("hypergrad", "truncation_k") in _INT_FIELDS
+    assert ("run", "seed") not in _INT_FIELDS
 
 
 @pytest.mark.parametrize(
@@ -287,7 +290,13 @@ def test_an_int_field_rejects_an_integer_no_array_can_hold(section, field, value
 
 
 def test_the_largest_intp_passes_the_type_check():
-    assert ExperimentConfig.from_dict({"run": {"seed": _INTP_MAX}}).run.seed == _INTP_MAX
+    assert ExperimentConfig.from_dict({"run": {"eval_tasks": _INTP_MAX}}).run.eval_tasks == _INTP_MAX
+
+
+@pytest.mark.parametrize("value", [2**64 - 1, 10**400], ids=["u64-max", "1e400"])
+def test_a_seed_may_be_any_integer(value):
+    # RngStream masks a seed to 64 bits, so a full 64-bit draw is a seed
+    assert ExperimentConfig.from_dict({"run": {"seed": value}}).run.seed == value
 
 
 def test_json_types_that_fit_the_annotation_are_accepted():
