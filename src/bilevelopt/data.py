@@ -25,6 +25,7 @@ __all__ = [
     "Example",
     "TaskDataset",
     "TaskBatch",
+    "LabelTargets",
     "EpisodeSpec",
     "DatasetSource",
     "SyntheticGaussian",
@@ -69,15 +70,39 @@ def _examples(features: np.ndarray, labels: np.ndarray) -> tuple[Example, ...]:
     return tuple(Example(row, int(label)) for row, label in zip(features, labels))
 
 
+class LabelTargets:
+    """The targets of the labels of one split, a (..., rows) array, for
+    `classes` classes: at_labels, the index of each row's entry at its
+    label in a (..., rows, classes) array, and onehot, the (..., rows,
+    classes) float64 one-hot rows, built on first read. Both are
+    read-only, apart from the labels themselves."""
+
+    def __init__(self, labels: np.ndarray, classes: int):
+        self.labels, self.classes = labels, classes
+        index = np.indices(labels.shape, sparse=True)
+        for axis in index:
+            axis.setflags(write=False)
+        self.at_labels = index + (labels,)
+
+    @cached_property
+    def onehot(self) -> np.ndarray:
+        onehot = (self.labels[..., None] == np.arange(self.classes)).astype(np.float64)
+        onehot.setflags(write=False)
+        return onehot
+
+
 class TaskBatch:
     """Tasks of one episode shape, stacked on a leading task axis: (tasks,
     rows, dim) features and (tasks, rows) labels.
 
     The sampler builds a batch from the stacks it drew (`TaskBatch.stacked`);
-    `tasks`, one TaskDataset view per row, is then built on first use. Built
-    from a sequence of tasks (None for a problem without data), it is the
-    stacks that are built on first use.
+    `tasks`, one TaskDataset view per row, is then built on first use, and
+    each split's LabelTargets are shared with its label stack. Built from a
+    sequence of tasks (None for a problem without data), it is the stacks
+    that are built on first use, and it shares no targets (None).
     """
+
+    train_targets = val_targets = None
 
     def __init__(self, tasks):
         # instance attributes shadow the cached properties below
@@ -85,11 +110,12 @@ class TaskBatch:
         self._size = len(self.tasks)
 
     @classmethod
-    def stacked(cls, train_features, train_labels, val_features, val_labels) -> "TaskBatch":
+    def stacked(cls, train_features, train_targets, val_features, val_targets) -> "TaskBatch":
         batch = cls.__new__(cls)
         batch._size = len(train_features)
-        batch.train_features, batch.train_labels = train_features, train_labels
-        batch.val_features, batch.val_labels = val_features, val_labels
+        batch.train_features, batch.train_targets = train_features, train_targets
+        batch.val_features, batch.val_targets = val_features, val_targets
+        batch.train_labels, batch.val_labels = train_targets.labels, val_targets.labels
         return batch
 
     def __len__(self) -> int:
@@ -335,7 +361,8 @@ def sample_task_batch(
     task order, so growing batch_size never changes the earlier tasks.
     The train and val stacks are C-contiguous copies that own their memory,
     so the batch never keeps the draw, all shot + query items of each
-    class, alive. The label stacks are shared per shape, read-only.
+    class, alive. The label stacks and their targets (LabelTargets, for
+    `way` classes) are shared per shape, read-only.
     """
     names = source.class_names()
     if len(names) < spec.way:
@@ -363,7 +390,7 @@ def sample_task_batch(
 
 
 @lru_cache(maxsize=2)  # one shape's two stacks: an evaluation's go when training samples
-def _label_stack(way: int, count: int, n: int) -> np.ndarray:
+def _label_stack(way: int, count: int, n: int) -> LabelTargets:
     labels = np.tile(np.repeat(np.arange(way, dtype=np.int64), count), (n, 1))
     labels.setflags(write=False)
-    return labels
+    return LabelTargets(labels, way)

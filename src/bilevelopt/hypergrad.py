@@ -274,14 +274,18 @@ def _darts(paradigm, run, cfg: Darts, step_size: float) -> HyperGradBatch:
     eps = (cfg.delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
     # the difference points share the run's train parts
     ys, shift, train = run[-1], eps * v, run.parts(Split.TRAIN)
-    plus, minus = run.problem.at(train, ys + shift), run.problem.at(train, ys - shift)
+    plus = run.problem.at(train, ys + shift)
+    minus = run.problem.at(train, np.subtract(ys, shift, out=shift))
     scale = step_size / (2.0 * eps)
+    # the bracket is this function's own, so the rest is computed in it
     if paradigm is Paradigm.META_INIT:
         bracket = plus.grad_y() - minus.grad_y()
-        g = segment_rows(run.x.layout, "init", v - scale * bracket)
+        bracket *= scale
+        g = segment_rows(run.x.layout, "init", np.subtract(v, bracket, out=bracket))
     else:
         bracket = plus.grad_x() - minus.grad_x()
-        g = final.grad_x() - scale * bracket
+        bracket *= scale
+        g = np.subtract(final.grad_x(), bracket, out=bracket)
     return HyperGradBatch(grad_x=g, ul_value=final.value())
 
 

@@ -143,11 +143,13 @@ class InnerRun:
         """The step map of the run's config at x (_step_map)."""
         return _step_map(self.config, self.x, self.problem.y_layout)
 
+    # parts and at key a split by its value, a str: Enum.__hash__ is Python code
+
     def parts(self, split: Split):
         """problem.split_parts at x on `split` of the batch."""
-        if split not in self._parts:
-            self._parts[split] = self.problem.split_parts(self.x, self.batch, split)
-        return self._parts[split]
+        if split._value_ not in self._parts:
+            self._parts[split._value_] = self.problem.split_parts(self.x, self.batch, split)
+        return self._parts[split._value_]
 
     def point(self, ys: np.ndarray, split: Split) -> Point:
         """The problem's point at the stack ys on `split`, which the run does not keep."""
@@ -157,7 +159,7 @@ class InnerRun:
         n = len(self.stacks)
         if not -n <= t < n:
             raise IndexError(f"stack {t} outside the run's {n}")
-        key = (t % n, split)
+        key = (t % n, split._value_)
         if key not in self._points:
             self._points[key] = self.point(self.stacks[t], split)
         return self._points[key]
@@ -227,8 +229,9 @@ def init_task_params_batch(
         ys = np.empty((n_tasks, problem.y_layout.dim))
         ys[...] = x.segment("init")
         return ys
-    gen = rng.generator()
-    return DEFAULT_INIT_SD * gen.standard_normal((n_tasks, problem.y_layout.dim))
+    ys = rng.generator().standard_normal((n_tasks, problem.y_layout.dim))
+    ys *= DEFAULT_INIT_SD
+    return ys
 
 
 def init_task_params(
@@ -320,7 +323,9 @@ def _step(config: InnerConfig, step_map, points: tuple[Point, ...]) -> np.ndarra
     # measured more page faults per evaluation
     del points
     scale, d, _, _ = step_map
-    y_next = ys - scale * g if d is None else ys - scale * d * g
+    # ys - scale * g (or scale * d * g), subtracted into the one stack it allocates
+    y_next = scale * g if d is None else scale * d * g
+    np.subtract(ys, y_next, out=y_next)
     if not np.isfinite(y_next).all():
         raise NonFiniteValue(f"inner step under rule {config.rule.value} produced non-finite y")
     return y_next

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
     IndefiniteCurvature,
@@ -197,7 +198,8 @@ class ParamVector:
         )
 
     def __hash__(self):
-        return hash((self.layout, self.values.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ holds equal
+        return hash((self.layout, (self.values + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"ParamVector({self.layout}, {self.values!r})"
@@ -228,6 +230,21 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+class _PhiloxKey(ISeedSequence):
+    """Hands a Philox bit generator its 128-bit key as the state it asks
+    its seed sequence for. Philox(key=k) builds the same generator, but
+    first seeds a throwaway SeedSequence from OS entropy, which costs
+    more than the rest of its construction."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Handle for a counter-based random stream.
@@ -242,10 +259,13 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
+        """A new generator of its own: the draws of
+        np.random.Generator(np.random.Philox(key=[seed, stream_id])), each
+        masked to 64 bits."""
         key = np.array(
             [self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
     def child(self, index: int) -> "RngStream":
         mixed = _splitmix64(((self.stream_id & _MASK64) * _GOLDEN + index + 1) & _MASK64)

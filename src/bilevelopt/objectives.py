@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .data import TaskBatch
+from .data import LabelTargets, TaskBatch
 from .errors import LayoutMismatch, LengthMismatch, NonFiniteValue
 from .numerics import Layout, ParamVector
 
@@ -467,25 +466,28 @@ def _dense_gradient(out: np.ndarray, at: int, a: np.ndarray, h: np.ndarray):
 
 class _TaskAxisParts(SplitParts):
     """The split parts of a _TaskAxisObjective, for a TaskBatch or one
-    TaskDataset: the split's inputs phi and labels, their one-hot targets,
-    the index of each row's entry at its label, and h, the input of the
-    forward pass (the features phi M^T of the feature softmax, phi itself
-    for the MLP)."""
+    TaskDataset: the split's inputs phi and labels, their targets (the
+    batch's shared LabelTargets where they are for the problem's classes),
+    and h, the input of the forward pass (the features phi M^T of the
+    feature softmax, phi itself for the MLP)."""
 
     def __init__(self, problem, x: ParamVector, batch, split: Split):
         super().__init__(x, batch, split)
         if split is Split.TRAIN:
             self.phi, self.labels = batch.train_features, batch.train_labels
+            targets = getattr(batch, "train_targets", None)
         else:
             self.phi, self.labels = batch.val_features, batch.val_labels
-        self.classes = problem.classes
-        self.at_labels = np.indices(self.labels.shape, sparse=True) + (self.labels,)
+            targets = getattr(batch, "val_targets", None)
+        if targets is None or targets.classes != problem.classes:
+            targets = LabelTargets(self.labels, problem.classes)
+        self.targets, self.at_labels = targets, targets.at_labels
         self.h = problem._features(x, self.phi)
 
-    @cached_property
+    @property
     def onehot(self) -> np.ndarray:
-        # built on first use, as grading cross-entropy scores never reads it
-        return (self.labels[..., None] == np.arange(self.classes)).astype(np.float64)
+        # built on first read, as grading cross-entropy scores never reads it
+        return self.targets.onehot
 
 
 def _residual_part(i: int) -> property:  # item i of the residual, computed on first read
@@ -718,7 +720,10 @@ class _MlpPoint(_TaskAxisPoint):
     def _residual(self):
         """Softmax p (None for a squared error), the row-major residual dloss/dout,
         then, None without a hidden layer, its tanh' (slope, first) and delta W1 (last)."""
-        slope = 1.0 - self.act * self.act if self.problem.hidden else None
+        slope = None
+        if self.problem.hidden:  # 1 - act^2 in one array of the hidden layer's size
+            slope = self.act * self.act
+            np.subtract(1.0, slope, out=slope)
         if self.problem.loss is LossKind.CROSS_ENTROPY:
             p, delta = super()._residual()
         else:

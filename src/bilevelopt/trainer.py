@@ -524,6 +524,15 @@ def _adapt(
     return run_inner_batch(exp.inner_config, exp.problem, x, ys, batch, record)
 
 
+def _task_order_sum(rows: np.ndarray) -> np.ndarray:
+    """The rows of a (tasks, dim) stack added in task order, one at a time.
+    numpy's sum does so where its inner loop runs along a row; it sums a
+    column pairwise, so one column or column-major memory is accumulated."""
+    if rows.shape[1] > 1 and rows.flags.c_contiguous:
+        return rows.sum(axis=0)
+    return np.add.accumulate(rows)[-1]
+
+
 def meta_train(
     exp: Experiment, state: TrainState
 ) -> tuple[TrainState, list[MetricsRecord]]:
@@ -557,11 +566,9 @@ def _train_rounds(exp: Experiment, state: TrainState):
             res = compute_hypergradient_batch(exp.method, exp.paradigm, run)
             inner_final = run.at(-1, Split.TRAIN).value()
 
-            # task order, one addition at a time, as a loop over tasks would
-            g_total = res.grad_x[0]
-            for grad in res.grad_x[1:]:
-                g_total = g_total + grad
-            g_mean = ParamVector(x.layout, g_total * (1.0 / n_batch), copy=False)
+            g_total = _task_order_sum(res.grad_x)
+            g_total *= 1.0 / n_batch
+            g_mean = ParamVector(x.layout, g_total, copy=False)
             ul_loss = sum(res.ul_value.tolist()) / n_batch
             inner_loss = sum(inner_final.tolist()) / n_batch
 

@@ -14,7 +14,9 @@ reaps that child; ru_maxrss is a maximum, so only wait4 gives it for one
 child. The script prints each pair, then for every end-to-end metric of
 AFTER's BENCHMARK.json and every preset's p50 ms per meta-iteration each
 side's median and quartiles, the ratio of the medians, the gap of the
-medians against BEFORE's interquartile range, and the pairs AFTER won.
+medians against BEFORE's interquartile range, and the pairs AFTER won;
+rows for each side's minor faults and max RSS per run follow the metrics,
+so a run that flips glibc's heap mode shows in the summary.
 
 It reads only its own children's counters, changes no setting of the
 machine and writes nothing under either checkout. pytest does not collect
@@ -61,8 +63,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def figures(run: dict, presets) -> dict:
-    """name -> value of every end-to-end metric and preset p50 of one run."""
+    """name -> value of every end-to-end metric, the run's own minor faults
+    and max RSS, and every preset p50 of one run."""
     out = {name: m["value"] for name, m in run["result"]["metrics"].items()}
+    out["minflt"], out["maxrss_kb"] = run["minflt"], run["maxrss_kb"]
     per_preset = run["info"]["preset_metrics"]
     for p in presets:
         key = f"trainer.iter_ms_p50.{p}"

@@ -290,16 +290,16 @@ def test_the_per_task_path_builds_each_point_once(name):
 
 
 # (tasks, batch size, KB) per preset: perfbench's evaluation of each, and a
-# bound just above the traced peak of one call (1013, 611, 2240 and 2487 KB).
+# bound just above the traced peak of one call (977, 588, 2154 and 2400 KB).
 # The sampled stacks own their memory, and the draw, the MLP's hidden layer
 # and the grading cross-entropy are computed in place, so each large array
 # is allocated once. A call whose heap grows past glibc's trim threshold
 # hands the heap back at its end, and the next call faults it in again.
 _EVAL_PEAK_KB = {
-    "RHG": (40, 4, 1050),
-    "MAML": (25, 4, 650),
-    "FMAML": (100, 16, 2350),
-    "DARTS": (100, 16, 2550),
+    "RHG": (40, 4, 990),
+    "MAML": (25, 4, 600),
+    "FMAML": (100, 16, 2170),
+    "DARTS": (100, 16, 2415),
 }
 
 
@@ -316,6 +316,26 @@ def test_an_evaluation_holds_each_large_array_once(name):
     finally:
         tracemalloc.stop()
     assert peak < bound_kb * 1024
+
+
+# KB per preset: a bound just above the traced peak of one meta-iteration at
+# batch 16 (911 and 641 KB). The MLP's tanh slope and the inner step are
+# each computed in the one array they allocate.
+_TRAIN_PEAK_KB = {"FMAML": 930, "DARTS": 660}
+
+
+@pytest.mark.parametrize("name", list(_TRAIN_PEAK_KB))
+def test_a_first_order_meta_iteration_holds_each_large_array_once(name):
+    exp, state = _preset(name, 16)
+    meta_train(exp, state)  # one-time set-up, such as the class centers
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        meta_train(exp, state)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < _TRAIN_PEAK_KB[name] * 1024
 
 
 def _dump(table) -> str:

@@ -1,6 +1,7 @@
 """Episodic sampling: split sizes, label remapping, determinism, file loading."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from bilevelopt import (
     ParseError,
     RngStream,
     SyntheticGaussian,
+    TaskBatch,
     load_class_directory,
     sample_task_batch,
 )
+from bilevelopt.data import LabelTargets
 
 
 def _source(num_classes=8, dim=4, seed=0):
@@ -392,6 +395,35 @@ def test_task_views_are_rows_of_the_batch_stacks():
         assert np.array_equal(task.train_labels, batch.train_labels[j])
         assert np.array_equal(task.val_features, batch.val_features[j])
         assert np.array_equal(task.val_labels, batch.val_labels[j])
+
+
+def test_sampled_targets_are_built_with_their_shared_label_stacks():
+    spec = EpisodeSpec(way=3, shot=2, query=4, batch_size=5)
+    first = sample_task_batch(_source(), spec, RngStream(1, 1))
+    second = sample_task_batch(_source(), spec, RngStream(1, 2))
+    for split in ("train", "val"):
+        targets, labels = getattr(first, f"{split}_targets"), getattr(first, f"{split}_labels")
+        fresh = LabelTargets(labels.copy(), spec.way)
+        assert targets.labels is labels and targets.classes == spec.way
+        assert targets.onehot.dtype == fresh.onehot.dtype
+        assert np.array_equal(targets.onehot, fresh.onehot)
+        assert len(targets.at_labels) == len(fresh.at_labels) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(targets.at_labels, fresh.at_labels))
+        assert not any(a.flags.writeable for a in (targets.onehot, *targets.at_labels))
+        # one object across two batches of one shape
+        assert getattr(second, f"{split}_targets") is targets
+    # and they go when the sampler's stacks go: another shape replaces both
+    kept = [weakref.ref(first.val_targets), weakref.ref(first.val_targets.onehot)]
+    kept.append(weakref.ref(first.train_targets.at_labels[0]))
+    del first, second, targets, fresh
+    sample_task_batch(_source(), EpisodeSpec(way=2, shot=1, query=3, batch_size=2), RngStream(1, 3))
+    assert [ref() for ref in kept] == [None] * 3
+
+
+def test_a_batch_built_from_tasks_shares_no_targets():
+    spec = EpisodeSpec(way=3, shot=2, query=4, batch_size=2)
+    batch = TaskBatch(sample_task_batch(_source(), spec, RngStream(1, 1)).tasks)
+    assert batch.train_targets is None and batch.val_targets is None
 
 
 def test_capacity_error_is_raised_only_when_a_short_class_is_chosen(tmp_path):

@@ -168,9 +168,58 @@ def test_norm_helpers_and_finiteness():
     assert ParamVector.zeros(lay).norm() == 0.0
 
 
+def test_equal_vectors_hash_equal_across_signed_zeros():
+    lay = Layout([("a", 2)])
+    a, b = ParamVector(lay, [0.0, 1.0]), ParamVector(lay, [-0.0, 1.0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({a, ParamVector(lay, [0.0, -1.0])}) == 2
+
+
 # --------------------------------------------------------------------------
 # RngStream
 # --------------------------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+
+
+def _draws(gen):
+    return (
+        gen.random(7),
+        gen.standard_normal(9),
+        gen.integers(-50, 50, 11),
+        gen.choice(40, size=13, replace=False),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 10**400, -1])
+@pytest.mark.parametrize("child", [None, 0, 5])
+def test_stream_draws_are_those_of_philox_keyed_by_seed_and_stream(seed, child):
+    stream = RngStream(seed, 12345)
+    if child is not None:
+        stream = stream.child(child)
+    key = np.array([seed & _M64, stream.stream_id & _M64], dtype=np.uint64)
+    want = _draws(np.random.Generator(np.random.Philox(key=key)))
+    for got, expected in zip(_draws(stream.generator()), want):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+def test_generators_taken_in_turn_stay_independent():
+    # each generator draws what it draws alone, whatever generators of its
+    # own stream or another draw between its draws
+    streams = [RngStream(3, 1), RngStream(3, 2), RngStream(3, 1)]
+    alone = []
+    for stream in streams:
+        gen = stream.generator()
+        alone.append(_draws(gen) + _draws(gen))
+    gens = [stream.generator() for stream in streams]
+    interleaved = [[] for _ in streams]
+    for _ in range(2):
+        for got, gen in zip(interleaved, gens):
+            got.extend(_draws(gen))
+    for got, want in zip(interleaved, alone):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_rng_stream_is_reproducible():

@@ -16,6 +16,7 @@ from bilevelopt import (
     Regularizer,
     RngStream,
     Split,
+    TaskBatch,
     eval_F_batch,
     eval_f,
     fd_gradient,
@@ -440,6 +441,24 @@ def _batch_problems():
                     make_meta_init_mlp(DIM_IN, hidden, WAY, loss=loss, reg=_MLP_REGS[reg]),
                     id=f"mlp{hidden}-{loss.value}-{reg}",
                 )
+
+
+@pytest.mark.parametrize("split", [Split.TRAIN, Split.VAL], ids=lambda s: s.value)
+def test_split_parts_read_the_sampled_batch_targets_for_their_classes(split, small_batch):
+    shared = getattr(small_batch, f"{split.value}_targets")
+    same = make_meta_init_mlp(DIM_IN, 4, WAY)
+    x = _randvec(same.x_layout, 1)
+    assert same.split_parts(x, small_batch, split).targets is shared
+    # another class count, a batch built from tasks and one task build their own
+    wider = make_meta_init_mlp(DIM_IN, 4, WAY + 1)
+    for prob, batch in (
+        (wider, small_batch),
+        (same, TaskBatch(small_batch.tasks)),
+        (same, small_batch.tasks[0]),
+    ):
+        parts = prob.split_parts(_randvec(prob.x_layout, 1), batch, split)
+        assert parts.targets is not shared and parts.targets.classes == prob.classes
+        assert np.array_equal(parts.onehot, parts.labels[..., None] == np.arange(prob.classes))
 
 
 def _rel_gap(got, want):

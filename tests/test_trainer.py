@@ -35,7 +35,7 @@ from bilevelopt import (
     sample_task_batch,
 )
 from bilevelopt.inner import softplus_inverse
-from bilevelopt.trainer import _EVAL_INIT_STREAM, _EVAL_TASK_STREAM, _SECTIONS
+from bilevelopt.trainer import _EVAL_INIT_STREAM, _EVAL_TASK_STREAM, _SECTIONS, _task_order_sum
 
 
 def _maml_raw(**run_fields):
@@ -750,3 +750,17 @@ def test_errors_raised_in_evaluation_name_the_meta_iteration():
     exp.problem.val_losses_and_scores = failing
     with pytest.raises(LengthMismatch, match="meta-iteration 1: evaluation broke"):
         meta_train(exp, state)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 229])
+@pytest.mark.parametrize("tasks", [1, 4, 16])
+def test_the_gradient_sum_adds_the_tasks_in_order_bit_for_bit(tasks, dim):
+    gen = np.random.default_rng(tasks * 1000 + dim)
+    for _ in range(50):
+        # mixed magnitudes and signs, where the order of the additions shows
+        rows = gen.standard_normal((tasks, dim)) * 10.0 ** gen.integers(-8, 9, (tasks, dim))
+        loop = rows[0]
+        for row in rows[1:]:
+            loop = loop + row
+        for stack in (rows, np.asfortranarray(rows)):
+            assert _task_order_sum(stack).tobytes() == loop.tobytes()
