@@ -235,13 +235,13 @@ def _implicit(paradigm, run, cfg: Implicit) -> HyperGradBatch:
 
     def apply(v: np.ndarray) -> np.ndarray:
         hv = inner.hvp_yy(v)
-        if prox != 0.0:
-            hv = hv + prox * v
+        hv += prox * v
         return hv
 
     try:
         q, iters, residual, converged = conjugate_gradient_batch(
-            apply, final.grad_y(), tol=cfg.cg_tol, max_iter=cfg.cg_max_iter
+            apply if prox != 0.0 else inner.hvp_yy, final.grad_y(),
+            tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
         )
     except IndefiniteCurvature as e:
         e.args = (

@@ -4,6 +4,7 @@ RNG streams, and a matrix-free conjugate-gradient solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -309,6 +310,11 @@ def conjugate_gradient(
     return CgSolve(b.like(q[0]), int(iters[0]), float(residual[0]), bool(converged[0]))
 
 
+def _all_finite(column: np.ndarray) -> bool:
+    """Whether every float of a (rows, 1) column is below inf, as a NaN is not."""
+    return all(v < math.inf for (v,) in column.tolist())
+
+
 def conjugate_gradient_batch(
     apply: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
@@ -322,7 +328,7 @@ def conjugate_gradient_batch(
     true residual, so its solution, iteration count and residual are those
     of its solve alone. The map is applied to the whole stack, where a
     finished row keeps its last direction, but each pass updates only the
-    rows still live. Returns (q, iters, residual, converged), one entry per
+    rows still live; the map's answers are only read. Returns (q, iters, residual, converged), one entry per
     row. Raises what the first row, in row order, to fail would raise alone,
     at the iteration where it would; a row of b that is not finite, or whose
     norm overflows, raises NonFiniteValue at the first iteration.
@@ -340,53 +346,67 @@ def conjugate_gradient_batch(
     # rows still iterating, in row order; they share the count. A row whose
     # residual is NaN or inf stays live, so it raises below
     live = np.flatnonzero(~((residual <= bound) & (residual < np.inf)))
-    rows = slice(None) if len(live) == len(b) else live  # p's and q's live rows
     q, p = np.zeros_like(b), b.copy()
-    r, rs, bound_live = b[live], rs[live], bound[live]
-    rs_max = rs.max(initial=0.0)  # of the live rows' <r, r>, NaN if one is
+    # the live rows of q and p: q and p themselves while every row is live
+    ql, pl = (q, p) if len(live) == len(b) else (q[live], p[live])
+    # <r, r> and <p, Ap> are (live, 1) columns, bounds the live rows' floats
+    r, rs, bound_live = b[live], rs[live, None], bound[live]
+    bounds, rs_ok = bound_live.tolist(), _all_finite(rs)
     iters = np.zeros(len(b), dtype=int)
     count = 0
     while len(live) and count < max_iter:
+        if pl is not p:
+            p[live] = pl
         ap = apply(p)
-        p_live, ap = p[rows], ap[rows]
-        pap = row_dots(p_live, ap)
-        # a NaN fails every comparison, so three reductions screen the pass;
-        # only a pass that fails them looks for its first failing row
-        if not (rs_max < np.inf and 0.0 < pap.min() and pap.max() < np.inf):
+        if pl is not p:
+            ap = ap[live]
+        pap = (pl[:, None, :] @ ap[:, :, None])[:, 0]
+        # a NaN fails every comparison, so one pass over the Python floats
+        # screens the pass; only a pass that fails it looks for its first
+        # failing row
+        if not (rs_ok and all(0.0 < v < math.inf for (v,) in pap.tolist())):
             j = int(np.argmax(~(np.isfinite(pap) & np.isfinite(rs) & (pap > 0.0))))
-            if not (np.isfinite(pap[j]) and np.isfinite(rs[j])):
+            if not (np.isfinite(pap[j, 0]) and np.isfinite(rs[j, 0])):
                 raise NonFiniteValue("non-finite inner product in CG")
-            raise IndefiniteCurvature(f"<p, Ap> = {pap[j]:.3e} <= 0: map is not positive definite")
-        alpha = (rs / pap)[:, None]
-        q[rows] += alpha * p_live
+            raise IndefiniteCurvature(f"<p, Ap> = {pap[j, 0]:.3e} <= 0: map is not positive definite")
+        alpha = rs / pap
+        ql += alpha * pl
         r -= alpha * ap
         count += 1
 
-        rs_new = row_dots(r, r)
-        rs_max = rs_new.max()
-        if not rs_max < np.inf:
+        rs_new = (r[:, None, :] @ r[:, :, None])[:, 0]
+        if not _all_finite(rs_new):
             raise NonFiniteValue("non-finite residual in CG")
-        small = np.sqrt(rs_new) <= bound_live
-        if not small.any():
-            p[rows] = r + (rs_new / rs)[:, None] * p_live
+        # math.sqrt is IEEE sqrt, as np.sqrt is
+        small = [math.sqrt(v) <= c for (v,), c in zip(rs_new.tolist(), bounds)]
+        if not any(small):
+            pl *= rs_new / rs  # then + r: the bits of r + beta * p
+            pl += r
             rs = rs_new
             continue
+        if ql is not q:
+            q[live] = ql
         true_r = b - apply(q)
         true_norm = np.sqrt(row_dots(true_r, true_r))[live]
+        small = np.array(small)
         done = small & (true_norm <= bound_live)
         iters[live[done]], residual[live[done]] = count, true_norm[done]
         onward = ~small
-        p[live[onward]] = r[onward] + (rs_new / rs)[onward, None] * p_live[onward]
+        pl[onward] = r[onward] + (rs_new / rs)[onward] * pl[onward]
         # the recursive residual was optimistic: restart from the true one
         restart = small & ~done
-        r[restart] = p[live[restart]] = true_r[live[restart]]
+        r[restart] = pl[restart] = true_r[live[restart]]
         rs = rs_new
-        rs[restart] = row_dots(r[restart], r[restart])
-        keep = ~done
-        live, r, rs, bound_live = live[keep], r[keep], rs[keep], bound_live[keep]
-        rows, rs_max = live, rs.max(initial=0.0)
+        rs[restart] = row_dots(r[restart], r[restart])[:, None]
+        if done.any():
+            keep = ~done
+            live, r, rs, bound_live = live[keep], r[keep], rs[keep], bound_live[keep]
+            ql, pl, bounds = ql[keep], pl[keep], bound_live.tolist()
+        rs_ok = _all_finite(rs)
 
     if len(live):
+        if ql is not q:
+            q[live] = ql
         tail = b - apply(q)
         iters[live], residual[live] = count, np.sqrt(row_dots(tail, tail))[live]
     return q, iters, residual, residual <= bound

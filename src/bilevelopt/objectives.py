@@ -392,8 +392,8 @@ make_quadratic = QuadraticBilevel
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    stable = z - z.max(axis=-1, keepdims=True)
-    stable -= np.log(np.exp(stable).sum(axis=-1, keepdims=True))
+    stable = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    stable -= np.log(np.add.reduce(np.exp(stable), axis=-1, keepdims=True))
     return stable
 
 
@@ -412,9 +412,11 @@ def _cross_entropy(scores: np.ndarray, at_labels: tuple) -> np.ndarray:
     at_labels indexes each row's entry at its label (_TaskAxisParts). The
     log-softmax at the labels, as _log_softmax computes it, with the exp
     taken in place, so grading holds one array of the scores' size."""
-    stable = scores - scores.max(axis=-1, keepdims=True)
+    stable = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     picked = stable[at_labels]
-    return -(picked - np.log(np.exp(stable, out=stable).sum(axis=-1))).mean(axis=-1)
+    picked -= np.log(np.add.reduce(np.exp(stable, out=stable), axis=-1))
+    # the bits of .mean(axis=-1), without its Python-level wrapper
+    return -(np.add.reduce(picked, axis=-1) / picked.shape[-1])
 
 
 def _softmax_residual(z: np.ndarray, onehot: np.ndarray):
@@ -432,7 +434,7 @@ def _softmax_jvp(p: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """Row-wise softmax Jacobian (symmetric) applied to logit directions dz,
     row-major, as the residual is."""
     pdz = p * dz
-    return np.subtract(pdz, p * pdz.sum(axis=-1, keepdims=True), order="C")
+    return np.subtract(pdz, p * np.add.reduce(pdz, axis=-1, keepdims=True), order="C")
 
 
 def predicted_classes(scores: np.ndarray) -> np.ndarray:
@@ -440,7 +442,7 @@ def predicted_classes(scores: np.ndarray) -> np.ndarray:
     np.argmax(scores, axis=-1) gives for scores without NaN. A fold over
     the class columns, which run along contiguous rows in the classifiers'
     class-major scores."""
-    best = scores.max(axis=-1)
+    best = np.maximum.reduce(scores, axis=-1)
     classes = np.full(best.shape, scores.shape[-1] - 1)
     for c in range(scores.shape[-1] - 2, -1, -1):
         np.putmask(classes, scores[..., c] == best, c)
@@ -461,7 +463,7 @@ def _dense_gradient(out: np.ndarray, at: int, a: np.ndarray, h: np.ndarray):
     of the rows out."""
     w, b = _dense(out, at, a.shape[-1], h.shape[-1])
     np.matmul(a.swapaxes(-1, -2), h, out=w)
-    a.sum(axis=-2, out=b)
+    np.add.reduce(a, axis=-2, out=b)
 
 
 class _TaskAxisParts(SplitParts):
@@ -624,9 +626,12 @@ class _SoftmaxPoint(_TaskAxisPoint):
 
     def _head_jvp(self, v):
         """Head direction Vw and the softmax-Jacobian product u, over n."""
-        vw, vb = _dense(v, 0, self.problem.way, self.problem.dim_feat)
-        u = _softmax_jvp(self.p, _class_major(vw, self.h, vb[..., None]))
-        return vw, u / self.h.shape[-2]
+        prob, h = self.problem, self.h
+        k = prob.way * prob.dim_feat
+        vw = v[..., :k].reshape(v.shape[:-1] + (prob.way, prob.dim_feat))
+        u = _softmax_jvp(self.p, _class_major(vw, h, v[..., k:, None]))
+        u /= h.shape[-2]
+        return vw, u
 
     def _grad_y(self):
         delta, out = self.delta, np.empty(self.ys.shape)

@@ -607,3 +607,38 @@ def test_cross_entropy_is_the_log_softmax_at_the_labels_bit_for_bit(case):
     assert got.shape == labels.shape[:-1]
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(scores, before)
+
+
+def _earlier_cross_entropy(scores, at_labels):
+    """_cross_entropy as it was when it reduced with .max, .sum and .mean;
+    kept verbatim as the oracle."""
+    stable = scores - scores.max(axis=-1, keepdims=True)
+    picked = stable[at_labels]
+    return -(picked - np.log(np.exp(stable, out=stable).sum(axis=-1))).mean(axis=-1)
+
+
+def _earlier_log_softmax(z):
+    stable = z - z.max(axis=-1, keepdims=True)
+    stable -= np.log(np.exp(stable).sum(axis=-1, keepdims=True))
+    return stable
+
+
+@pytest.mark.parametrize("way", [5, 20])
+@pytest.mark.parametrize("layout", ["class_major", "row_major", "one_task"])
+def test_cross_entropy_and_log_softmax_keep_the_bits_of_their_earlier_reductions(layout, way):
+    # 75 and 300 rows: the sums over rows run past numpy's pairwise blocks
+    gen = RngStream(18, way).generator()
+    for rows in (75, 300):
+        if layout == "class_major":
+            scores = 3.0 * gen.standard_normal((6, way, rows)).swapaxes(-1, -2)
+        elif layout == "row_major":
+            scores = 3.0 * gen.standard_normal((6, rows, way))
+        else:
+            scores = 3.0 * gen.standard_normal((rows, way))
+        labels = gen.integers(0, way, scores.shape[:-1])
+        at_labels = np.indices(labels.shape, sparse=True) + (labels,)
+        got = _cross_entropy(scores, at_labels)
+        want = _earlier_cross_entropy(scores, at_labels)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert _log_softmax(scores).tobytes() == _earlier_log_softmax(scores).tobytes()
