@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import ge, le, lt
 from typing import Callable
 
 import numpy as np
@@ -225,6 +227,20 @@ def report_to_jsonl(results: list[CheckResult]) -> str:
     return "".join(json.dumps(r.as_json_dict()) + "\n" for r in results)
 
 
+def _row(
+    estimator: str, problem: str, rule: str, metric: str,
+    value: float, compare: Callable[[float, float], bool], threshold: float,
+) -> CheckResult:
+    """One check: it passes when compare(value, threshold) holds, compare
+    being le (at most), ge (at least) or lt (below). A non-finite value
+    means the check itself broke, so it raises rather than failing."""
+    if not math.isfinite(value):
+        raise AssertionError(f"check {metric} produced non-finite value")
+    return CheckResult(
+        estimator, problem, rule, metric, value, threshold, compare(value, threshold)
+    )
+
+
 @dataclass(frozen=True)
 class _Fixture:
     name: str
@@ -235,6 +251,8 @@ class _Fixture:
     step_size: float
     x_base: ParamVector
     y0_seed: int
+    # checks of this fixture beyond the per-rule suite
+    extra_checks: Callable[[_Fixture, int], list[CheckResult]] | None = None
 
 
 _EXACT_PROBLEMS = ("quadratic", "feature_softmax", "zero_curvature")
@@ -262,14 +280,20 @@ def _make_fixture(name: str, seed: int) -> _Fixture:
         a = np.array([[2.0, -0.7], [0.4, 1.5]])
         problem = QuadraticBilevel(a, lam=1.0, b=np.array([1.0, -0.5]))
         x = ParamVector(problem.x_layout, gen.standard_normal(problem.x_layout.dim))
-        return _Fixture(name, problem, Paradigm.META_FEATURE, None, 3, 0.2, x, seed + 1)
+        return _Fixture(
+            name, problem, Paradigm.META_FEATURE, None, 3, 0.2, x, seed + 1,
+            _quadratic_extra_checks,
+        )
     if name == "feature_softmax":
         problem = MetaFeatureSoftmax(5, 6, 3, Regularizer.l2(0.1))
         task = _classification_task(seed, dim=5, way=3)
         x = ParamVector(
             problem.x_layout, 0.5 * gen.standard_normal(problem.x_layout.dim)
         )
-        return _Fixture(name, problem, Paradigm.META_FEATURE, task, 3, 0.5, x, seed + 1)
+        return _Fixture(
+            name, problem, Paradigm.META_FEATURE, task, 3, 0.5, x, seed + 1,
+            _softmax_extra_checks,
+        )
     if name == "init_mlp":
         problem = MetaInitMlp(5, 4, 3, reg=Regularizer.l2(0.05))
         task = _classification_task(seed + 3, dim=5, way=3)
@@ -280,23 +304,26 @@ def _make_fixture(name: str, seed: int) -> _Fixture:
     if name == "zero_curvature":
         problem = ZeroCurvatureInner(gen.standard_normal(3), gen.standard_normal(3))
         x = ParamVector(problem.x_layout, gen.standard_normal(problem.x_layout.dim))
-        return _Fixture(name, problem, Paradigm.META_INIT, None, 3, 0.3, x, seed + 1)
+        return _Fixture(
+            name, problem, Paradigm.META_INIT, None, 3, 0.3, x, seed + 1,
+            _zero_curvature_extra_checks,
+        )
     raise ConfigError(f"unknown problem fixture {name!r}")
 
 
-def _extend_for_rule(fix: _Fixture, rule: InnerRule, gen: np.random.Generator) -> ParamVector:
-    """x with the rule's extra segments appended and given nontrivial values."""
-    layout = fix.x_base.layout
-    values = [fix.x_base.values]
+def _rule_x(fix: _Fixture, rule: InnerRule, fill: np.random.Generator | float) -> ParamVector:
+    """The fixture's x with the rule's extra segments appended: all set to
+    fill when it is a number, else drawn from it to nontrivial values."""
+    layout, values = fix.x_base.layout, [fix.x_base.values]
     for seg_name, length in required_x_segments(rule, fix.problem.y_layout):
         layout = layout.extended(seg_name, length)
-        if seg_name == "rates":
-            vals = softplus_inverse(fix.step_size) + 0.2 * gen.standard_normal(length)
-        elif seg_name == "mask_logits":
-            vals = 0.5 * gen.standard_normal(length)
+        if not isinstance(fill, np.random.Generator):
+            part = np.full(length, fill)
+        elif seg_name == "rates":
+            part = softplus_inverse(fix.step_size) + 0.2 * fill.standard_normal(length)
         else:
-            vals = 0.3 * gen.standard_normal(length)
-        values.append(vals)
+            part = (0.5 if seg_name == "mask_logits" else 0.3) * fill.standard_normal(length)
+        values.append(part)
     return ParamVector(layout, np.concatenate(values))
 
 
@@ -305,110 +332,84 @@ def _rel_err(got: ParamVector, want: ParamVector) -> float:
     return (got - want).norm() / denom
 
 
+def _gd_run(fix: _Fixture):
+    """The recorded plain-GD trajectory of the fixture from its base x."""
+    y0 = init_task_params(fix.paradigm, fix.problem, fix.x_base, RngStream(fix.y0_seed))
+    cfg = InnerConfig(fix.steps, fix.step_size)
+    return run_inner(InnerRule.GD, cfg, fix.problem, fix.x_base, y0, fix.task, record=True)
+
+
 def _step_jvp_gaps(
     fix: _Fixture, rule: InnerRule, cfg: InnerConfig, x: ParamVector, y: ParamVector, gen
 ) -> tuple[float, float]:
     """Worst fd-consistency gap of (aT_v, bT_v) over a few random pairs."""
-    problem, task = fix.problem, fix.task
-    gap_a = 0.0
-    gap_b = 0.0
+
+    def gap(v, jvp, p, w, step):
+        # <jvp, w> against the central difference of <v, step(p + t w)>, w unit
+        w /= np.linalg.norm(w)
+        eps = 1e-6 * (1.0 + p.inf_norm())
+        phi_p, phi_m = step(p.like(p.values + eps * w)), step(p.like(p.values - eps * w))
+        fd_dir = v.values @ (phi_p.values - phi_m.values) / (2.0 * eps)
+        return abs(jvp.values @ w - fd_dir) / (1.0 + abs(fd_dir))
+
+    def phi(xp, yp):
+        return inner_step(rule, cfg, fix.problem, xp, yp, fix.task)
+
+    gaps = []
     for _ in range(3):
         v = y.like(gen.standard_normal(y.layout.dim))
         w_y = gen.standard_normal(y.layout.dim)
-        w_y /= np.linalg.norm(w_y)
         w_x = gen.standard_normal(x.layout.dim)
-        w_x /= np.linalg.norm(w_x)
-        aT, bT = step_transposed_jvps(rule, cfg, problem, x, y, task, v)
-
-        eps_y = 1e-6 * (1.0 + y.inf_norm())
-        phi_p = inner_step(rule, cfg, problem, x, y.like(y.values + eps_y * w_y), task)
-        phi_m = inner_step(rule, cfg, problem, x, y.like(y.values - eps_y * w_y), task)
-        fd_dir = v.values @ (phi_p.values - phi_m.values) / (2.0 * eps_y)
-        got = aT.values @ w_y
-        gap_a = max(gap_a, abs(got - fd_dir) / (1.0 + abs(fd_dir)))
-
-        eps_x = 1e-6 * (1.0 + x.inf_norm())
-        phi_p = inner_step(rule, cfg, problem, x.like(x.values + eps_x * w_x), y, task)
-        phi_m = inner_step(rule, cfg, problem, x.like(x.values - eps_x * w_x), y, task)
-        fd_dir = v.values @ (phi_p.values - phi_m.values) / (2.0 * eps_x)
-        got = bT.values @ w_x
-        gap_b = max(gap_b, abs(got - fd_dir) / (1.0 + abs(fd_dir)))
-    return gap_a, gap_b
+        aT, bT = step_transposed_jvps(rule, cfg, fix.problem, x, y, fix.task, v)
+        gaps.append((
+            gap(v, aT, y, w_y, lambda yp: phi(x, yp)),
+            gap(v, bT, x, w_x, lambda xp: phi(xp, y)),
+        ))
+    # np.max, unlike max, keeps a NaN gap for its row to raise on
+    return tuple(np.max(gaps, axis=0))
 
 
 def _suite_for_fixture(fix: _Fixture, seed: int) -> list[CheckResult]:
     rows: list[CheckResult] = []
-    problem, paradigm, task = fix.problem, fix.paradigm, fix.task
-    tol = 1e-4 if problem.exact_hvp else 1e-2
+    problem, paradigm, task, name = fix.problem, fix.paradigm, fix.task, fix.name
     gen = RngStream(seed, 13).generator()
 
     for rule in InnerRule:
-        x = _extend_for_rule(fix, rule, gen)
+        x = _rule_x(fix, rule, gen)
         cfg = InnerConfig(fix.steps, fix.step_size, rule=rule, bda_alpha=0.7)
-        y_mid = init_task_params(paradigm, problem, x, RngStream(fix.y0_seed))
-        y_mid = inner_step(rule, cfg, problem, x, y_mid, task)
-
-        gap_a, gap_b = _step_jvp_gaps(fix, rule, cfg, x, y_mid, gen)
-        rows.append(
-            CheckResult("step_jvps", fix.name, rule.value, "fd_gap_y", gap_a, tol, gap_a <= tol)
-        )
-        rows.append(
-            CheckResult("step_jvps", fix.name, rule.value, "fd_gap_x", gap_b, tol, gap_b <= tol)
-        )
-
         y0 = init_task_params(paradigm, problem, x, RngStream(fix.y0_seed))
+        y_mid = inner_step(rule, cfg, problem, x, y0, task)
+        gaps = _step_jvp_gaps(fix, rule, cfg, x, y_mid, gen)
+        for metric, gap in zip(("fd_gap_y", "fd_gap_x"), gaps):
+            rows.append(_row("step_jvps", name, rule.value, metric, gap, le, 1e-4))
+
         traj = run_inner(rule, cfg, problem, x, y0, task, record=True)
         rev = hg.hypergrad_reverse(problem, paradigm, traj, x, task)
         fd = fd_hypergradient(problem, paradigm, rule, cfg, x, fix.y0_seed, task)
         err = _rel_err(rev.grad_x, fd)
-        rows.append(
-            CheckResult("reverse", fix.name, rule.value, "vs_fd_oracle", err, tol, err <= tol)
-        )
+        rows.append(_row("reverse", name, rule.value, "vs_fd_oracle", err, le, 1e-4))
 
         if rule is InnerRule.GD:
             trunc = hg.hypergrad_truncated(problem, paradigm, traj, x, task, k=fix.steps)
             gap = (trunc.grad_x - rev.grad_x).inf_norm()
-            rows.append(
-                CheckResult(
-                    "truncated", fix.name, rule.value, "k_equals_t_vs_reverse",
-                    gap, 1e-12, gap <= 1e-12,
-                )
-            )
+            rows.append(_row("truncated", name, "gd", "k_equals_t_vs_reverse", gap, le, 1e-12))
 
-    # rule-reduction identities, all on the plain-GD trajectory
-    x_gd = _extend_for_rule(fix, InnerRule.GD, gen)
-    cfg_gd = InnerConfig(fix.steps, fix.step_size)
-    y0 = init_task_params(paradigm, problem, x_gd, RngStream(fix.y0_seed))
-    traj_gd = run_inner(InnerRule.GD, cfg_gd, problem, x_gd, y0, task, record=True)
-
-    cfg_bda = InnerConfig(fix.steps, fix.step_size, rule=InnerRule.BDA, bda_alpha=1.0)
-    traj_bda = run_inner(InnerRule.BDA, cfg_bda, problem, x_gd, y0, task, record=True)
-    gap = max(
-        (a - b).inf_norm() for a, b in zip(traj_bda.iterates, traj_gd.iterates)
-    )
-    rows.append(
-        CheckResult("inner_step", fix.name, "bda", "alpha1_equals_gd", gap, 1e-12, gap <= 1e-12)
-    )
-
-    for rule, seg_name, seg_value, metric, tol_id in (
-        (InnerRule.WARP_GRAD_DIAG, "warp_logdiag", 0.0, "warp0_equals_gd", 1e-9),
-        (InnerRule.MTNET_MASK, "mask_logits", 40.0, "saturated_mask_equals_gd", 1e-9),
+    # rule-reduction identities against the plain-GD trajectory, each rule's
+    # extra x segments (BDA has none) set to the value that reduces it to GD
+    traj_gd = _gd_run(fix)
+    for rule, fill, metric, tol in (
+        (InnerRule.BDA, 0.0, "alpha1_equals_gd", 1e-12),
+        (InnerRule.WARP_GRAD_DIAG, 0.0, "warp0_equals_gd", 1e-9),
+        (InnerRule.MTNET_MASK, 40.0, "saturated_mask_equals_gd", 1e-9),
     ):
-        layout = fix.x_base.layout
-        parts = [fix.x_base.values]
-        for name, length in required_x_segments(rule, problem.y_layout):
-            layout = layout.extended(name, length)
-            parts.append(np.full(length, seg_value))
-        x_rule = ParamVector(layout, np.concatenate(parts))
-        cfg_rule = InnerConfig(fix.steps, fix.step_size, rule=rule)
-        traj_rule = run_inner(rule, cfg_rule, problem, x_rule, y0, task, record=True)
-        gap = max(
-            (a - b).inf_norm() for a, b in zip(traj_rule.iterates, traj_gd.iterates)
-        )
-        rows.append(
-            CheckResult("inner_step", fix.name, rule.value, metric, gap, tol_id, gap <= tol_id)
-        )
+        cfg = InnerConfig(fix.steps, fix.step_size, rule=rule, bda_alpha=1.0)
+        x = _rule_x(fix, rule, fill)
+        traj = run_inner(rule, cfg, problem, x, traj_gd.iterates[0], task, record=True)
+        gap = max((a - b).inf_norm() for a, b in zip(traj.iterates, traj_gd.iterates))
+        rows.append(_row("inner_step", name, rule.value, metric, gap, le, tol))
 
+    if fix.extra_checks is not None:
+        rows.extend(fix.extra_checks(fix, seed))
     return rows
 
 
@@ -417,34 +418,27 @@ def _quadratic_extra_checks(fix: _Fixture, seed: int) -> list[CheckResult]:
     rows: list[CheckResult] = []
     a, lam, b = 2.0, 1.0, 1.0
     problem = QuadraticBilevel(a, lam, b)
+    paradigm = Paradigm.META_FEATURE
     x = ParamVector(problem.x_layout, np.array([2.0]))
     s = 0.5 / (1.0 + lam)
     analytic = analytic_quadratic_hypergrad(a, lam, b, x)
 
     cfg = InnerConfig(200, s)
-    y0 = init_task_params(Paradigm.META_FEATURE, problem, x, RngStream(seed))
+    y0 = init_task_params(paradigm, problem, x, RngStream(seed))
     traj = run_inner(InnerRule.GD, cfg, problem, x, y0, None, record=True)
-    rev = hg.hypergrad_reverse(problem, Paradigm.META_FEATURE, traj, x, None)
+    rev = hg.hypergrad_reverse(problem, paradigm, traj, x, None)
     err = _rel_err(rev.grad_x, analytic)
-    rows.append(
-        CheckResult("reverse", "quadratic", "gd", "vs_analytic_t200", err, 1e-3, err <= 1e-3)
-    )
+    rows.append(_row("reverse", "quadratic", "gd", "vs_analytic_t200", err, le, 1e-3))
 
     imp = hg.hypergrad_implicit(
-        problem, Paradigm.META_FEATURE, x, traj.y_final, None, hg.Implicit(cg_tol=1e-10)
+        problem, paradigm, x, traj.y_final, None, hg.Implicit(cg_tol=1e-10)
     )
     err = _rel_err(imp.grad_x, analytic)
-    rows.append(
-        CheckResult("implicit", "quadratic", "gd", "vs_analytic", err, 1e-6, err <= 1e-6)
-    )
+    rows.append(_row("implicit", "quadratic", "gd", "vs_analytic", err, le, 1e-6))
 
-    fd = fd_hypergradient(
-        problem, Paradigm.META_FEATURE, InnerRule.GD, cfg, x, seed, None
-    )
+    fd = fd_hypergradient(problem, paradigm, InnerRule.GD, cfg, x, seed, None)
     err = _rel_err(fd, analytic)
-    rows.append(
-        CheckResult("fd_oracle", "quadratic", "gd", "vs_analytic_t200", err, 1e-4, err <= 1e-4)
-    )
+    rows.append(_row("fd_oracle", "quadratic", "gd", "vs_analytic_t200", err, le, 1e-4))
 
     # darts with a constant inner Hessian reproduces the one-step reverse
     # gradient exactly; anchor at the inner fixed point so both see the
@@ -452,109 +446,67 @@ def _quadratic_extra_checks(fix: _Fixture, seed: int) -> list[CheckResult]:
     y_star = problem.y_star(x)
     one_step = InnerConfig(1, s)
     traj1 = run_inner(InnerRule.GD, one_step, problem, x, y_star, None, record=True)
-    rev1 = hg.hypergrad_reverse(problem, Paradigm.META_FEATURE, traj1, x, None)
-    darts = hg.hypergrad_darts(
-        problem, Paradigm.META_FEATURE, x, y_star, None, delta=0.3, step_size=s
-    )
+    rev1 = hg.hypergrad_reverse(problem, paradigm, traj1, x, None)
+    darts = hg.hypergrad_darts(problem, paradigm, x, y_star, None, delta=0.3, step_size=s)
     gap = (darts.grad_x - rev1.grad_x).inf_norm()
-    rows.append(
-        CheckResult("darts", "quadratic", "gd", "equals_one_step_reverse", gap, 1e-8, gap <= 1e-8)
-    )
+    rows.append(_row("darts", "quadratic", "gd", "equals_one_step_reverse", gap, le, 1e-8))
 
     gen = RngStream(seed, 21).generator()
     y = ParamVector(problem.y_layout, 2.0 + gen.standard_normal(1))
     contraction = InnerConfig(30, 0.2)
     traj_c = run_inner(InnerRule.GD, contraction, problem, x, y, None, record=True)
-    target = problem.y_star(x)
-    dists = [(it - target).norm() for it in traj_c.iterates]
+    dists = [(it - y_star).norm() for it in traj_c.iterates]
     worst = max(b_ / a_ for a_, b_ in zip(dists, dists[1:]) if a_ > 0)
-    rows.append(
-        CheckResult("inner_step", "quadratic", "gd", "contraction_ratio", worst, 1.0, worst < 1.0)
-    )
+    rows.append(_row("inner_step", "quadratic", "gd", "contraction_ratio", worst, lt, 1.0))
     return rows
 
 
 def _softmax_extra_checks(fix: _Fixture, seed: int) -> list[CheckResult]:
-    rows: list[CheckResult] = []
-    problem, task = fix.problem, fix.task
-    x = fix.x_base
-    cfg = InnerConfig(fix.steps, fix.step_size)
-    y0 = init_task_params(Paradigm.META_FEATURE, problem, x, RngStream(fix.y0_seed))
-    traj = run_inner(InnerRule.GD, cfg, problem, x, y0, task, record=True)
+    problem, paradigm, task, x, s = (
+        fix.problem, fix.paradigm, fix.task, fix.x_base, fix.step_size
+    )
+    traj = _gd_run(fix)
     y_t = traj.y_final
 
     # darts order check: as delta shrinks the estimate approaches the
     # same-point one-step gradient grad_x(val) - s*cross_hvp(train, v),
     # with error O(delta^2), so halving delta divides the error by ~4
     v = problem.grad_y(x, y_t, task, Split.VAL)
-    target = problem.grad_x(x, y_t, task, Split.VAL) - fix.step_size * problem.cross_hvp(
+    target = problem.grad_x(x, y_t, task, Split.VAL) - s * problem.cross_hvp(
         x, y_t, task, Split.TRAIN, v
     )
-    deltas = [0.08, 0.04, 0.02, 0.01]
     errs = []
-    for d in deltas:
-        est = hg.hypergrad_darts(
-            problem, Paradigm.META_FEATURE, x, y_t, task, delta=d, step_size=fix.step_size
-        )
+    for d in (0.08, 0.04, 0.02, 0.01):
+        est = hg.hypergrad_darts(problem, paradigm, x, y_t, task, delta=d, step_size=s)
         errs.append((est.grad_x - target).norm())
     ratios = [e0 / e1 for e0, e1 in zip(errs, errs[1:])]
-    rows.append(
-        CheckResult(
-            "darts", "feature_softmax", "gd", "halving_ratio_min",
-            min(ratios), 3.0, min(ratios) >= 3.0,
-        )
-    )
-    rows.append(
-        CheckResult(
-            "darts", "feature_softmax", "gd", "halving_ratio_max",
-            max(ratios), 5.0, max(ratios) <= 5.0,
-        )
-    )
+    rows = [
+        _row("darts", fix.name, "gd", "halving_ratio_min", min(ratios), ge, 3.0),
+        _row("darts", fix.name, "gd", "halving_ratio_max", max(ratios), le, 5.0),
+    ]
 
     # fd oracle self-consistency: halving eps divides its own error by ~4
-    rev = hg.hypergrad_reverse(problem, Paradigm.META_FEATURE, traj, x, task)
-    e_big = (
-        fd_hypergradient(problem, Paradigm.META_FEATURE, InnerRule.GD, cfg, x, fix.y0_seed, task, eps=2e-3)
-        - rev.grad_x
-    ).norm()
-    e_small = (
-        fd_hypergradient(problem, Paradigm.META_FEATURE, InnerRule.GD, cfg, x, fix.y0_seed, task, eps=1e-3)
-        - rev.grad_x
-    ).norm()
-    ratio = e_big / max(e_small, 1e-300)
-    rows.append(
-        CheckResult(
-            "fd_oracle", "feature_softmax", "gd", "richardson_ratio",
-            ratio, 4.0, 3.0 <= ratio <= 5.0,
-        )
+    rev = hg.hypergrad_reverse(problem, paradigm, traj, x, task)
+    fd = partial(
+        fd_hypergradient, problem, paradigm, InnerRule.GD, traj.config, x, fix.y0_seed, task
     )
+    e_big, e_small = ((fd(eps=eps) - rev.grad_x).norm() for eps in (2e-3, 1e-3))
+    ratio = e_big / max(e_small, 1e-300)
+    # the one row whose pass is a band around its threshold
+    rows.append(_row(
+        "fd_oracle", fix.name, "gd", "richardson_ratio", ratio, lambda r, _: 3.0 <= r <= 5.0, 4.0
+    ))
     return rows
 
 
 def _zero_curvature_extra_checks(fix: _Fixture, seed: int) -> list[CheckResult]:
-    cfg = InnerConfig(fix.steps, fix.step_size)
-    x = fix.x_base
-    y0 = init_task_params(Paradigm.META_INIT, fix.problem, x, RngStream(fix.y0_seed))
-    traj = run_inner(InnerRule.GD, cfg, fix.problem, x, y0, None, record=True)
-    rev = hg.hypergrad_reverse(fix.problem, Paradigm.META_INIT, traj, x, None)
-    fo = hg.hypergrad_first_order(
-        fix.problem, Paradigm.META_INIT, x, traj.y_final, None
-    )
+    traj = _gd_run(fix)
+    rev = hg.hypergrad_reverse(fix.problem, fix.paradigm, traj, fix.x_base, None)
+    fo = hg.hypergrad_first_order(fix.problem, fix.paradigm, fix.x_base, traj.y_final, None)
     gap = (fo.grad_x - rev.grad_x).inf_norm()
     return [
-        CheckResult(
-            "first_order", "zero_curvature", "gd", "equals_reverse_no_curvature",
-            gap, 1e-10, gap <= 1e-10,
-        )
+        _row("first_order", fix.name, "gd", "equals_reverse_no_curvature", gap, le, 1e-10)
     ]
-
-
-# checks beyond the per-rule suite, by fixture name
-_EXTRA_CHECKS = {
-    "quadratic": _quadratic_extra_checks,
-    "feature_softmax": _softmax_extra_checks,
-    "zero_curvature": _zero_curvature_extra_checks,
-}
 
 
 def run_gradcheck_suite(
@@ -571,13 +523,4 @@ def run_gradcheck_suite(
             f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}"
         )
     names = PROFILES[profile] if problems is None else tuple(problems)
-    rows: list[CheckResult] = []
-    for name in names:
-        fix = _make_fixture(name, seed)
-        rows.extend(_suite_for_fixture(fix, seed))
-        if name in _EXTRA_CHECKS:
-            rows.extend(_EXTRA_CHECKS[name](fix, seed))
-    for row in rows:
-        if not math.isfinite(row.value):
-            raise AssertionError(f"check {row.metric} produced non-finite value")
-    return rows
+    return [row for name in names for row in _suite_for_fixture(_make_fixture(name, seed), seed)]

@@ -250,3 +250,23 @@ def test_importing_the_package_leaves_the_harness_unloaded():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_non_finite_check_value_raises_at_its_row(monkeypatch):
+    # a NaN gap is a broken check, not a failed one: the suite stops at
+    # the first step_jvps row, before any reverse row is computed
+    import bilevelopt.verify as verify_mod
+
+    true_jvps = verify_mod.step_transposed_jvps
+
+    def nan_jvps(rule, config, problem, x, y_prev, task, v):
+        aT, bT = true_jvps(rule, config, problem, x, y_prev, task, v)
+        return aT.like(np.full(aT.layout.dim, np.nan)), bT
+
+    def never(*args, **kwargs):
+        raise AssertionError("a reverse row ran after a non-finite row")
+
+    monkeypatch.setattr(verify_mod, "step_transposed_jvps", nan_jvps)
+    monkeypatch.setattr(hg, "hypergrad_reverse", never)
+    with pytest.raises(AssertionError, match="^check fd_gap_y produced non-finite value$"):
+        run_gradcheck_suite(profile="exact", problems=["quadratic"], seed=0)
