@@ -492,11 +492,10 @@ def _softmax_extra_checks(fix: _Fixture, seed: int) -> list[CheckResult]:
     )
     e_big, e_small = ((fd(eps=eps) - rev.grad_x).norm() for eps in (2e-3, 1e-3))
     ratio = e_big / max(e_small, 1e-300)
-    # the one row whose pass is a band around its threshold
-    rows.append(_row(
-        "fd_oracle", fix.name, "gd", "richardson_ratio", ratio, lambda r, _: 3.0 <= r <= 5.0, 4.0
-    ))
-    return rows
+    return rows + [
+        _row("fd_oracle", fix.name, "gd", "richardson_ratio_min", ratio, ge, 3.0),
+        _row("fd_oracle", fix.name, "gd", "richardson_ratio_max", ratio, le, 5.0),
+    ]
 
 
 def _zero_curvature_extra_checks(fix: _Fixture, seed: int) -> list[CheckResult]:

@@ -133,6 +133,25 @@ def test_suite_covers_every_rule_and_estimator():
     } <= estimators
 
 
+def test_a_row_passes_on_the_bound_it_reports():
+    from operator import ge, le, lt
+
+    from bilevelopt.verify import _row
+
+    for compare, below, at, above in ((le, True, True, False), (ge, False, True, True),
+                                      (lt, True, False, False)):
+        got = [_row("e", "p", "r", "m", v, compare, 1.0) for v in (0.5, 1.0, 2.0)]
+        assert [r.passed for r in got] == [below, at, above]
+        assert {r.threshold for r in got} == {1.0}
+    # the Richardson band is two rows, each reporting the bound it tests
+    rows = run_gradcheck_suite(profile="exact", problems=["feature_softmax"], seed=0)
+    band = {r.metric: r for r in rows if r.metric.startswith("richardson_ratio")}
+    assert sorted(band) == ["richardson_ratio_max", "richardson_ratio_min"]
+    assert band["richardson_ratio_min"].threshold == 3.0
+    assert band["richardson_ratio_max"].threshold == 5.0
+    assert band["richardson_ratio_min"].value == band["richardson_ratio_max"].value
+
+
 def test_suite_is_deterministic_per_seed():
     a = run_gradcheck_suite(profile="exact", seed=4)
     b = run_gradcheck_suite(profile="exact", seed=4)
