@@ -186,9 +186,11 @@ def _reverse_sweep(
     """
     config = run.config
     final = run.at(-1, Split.VAL)
-    ul, lam = final.value(), final.grad_y()
-    g = final.grad_x().copy() if final.couples_x else np.zeros((len(lam), run.x.layout.dim))
-    with np.errstate(over="ignore", invalid="ignore"):  # each step raises on a non-finite product
+    # each step raises on a non-finite product, and the final point's loss
+    # or the result's own check on what it reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        ul, lam = final.value(), final.grad_y()
+        g = final.grad_x().copy() if final.couples_x else np.zeros((len(lam), run.x.layout.dim))
         for t in range(config.steps, first_step - 1, -1):
             points = step_points(config, partial(run.at, t - 1))
             lam = step_transposed_jvps_batch(config, points, lam, run.step_map, g)
@@ -260,33 +262,38 @@ def _implicit(paradigm, run, cfg: Implicit) -> HyperGradBatch:
 
 def _first_order(paradigm, run) -> HyperGradBatch:
     final = run.at(-1, Split.VAL)
-    if paradigm is Paradigm.META_INIT:
-        g = segment_rows(run.x.layout, "init", final.grad_y())
-    else:
-        g = final.grad_x()
-    return HyperGradBatch(grad_x=g, ul_value=final.value())
+    # a non-finite read raises in the loss or in the result's own check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if paradigm is Paradigm.META_INIT:
+            g = segment_rows(run.x.layout, "init", final.grad_y())
+        else:
+            g = final.grad_x()
+        return HyperGradBatch(grad_x=g, ul_value=final.value())
 
 
 def _darts(paradigm, run, cfg: Darts, step_size: float) -> HyperGradBatch:
     final = run.at(-1, Split.VAL)
-    v = final.grad_y()
-    # each task's own difference step, from its own direction's norm
-    eps = (cfg.delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
-    # the difference points share the run's train parts
-    ys, shift, train = run[-1], eps * v, run.parts(Split.TRAIN)
-    plus = run.problem.at(train, ys + shift)
-    minus = run.problem.at(train, np.subtract(ys, shift, out=shift))
-    scale = step_size / (2.0 * eps)
-    # the bracket is this function's own, so the rest is computed in it
-    if paradigm is Paradigm.META_INIT:
-        bracket = plus.grad_y() - minus.grad_y()
-        bracket *= scale
-        g = segment_rows(run.x.layout, "init", np.subtract(v, bracket, out=bracket))
-    else:
-        bracket = plus.grad_x() - minus.grad_x()
-        bracket *= scale
-        g = np.subtract(final.grad_x(), bracket, out=bracket)
-    return HyperGradBatch(grad_x=g, ul_value=final.value())
+    # a non-finite read raises in the loss or in the result's own check;
+    # an overflowed direction makes eps 0 and the scale a division by it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = final.grad_y()
+        # each task's own difference step, from its own direction's norm
+        eps = (cfg.delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
+        # the difference points share the run's train parts
+        ys, shift, train = run[-1], eps * v, run.parts(Split.TRAIN)
+        plus = run.problem.at(train, ys + shift)
+        minus = run.problem.at(train, np.subtract(ys, shift, out=shift))
+        scale = step_size / (2.0 * eps)
+        # the bracket is this function's own, so the rest is computed in it
+        if paradigm is Paradigm.META_INIT:
+            bracket = plus.grad_y() - minus.grad_y()
+            bracket *= scale
+            g = segment_rows(run.x.layout, "init", np.subtract(v, bracket, out=bracket))
+        else:
+            bracket = plus.grad_x() - minus.grad_x()
+            bracket *= scale
+            g = np.subtract(final.grad_x(), bracket, out=bracket)
+        return HyperGradBatch(grad_x=g, ul_value=final.value())
 
 
 def _run_of(traj: InnerTrajectory, problem: BilevelObjective, x: ParamVector, task) -> InnerRun:

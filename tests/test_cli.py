@@ -427,6 +427,40 @@ def test_an_overflowing_warp_prints_its_error_line_alone(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"meta_opt": {"lr": 1e308}}, "MLP loss is not finite"),
+        (
+            {"meta_opt": {"kind": "sgd", "lr": 1e308}, "run": {"method": "FMAML"}},
+            "MLP loss is not finite",
+        ),
+        (
+            {
+                "problem": {"kind": "quadratic"},
+                "meta_opt": {"kind": "sgd", "lr": 1e308},
+                "run": {"method": "DARTS"},
+            },
+            "hypergradient result is not finite",
+        ),
+    ],
+    ids=["MAML", "FMAML", "DARTS"],
+)
+def test_an_overflowing_final_point_prints_its_error_line_alone(tmp_path, raw, message):
+    # the estimator reads the final val point under its errstate, so the
+    # loss's or the result's finiteness check reports the overflow, not numpy
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "bilevelopt", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"error: run aborted at meta-iteration 1: {message}"]
+
+
 def test_training_error_names_the_failing_meta_iteration(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
