@@ -110,23 +110,15 @@ def _cmd_run(args) -> int:
     except OSError as e:
         print(f"error: cannot create output directory: {e}", file=sys.stderr)
         return 2
+    done = 0
     try:
         # an abort must not leave an earlier run's artifacts beside this one's
         for name in ("metrics.jsonl", "config.resolved.json", "final_params.bin"):
             (out_dir / name).unlink(missing_ok=True)
-    except OSError as e:
-        print(f"error: cannot write artifacts: {e}", file=sys.stderr)
-        return 2
-    done = 0
-    try:
         for state, record in _train_rounds(exp, state):
             # one line per completed meta-iteration, so an abort keeps them
-            try:
-                with open(out_dir / "metrics.jsonl", "a" if done else "w") as metrics:
-                    metrics.write(metrics_to_jsonl([record]))
-            except OSError as e:
-                print(f"error: cannot write artifacts: {e}", file=sys.stderr)
-                return 2
+            with open(out_dir / "metrics.jsonl", "a" if done else "w") as metrics:
+                metrics.write(metrics_to_jsonl([record]))
             if record.cg_unconverged:
                 print(
                     f"warning: meta-iteration {record.meta_iter}: "
@@ -135,11 +127,6 @@ def _cmd_run(args) -> int:
                     file=sys.stderr,
                 )
             done += 1
-    except BilevelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-
-    try:
         (out_dir / "config.resolved.json").write_text(
             json.dumps(cfg.to_dict(), indent=2) + "\n"
         )
@@ -147,6 +134,9 @@ def _cmd_run(args) -> int:
     except OSError as e:
         print(f"error: cannot write artifacts: {e}", file=sys.stderr)
         return 2
+    except BilevelError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     print(
         f"finished {done} meta-iterations; "
         f"final ul_loss {record.ul_loss:.6f}; artifacts in {out_dir}"
