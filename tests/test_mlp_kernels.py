@@ -1,7 +1,9 @@
 """The MLP's point kernels: at a shape the preset digests do not cover (way
 8), the scores, grad_y and hvp_yy of a point equal the products computed
 alone and concatenated behind the task axis, bit for bit, with and without
-a hidden layer, for both losses and both splits."""
+a hidden layer, for both losses and both splits. At a wide shape (way 20,
+64 inputs and 64 hidden units) the stacked rows equal the per-task oracles
+bit for bit, and hvp_yy meets central differences of grad_y."""
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from bilevelopt import (
     sample_task_batch,
 )
 from bilevelopt.objectives import _class_major, _softmax_jvp, _softmax_residual
+from bilevelopt.verify import fd_hvp
 
 WAY, DIM_IN = 8, 5
 
@@ -117,3 +120,56 @@ def test_kernels_that_write_their_rows_equal_the_concatenated_products_bit_for_b
     for name, answer in got.items():
         assert answer.shape == want[name].shape, name
         assert answer.tobytes() == want[name].tobytes(), name
+
+
+WIDE_WAY, WIDE_DIM, WIDE_TASKS = 20, 64, 8
+# relative error of hvp_yy against central differences along a random
+# direction at the wide shape: at most 6.0e-7 measured over the three
+# directions below (mse, train split; cross-entropy at most 3.1e-7), so
+# 100x that, rounded up to a decade
+WIDE_FD_HVP_REL_TOL = 1e-4
+
+
+@pytest.fixture(scope="module", params=list(LossKind), ids=lambda k: k.value)
+def wide_setting(request):
+    """A way-20 MLP with 64 inputs and 64 tanh units, 8 tasks of 5-shot
+    15-query episodes, at weights that keep the hidden layer unsaturated."""
+    prob = make_meta_init_mlp(
+        WIDE_DIM, WIDE_DIM, WIDE_WAY, loss=request.param, reg=Regularizer.l2(0.01)
+    )
+    source = SyntheticGaussian(
+        num_classes=24, dim=WIDE_DIM, cluster_spread=4.0, noise_sd=0.5, seed=5
+    )
+    spec = EpisodeSpec(way=WIDE_WAY, shot=5, query=15, batch_size=WIDE_TASKS)
+    batch = sample_task_batch(source, spec, RngStream(9, 1))
+    gen = np.random.default_rng(9)
+    x = ParamVector(prob.x_layout, gen.standard_normal(prob.x_layout.dim) / WIDE_DIM)
+    ys = gen.standard_normal((WIDE_TASKS, prob.y_layout.dim)) / WIDE_DIM
+    vs = gen.standard_normal((WIDE_TASKS, prob.y_layout.dim))
+    return prob, batch, x, ys, vs
+
+
+@pytest.mark.parametrize("split", [Split.TRAIN, Split.VAL], ids=lambda s: s.value)
+def test_wide_stacked_rows_equal_the_per_task_oracles_bit_for_bit(wide_setting, split):
+    prob, batch, x, ys, vs = wide_setting
+    point = prob.at(prob.split_parts(x, batch, split), ys)
+    grad, hvp = point.grad_y(), point.hvp_yy(vs)
+    layout = prob.y_layout
+    for j, task in enumerate(batch.tasks):
+        y, v = ParamVector(layout, ys[j]), ParamVector(layout, vs[j])
+        assert grad[j].tobytes() == prob.grad_y(x, y, task, split).values.tobytes(), j
+        assert hvp[j].tobytes() == prob.hvp_yy(x, y, task, split, v).values.tobytes(), j
+
+
+@pytest.mark.parametrize("split", [Split.TRAIN, Split.VAL], ids=lambda s: s.value)
+def test_wide_hvp_yy_agrees_with_central_differences(wide_setting, split):
+    prob, batch, x, ys, _ = wide_setting
+    # the per-task oracle's answer is the stacked row's, bit for bit (above)
+    task, y = batch.tasks[0], ParamVector(prob.y_layout, ys[0])
+    gen = np.random.default_rng(10)
+    for _ in range(3):
+        v = ParamVector(prob.y_layout, gen.standard_normal(prob.y_layout.dim))
+        exact = prob.hvp_yy(x, y, task, split, v).values
+        fd = fd_hvp(lambda z: prob.grad_y(x, z, task, split), y, v)
+        err = np.linalg.norm(fd.values - exact) / np.linalg.norm(exact)
+        assert err <= WIDE_FD_HVP_REL_TOL
