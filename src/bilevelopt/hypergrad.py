@@ -186,8 +186,8 @@ def _reverse_sweep(
     """
     config = run.config
     final = run.at(-1, Split.VAL)
-    # each step raises on a non-finite product, and the final point's loss
-    # or the result's own check on what it reads
+    # a non-finite value raises where it is checked (each step's product,
+    # the MLP loss, HyperGradBatch), not as a numpy warning before that
     with np.errstate(over="ignore", invalid="ignore"):
         ul, lam = final.value(), final.grad_y()
         g = final.grad_x().copy() if final.couples_x else np.zeros((len(lam), run.x.layout.dim))
@@ -262,7 +262,7 @@ def _implicit(paradigm, run, cfg: Implicit) -> HyperGradBatch:
 
 def _first_order(paradigm, run) -> HyperGradBatch:
     final = run.at(-1, Split.VAL)
-    # a non-finite read raises in the loss or in the result's own check
+    # a non-finite value raises in the MLP loss or in HyperGradBatch
     with np.errstate(over="ignore", invalid="ignore"):
         if paradigm is Paradigm.META_INIT:
             g = segment_rows(run.x.layout, "init", final.grad_y())
@@ -273,8 +273,8 @@ def _first_order(paradigm, run) -> HyperGradBatch:
 
 def _darts(paradigm, run, cfg: Darts, step_size: float) -> HyperGradBatch:
     final = run.at(-1, Split.VAL)
-    # a non-finite read raises in the loss or in the result's own check;
-    # an overflowed direction makes eps 0 and the scale a division by it
+    # a non-finite value raises in the MLP loss or in HyperGradBatch; an
+    # overflowed direction makes eps 0 and the scale a division by it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v = final.grad_y()
         # each task's own difference step, from its own direction's norm
