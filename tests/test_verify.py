@@ -138,10 +138,11 @@ def test_a_row_passes_on_the_bound_it_reports():
 
     from bilevelopt.verify import _row
 
-    for compare, below, at, above in ((le, True, True, False), (ge, False, True, True),
-                                      (lt, True, False, False)):
+    # pass below, at and above a threshold of 1.0, under each comparison
+    cases = {le: [True, True, False], ge: [False, True, True], lt: [True, False, False]}
+    for compare, want in cases.items():
         got = [_row("e", "p", "r", "m", v, compare, 1.0) for v in (0.5, 1.0, 2.0)]
-        assert [r.passed for r in got] == [below, at, above]
+        assert [r.passed for r in got] == want
         assert {r.threshold for r in got} == {1.0}
     # the Richardson band is two rows, each reporting the bound it tests
     rows = run_gradcheck_suite(profile="exact", problems=["feature_softmax"], seed=0)
