@@ -12,8 +12,9 @@ Five strategies with different cost/accuracy trade-offs:
     difference of gradients, costing two extra gradient evaluations.
 
 Each estimator is written once, for a batch of tasks stacked on a leading
-axis (compute_hypergradient_batch); the per-task functions run it on a
-batch of one, so a task's estimate never depends on the rest of its batch.
+axis. compute_hypergradient_batch is the only way in and the only place
+that sets numpy's error state for an estimate; the per-task functions run
+it on a batch of one, so a task's estimate never depends on the others.
 Every estimator takes an inner run (inner.InnerRun), the (tasks, dim_y)
 stacks it kept with its config, problem, x and batch; the two reverse
 sweeps need it recorded (InnerRun.recorded), and the others read only its
@@ -43,6 +44,7 @@ from .errors import (
     UnknownMethod,
 )
 from .inner import (
+    InnerConfig,
     InnerRule,
     InnerRun,
     InnerTrajectory,
@@ -186,17 +188,14 @@ def _reverse_sweep(
     """
     config = run.config
     final = run.at(-1, Split.VAL)
-    # a non-finite value raises where it is checked (each step's product,
-    # the MLP loss, HyperGradBatch), not as a numpy warning before that
-    with np.errstate(over="ignore", invalid="ignore"):
-        ul, lam = final.value(), final.grad_y()
-        g = final.grad_x().copy() if final.couples_x else np.zeros((len(lam), run.x.layout.dim))
-        for t in range(config.steps, first_step - 1, -1):
-            points = step_points(config, partial(run.at, t - 1))
-            lam = step_transposed_jvps_batch(config, points, lam, run.step_map, g)
-            # lam is the sweep's own and never changes, so a point may reuse
-            # in cross_hvp what its hvp_yy computed from it
-            lam.setflags(write=False)
+    ul, lam = final.value(), final.grad_y()
+    g = final.grad_x().copy() if final.couples_x else np.zeros((len(lam), run.x.layout.dim))
+    for t in range(config.steps, first_step - 1, -1):
+        points = step_points(config, partial(run.at, t - 1))
+        lam = step_transposed_jvps_batch(config, points, lam, run.step_map, g)
+        # lam is the sweep's own and never changes, so a point may reuse
+        # in cross_hvp what its hvp_yy computed from it
+        lam.setflags(write=False)
     if include_init:
         g[..., run.x.layout.slice_of("init")] += lam
     return g, ul
@@ -262,38 +261,33 @@ def _implicit(paradigm, run, cfg: Implicit) -> HyperGradBatch:
 
 def _first_order(paradigm, run) -> HyperGradBatch:
     final = run.at(-1, Split.VAL)
-    # a non-finite value raises in the MLP loss or in HyperGradBatch
-    with np.errstate(over="ignore", invalid="ignore"):
-        if paradigm is Paradigm.META_INIT:
-            g = segment_rows(run.x.layout, "init", final.grad_y())
-        else:
-            g = final.grad_x()
-        return HyperGradBatch(grad_x=g, ul_value=final.value())
+    if paradigm is Paradigm.META_INIT:
+        g = segment_rows(run.x.layout, "init", final.grad_y())
+    else:
+        g = final.grad_x()
+    return HyperGradBatch(grad_x=g, ul_value=final.value())
 
 
-def _darts(paradigm, run, cfg: Darts, step_size: float) -> HyperGradBatch:
+def _darts(paradigm, run, cfg: Darts) -> HyperGradBatch:
     final = run.at(-1, Split.VAL)
-    # a non-finite value raises in the MLP loss or in HyperGradBatch; an
-    # overflowed direction makes eps 0 and the scale a division by it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = final.grad_y()
-        # each task's own difference step, from its own direction's norm
-        eps = (cfg.delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
-        # the difference points share the run's train parts
-        ys, shift, train = run[-1], eps * v, run.parts(Split.TRAIN)
-        plus = run.problem.at(train, ys + shift)
-        minus = run.problem.at(train, np.subtract(ys, shift, out=shift))
-        scale = step_size / (2.0 * eps)
-        # the bracket is this function's own, so the rest is computed in it
-        if paradigm is Paradigm.META_INIT:
-            bracket = plus.grad_y() - minus.grad_y()
-            bracket *= scale
-            g = segment_rows(run.x.layout, "init", np.subtract(v, bracket, out=bracket))
-        else:
-            bracket = plus.grad_x() - minus.grad_x()
-            bracket *= scale
-            g = np.subtract(final.grad_x(), bracket, out=bracket)
-        return HyperGradBatch(grad_x=g, ul_value=final.value())
+    v = final.grad_y()
+    # each task's own difference step from its direction's norm; 0 if that overflows
+    eps = (cfg.delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
+    # the difference points share the run's train parts
+    ys, shift, train = run[-1], eps * v, run.parts(Split.TRAIN)
+    plus = run.problem.at(train, ys + shift)
+    minus = run.problem.at(train, np.subtract(ys, shift, out=shift))
+    scale = run.config.step_size / (2.0 * eps)
+    # the bracket is this function's own, so the rest is computed in it
+    if paradigm is Paradigm.META_INIT:
+        bracket = plus.grad_y() - minus.grad_y()
+        bracket *= scale
+        g = segment_rows(run.x.layout, "init", np.subtract(v, bracket, out=bracket))
+    else:
+        bracket = plus.grad_x() - minus.grad_x()
+        bracket *= scale
+        g = np.subtract(final.grad_x(), bracket, out=bracket)
+    return HyperGradBatch(grad_x=g, ul_value=final.value())
 
 
 def _run_of(traj: InnerTrajectory, problem: BilevelObjective, x: ParamVector, task) -> InnerRun:
@@ -319,7 +313,7 @@ def hypergrad_reverse(
     """Exact meta-gradient for the realized trajectory by backpropagating
     through every inner step (and through the initialization under the
     meta-init paradigm)."""
-    return _reverse(paradigm, _run_of(traj, problem, x, task)).row(0, x.layout)
+    return compute_hypergradient(Reverse(), problem, paradigm, traj, x, task)
 
 
 def hypergrad_truncated(
@@ -336,7 +330,7 @@ def hypergrad_truncated(
     through the initialization is cut, so under meta-init only the step
     couplings survive.
     """
-    return _truncated(paradigm, _run_of(traj, problem, x, task), k).row(0, x.layout)
+    return compute_hypergradient(TruncatedReverse(k), problem, paradigm, traj, x, task)
 
 
 def hypergrad_implicit(
@@ -356,7 +350,8 @@ def hypergrad_implicit(
     (prox/2)*||y - x["init"]||^2 supplies the missing dependence; prox = 0
     there degenerates to a zero init gradient.
     """
-    return _implicit(paradigm, solo_run(None, problem, x, task, y_final), cfg).row(0, x.layout)
+    run = solo_run(None, problem, x, task, y_final)
+    return compute_hypergradient_batch(cfg, paradigm, run).row(0, x.layout)
 
 
 def hypergrad_first_order(
@@ -367,7 +362,8 @@ def hypergrad_first_order(
     task,
 ) -> HyperGradResult:
     """Curvature-free estimate: y_final is treated as a constant."""
-    return _first_order(paradigm, solo_run(None, problem, x, task, y_final)).row(0, x.layout)
+    run = solo_run(None, problem, x, task, y_final)
+    return compute_hypergradient_batch(FirstOrder(), paradigm, run).row(0, x.layout)
 
 
 def hypergrad_darts(
@@ -386,8 +382,8 @@ def hypergrad_darts(
     delta controls absolute perturbation size. Cost is two gradient
     evaluations regardless of dimension.
     """
-    run = solo_run(None, problem, x, task, y_final)
-    return _darts(paradigm, run, Darts(delta), step_size).row(0, x.layout)
+    run = solo_run(InnerConfig(0, step_size), problem, x, task, y_final)
+    return compute_hypergradient_batch(Darts(delta), paradigm, run).row(0, x.layout)
 
 
 def needs_full_trajectory(method: HyperGradMethod) -> bool:
@@ -416,16 +412,19 @@ def compute_hypergradient_batch(
     estimators read; the reverse sweeps need it recorded, and the other
     estimators read only its last stack, y_T.
     """
-    if isinstance(method, Reverse):
-        return _reverse(paradigm, run)
-    if isinstance(method, TruncatedReverse):
-        return _truncated(paradigm, run, method.k)
-    if isinstance(method, Implicit):
-        return _implicit(paradigm, run, method)
-    if isinstance(method, FirstOrder):
-        return _first_order(paradigm, run)
-    if isinstance(method, Darts):
-        return _darts(paradigm, run, method, run.config.step_size)
+    # a non-finite value raises where it is checked (each step's product,
+    # CG, the MLP loss, HyperGradBatch), not as a numpy warning before that
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if isinstance(method, Reverse):
+            return _reverse(paradigm, run)
+        if isinstance(method, TruncatedReverse):
+            return _truncated(paradigm, run, method.k)
+        if isinstance(method, Implicit):
+            return _implicit(paradigm, run, method)
+        if isinstance(method, FirstOrder):
+            return _first_order(paradigm, run)
+        if isinstance(method, Darts):
+            return _darts(paradigm, run, method)
     raise TypeError(f"unknown hypergradient method {method!r}")
 
 

@@ -198,7 +198,8 @@ def solo_run(
     config: InnerConfig | None, problem: BilevelObjective, x: ParamVector, task, y: ParamVector
 ) -> InnerRun:
     """y of one task as the one-stack run of a batch of one, to step from,
-    or, with config None, for the estimators that read only y_T."""
+    or for the estimators that read only y_T: with config None, or for
+    DARTS a config of no steps that carries its step size."""
     return InnerRun(config, problem, x, TaskBatch((task,)), [y.values[None]])
 
 
@@ -270,31 +271,30 @@ def _step_map(config: InnerConfig, x: ParamVector, y_layout: Layout):
     rule, s = config.rule, config.step_size
     if rule in (InnerRule.GD, InnerRule.BDA):
         return s, None, None, None
-    # an overflow here leaves a non-finite factor, on which the steps raise
-    with np.errstate(over="ignore", invalid="ignore"):
-        if rule is InnerRule.META_SGD:
-            rates = _require_segment(x, "rates", rule)
-            coef = -sigmoid(rates)
-            return 1.0, softplus(rates), "rates", lambda g, v: coef * g * v
-        if rule is InnerRule.MTNET_MASK:
-            logits = _require_segment(x, "mask_logits", rule)
-            if logits.shape[0] != len(y_layout.segments):
-                raise MissingSegment(
-                    f"mask_logits has {logits.shape[0]} entries for "
-                    f"{len(y_layout.segments)} y segments"
-                )
-            sig = sigmoid(logits)
-            coef = -s * sig * (1.0 - sig)
-            mask = np.repeat(sig, [seg.length for seg in y_layout.segments])
-            offsets = [seg.offset for seg in y_layout.segments]
+    if rule is InnerRule.META_SGD:
+        rates = _require_segment(x, "rates", rule)
+        coef = -sigmoid(rates)
+        return 1.0, softplus(rates), "rates", lambda g, v: coef * g * v
+    if rule is InnerRule.MTNET_MASK:
+        logits = _require_segment(x, "mask_logits", rule)
+        if logits.shape[0] != len(y_layout.segments):
+            raise MissingSegment(
+                f"mask_logits has {logits.shape[0]} entries for "
+                f"{len(y_layout.segments)} y segments"
+            )
+        sig = sigmoid(logits)
+        coef = -s * sig * (1.0 - sig)
+        mask = np.repeat(sig, [seg.length for seg in y_layout.segments])
+        offsets = [seg.offset for seg in y_layout.segments]
 
-            def pullback(g, v):
-                return coef * np.add.reduceat(g * v, offsets, axis=-1)
+        def pullback(g, v):
+            return coef * np.add.reduceat(g * v, offsets, axis=-1)
 
-            return s, mask, "mask_logits", pullback
-        d = np.exp(_require_segment(x, "warp_logdiag", rule))
-        coef = -s * d
-        return s, d, "warp_logdiag", lambda g, v: coef * g * v
+        return s, mask, "mask_logits", pullback
+    # under the caller's errstate, an overflow leaves a non-finite d, on which the steps raise
+    d = np.exp(_require_segment(x, "warp_logdiag", rule))
+    coef = -s * d
+    return s, d, "warp_logdiag", lambda g, v: coef * g * v
 
 
 def _mix(config: InnerConfig, points: tuple[Point, ...], f):

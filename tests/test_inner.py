@@ -304,9 +304,9 @@ def test_nonfinite_step_is_caught():
 
 
 def test_an_overflowing_warp_raises_without_a_numpy_warning(softmax_problem, small_batch):
-    # the step map is built under its own errstate, so exp's overflow in the
-    # warp reaches the caller as the finiteness checks' errors alone; the
-    # transposed products run under their caller's errstate, as in a sweep
+    # the step map is built under its caller's errstate, so exp's overflow in
+    # the warp reaches the caller as the finiteness checks' errors alone; the
+    # map and the transposed products are built here as in a sweep
     rule = InnerRule.WARP_GRAD_DIAG
     x = _extended_x(softmax_problem, rule, seed=8)
     x = x.with_segment("warp_logdiag", np.full(softmax_problem.y_layout.dim, 1e3))
@@ -316,11 +316,11 @@ def test_an_overflowing_warp_raises_without_a_numpy_warning(softmax_problem, sma
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue, match="inner step under rule warp_grad_diag"):
             run_inner_batch(cfg, softmax_problem, x, ys, small_batch)
-        step_map = _step_map(cfg, x, softmax_problem.y_layout)
         parts = partial(softmax_problem.split_parts, x, small_batch)
         points = step_points(cfg, lambda split: softmax_problem.at(parts(split), ys))
         g = np.zeros((len(ys), x.layout.dim))
         with np.errstate(over="ignore", invalid="ignore"):
+            step_map = _step_map(cfg, x, softmax_problem.y_layout)
             with pytest.raises(NonFiniteValue, match="transposed products under rule"):
                 step_transposed_jvps_batch(cfg, points, np.ones_like(ys), step_map, g)
 
