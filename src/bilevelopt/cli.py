@@ -139,7 +139,7 @@ def _cmd_run(args) -> int:
         return 3
     print(
         f"finished {done} meta-iterations; "
-        f"final ul_loss {record.ul_loss:.6f}; artifacts in {out_dir}"
+        f"final ul_loss {record.ul_loss:.6g}; artifacts in {out_dir}"
     )
     return 0
 

@@ -70,30 +70,32 @@ def meta_step(
     if not g.is_finite():
         raise NonFiniteValue("meta-gradient is not finite")
 
-    if isinstance(opt, Sgd):
-        x_next = x - opt.lr * g
-        opt_next = opt
-    elif isinstance(opt, Momentum):
-        vel = opt.velocity if opt.velocity is not None else ParamVector.zeros(x.layout)
-        if vel.layout != x.layout:
-            raise LayoutMismatch("momentum state layout does not match parameters")
-        vel = opt.mu * vel + g
-        x_next = x - opt.lr * vel
-        opt_next = replace(opt, velocity=vel)
-    elif isinstance(opt, Adam):
-        m = opt.m if opt.m is not None else ParamVector.zeros(x.layout)
-        v = opt.v if opt.v is not None else ParamVector.zeros(x.layout)
-        if m.layout != x.layout or v.layout != x.layout:
-            raise LayoutMismatch("adam state layout does not match parameters")
-        t = opt.step_count + 1
-        m = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v = v.like(opt.beta2 * v.values + (1.0 - opt.beta2) * g.values * g.values)
-        m_hat = m.values / (1.0 - opt.beta1 ** t)
-        v_hat = v.values / (1.0 - opt.beta2 ** t)
-        x_next = x.like(x.values - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps_hat))
-        opt_next = replace(opt, m=m, v=v, step_count=t)
-    else:
-        raise TypeError(f"unknown optimizer {opt!r}")
+    # an overflow leaves a non-finite x_next, which raises below, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(opt, Sgd):
+            x_next = x - opt.lr * g
+            opt_next = opt
+        elif isinstance(opt, Momentum):
+            vel = opt.velocity if opt.velocity is not None else ParamVector.zeros(x.layout)
+            if vel.layout != x.layout:
+                raise LayoutMismatch("momentum state layout does not match parameters")
+            vel = opt.mu * vel + g
+            x_next = x - opt.lr * vel
+            opt_next = replace(opt, velocity=vel)
+        elif isinstance(opt, Adam):
+            m = opt.m if opt.m is not None else ParamVector.zeros(x.layout)
+            v = opt.v if opt.v is not None else ParamVector.zeros(x.layout)
+            if m.layout != x.layout or v.layout != x.layout:
+                raise LayoutMismatch("adam state layout does not match parameters")
+            t = opt.step_count + 1
+            m = opt.beta1 * m + (1.0 - opt.beta1) * g
+            v = v.like(opt.beta2 * v.values + (1.0 - opt.beta2) * g.values * g.values)
+            m_hat = m.values / (1.0 - opt.beta1 ** t)
+            v_hat = v.values / (1.0 - opt.beta2 ** t)
+            x_next = x.like(x.values - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps_hat))
+            opt_next = replace(opt, m=m, v=v, step_count=t)
+        else:
+            raise TypeError(f"unknown optimizer {opt!r}")
 
     if not x_next.is_finite():
         raise NonFiniteValue("meta step produced non-finite parameters")

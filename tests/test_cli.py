@@ -67,6 +67,19 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert "finished 3 meta-iterations" in capsys.readouterr().out
 
 
+def test_the_summary_line_prints_a_huge_final_loss_in_short_form(tmp_path, capsys):
+    # the meta step diverges but stays finite, so the run ends with a loss
+    # near 1e302, which a fixed-point format would print in 300 digits
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"meta_opt": {"lr": 1e300}}))
+    assert entry(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    loss = line.split("final ul_loss ")[1].split(";")[0]
+    assert float(loss) > 1e20
+    assert len(loss) <= 12
+    assert len(line) < 120 + len(str(tmp_path))
+
+
 def test_run_overrides_take_effect(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"
@@ -275,7 +288,6 @@ def test_an_unwritable_verify_report_exits_2_before_the_suite_runs(
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_abort_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(
@@ -317,7 +329,6 @@ def test_training_error_exits_3_without_a_traceback(tmp_path, capsys, prox_lambd
     assert not (out / "metrics.jsonl").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_an_abort_keeps_the_metrics_of_the_completed_meta_iterations(tmp_path, capsys):
     def config(meta_iterations):
         path = tmp_path / f"config{meta_iterations}.json"
@@ -341,7 +352,6 @@ def test_an_abort_keeps_the_metrics_of_the_completed_meta_iterations(tmp_path, c
     assert kept == (finished / "metrics.jsonl").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_an_aborted_run_leaves_no_artifacts_of_an_earlier_run(tmp_path, capsys):
     def config(step_size):
         path = tmp_path / f"config{step_size:g}.json"
@@ -427,13 +437,21 @@ def test_an_overflowing_warp_prints_its_error_line_alone(tmp_path):
     ]
 
 
+def _meta_step_overflow(kind):
+    return {
+        "problem": {"kind": "quadratic", "quad_b": 100.0},
+        "meta_opt": {"kind": kind, "lr": 1e308},
+        "run": {"method": "RHG"},
+    }
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [
-        ({"meta_opt": {"lr": 1e308}}, "MLP loss is not finite"),
+        ({"meta_opt": {"lr": 1e308}}, "1: MLP loss is not finite"),
         (
             {"meta_opt": {"kind": "sgd", "lr": 1e308}, "run": {"method": "FMAML"}},
-            "MLP loss is not finite",
+            "1: MLP loss is not finite",
         ),
         (
             {
@@ -441,14 +459,25 @@ def test_an_overflowing_warp_prints_its_error_line_alone(tmp_path):
                 "meta_opt": {"kind": "sgd", "lr": 1e308},
                 "run": {"method": "DARTS"},
             },
-            "hypergradient result is not finite",
+            "1: hypergradient result is not finite",
         ),
+        (
+            {
+                "problem": {"kind": "quadratic"},
+                "meta_opt": {"kind": "sgd", "lr": 1e100},
+                "run": {"method": "HOAG"},
+            },
+            "2: non-finite inner product in CG",
+        ),
+        (_meta_step_overflow("momentum"), "0: meta step produced non-finite parameters"),
+        (_meta_step_overflow("adam"), "0: meta step produced non-finite parameters"),
     ],
-    ids=["MAML", "FMAML", "DARTS"],
+    ids=["MAML", "FMAML", "DARTS", "HOAG", "momentum", "adam"],
 )
 def test_an_overflowing_final_point_prints_its_error_line_alone(tmp_path, raw, message):
-    # the estimator reads the final val point under its errstate, so the
-    # loss's or the result's finiteness check reports the overflow, not numpy
+    # the estimate and the meta step each run under one errstate, so the
+    # loss's, CG's, the result's or the step's finiteness check reports the
+    # overflow, not numpy
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))
     src = Path(__file__).resolve().parent.parent / "src"
@@ -458,7 +487,7 @@ def test_an_overflowing_final_point_prints_its_error_line_alone(tmp_path, raw, m
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
     )
     assert proc.returncode == 3
-    assert proc.stderr.splitlines() == [f"error: run aborted at meta-iteration 1: {message}"]
+    assert proc.stderr.splitlines() == [f"error: run aborted at meta-iteration {message}"]
 
 
 def test_training_error_names_the_failing_meta_iteration(tmp_path, capsys):

@@ -2,6 +2,7 @@
 trajectory requirements, and the named method table."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bilevelopt import (
     InsufficientIterates,
     Layout,
     METHOD_NAMES,
+    NonFiniteValue,
     Paradigm,
     ParamVector,
     Reverse,
@@ -189,6 +191,9 @@ def test_truncated_window_bounds_are_enforced(quad2):
         hypergrad_truncated(quad2, Paradigm.META_FEATURE, unrec, x, None, k=2)
     with pytest.raises(ValueError):
         TruncatedReverse(k=0)
+    # the wrapper builds TruncatedReverse(k), so k < 1 is its ValueError
+    with pytest.raises(ValueError, match="truncation k must be >= 1"):
+        hypergrad_truncated(quad2, Paradigm.META_FEATURE, traj, x, None, k=0)
 
 
 # --------------------------------------------------------------------------
@@ -282,6 +287,11 @@ def test_darts_rejects_nonpositive_delta(quad2):
         )
     with pytest.raises(ValueError):
         Darts(delta=-1.0)
+    # the wrapper's run carries InnerConfig(0, step_size), which rejects it
+    with pytest.raises(ValueError, match="step_size must be > 0"):
+        hypergrad_darts(
+            quad2, Paradigm.META_FEATURE, x, y, None, delta=0.1, step_size=0.0
+        )
 
 
 def test_darts_under_learned_init_writes_init_segment():
@@ -293,6 +303,29 @@ def test_darts_under_learned_init_writes_init_segment():
     )
     # the curvature bracket of y^2/2 is exact: g = v - s * v = 0.7 * 0.7
     assert res.grad_x.segment("init")[0] == pytest.approx(0.49, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda prob, x, y: hypergrad_implicit(prob, Paradigm.META_FEATURE, x, y, None, Implicit()),
+        lambda prob, x, y: hypergrad_first_order(prob, Paradigm.META_FEATURE, x, y, None),
+        lambda prob, x, y: hypergrad_darts(
+            prob, Paradigm.META_FEATURE, x, y, None, delta=0.1, step_size=0.3
+        ),
+    ],
+    ids=["implicit", "first_order", "darts"],
+)
+def test_an_overflowing_final_iterate_raises_without_a_numpy_warning(quad2, estimate):
+    # the per-task estimators run under compute_hypergradient_batch's one
+    # errstate, so the overflow ends in a finiteness check (CG's or the
+    # result's), not in a numpy warning
+    x = ParamVector.zeros(quad2.x_layout)
+    y = ParamVector(quad2.y_layout, [1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            estimate(quad2, x, y)
 
 
 # --------------------------------------------------------------------------

@@ -519,7 +519,6 @@ def test_training_resumes_from_returned_state():
     assert np.allclose(resumed.x.values, full.x.values, atol=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergent_run_aborts_with_the_failing_iteration():
     raw = {
         "problem": {"kind": "quadratic"},
