@@ -90,6 +90,8 @@ def meta_step(
             t = opt.step_count + 1
             m = opt.beta1 * m + (1.0 - opt.beta1) * g
             v = v.like(opt.beta2 * v.values + (1.0 - opt.beta2) * g.values * g.values)
+            if not v.is_finite():  # an infinite v would freeze its coordinates of x unseen
+                raise NonFiniteValue("adam's second moment is not finite")
             m_hat = m.values / (1.0 - opt.beta1 ** t)
             v_hat = v.values / (1.0 - opt.beta2 ** t)
             x_next = x.like(x.values - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps_hat))

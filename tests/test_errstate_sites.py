@@ -20,25 +20,26 @@ SITES = [
 ]
 
 
+def _errstate_functions(node, function="<module>"):
+    """The innermost enclosing function of each call of errstate under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "errstate":
+            yield function
+    for child in ast.iter_child_nodes(node):
+        yield from _errstate_functions(child, function)
+
+
 def _errstate_sites():
     """module.function of every call of errstate in the package, one per call."""
-    sites = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-
-        def visit(node, function):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                function = node.name
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "errstate":
-                    sites.append(f"{path.stem}.{function}")
-            for child in ast.iter_child_nodes(node):
-                visit(child, function)
-
-        visit(tree, "<module>")
-    return sorted(sites)
+    return sorted(
+        f"{path.stem}.{function}"
+        for path in SRC.glob("*.py")
+        for function in _errstate_functions(ast.parse(path.read_text(), filename=str(path)))
+    )
 
 
 def test_numpy_error_state_is_set_only_at_the_phase_entry_points():

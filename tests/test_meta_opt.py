@@ -1,5 +1,7 @@
 """Meta-optimizers: exact first steps, state threading, and descent."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,24 @@ def test_meta_step_validates_layout_and_finiteness():
         meta_step(Sgd(lr=0.1), x, wrong)
     with pytest.raises(NonFiniteValue):
         meta_step(Sgd(lr=0.1), x, _vec([np.nan, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "opt, g, message",
+    [
+        (Sgd(lr=1e308), [10.0, 0.0, 0.0], "non-finite parameters"),
+        (Momentum(lr=1e308), [10.0, 0.0, 0.0], "non-finite parameters"),
+        (Adam(lr=1e308), [10.0, 0.0, 0.0], "non-finite parameters"),
+        # g * g overflows while x_next stays finite: its coordinate would stop moving
+        (Adam(lr=0.1), [1e160, 1.0, 1.0], "second moment"),
+    ],
+    ids=["sgd", "momentum", "adam", "adam-second-moment"],
+)
+def test_an_overflowing_meta_step_raises_without_a_numpy_warning(opt, g, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=message):
+            meta_step(opt, _vec([1.0, 2.0, 3.0]), _vec(g))
 
 
 def test_optimizer_hyperparameters_are_validated():
