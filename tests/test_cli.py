@@ -77,7 +77,6 @@ def test_the_summary_line_prints_a_huge_final_loss_in_short_form(tmp_path, capsy
     loss = line.split("final ul_loss ")[1].split(";")[0]
     assert float(loss) > 1e20
     assert len(loss) <= 12
-    assert len(line) < 120 + len(str(tmp_path))
 
 
 def test_run_overrides_take_effect(tmp_path):

@@ -305,8 +305,8 @@ def test_nonfinite_step_is_caught():
 
 def test_an_overflowing_warp_raises_without_a_numpy_warning(softmax_problem, small_batch):
     # the step map is built under its caller's errstate, so exp's overflow in
-    # the warp reaches the caller as the finiteness checks' errors alone; the
-    # map and the transposed products are built here as in a sweep
+    # the warp reaches the caller as the finiteness checks' errors alone;
+    # here the map and the transposed products run under one, as in a sweep
     rule = InnerRule.WARP_GRAD_DIAG
     x = _extended_x(softmax_problem, rule, seed=8)
     x = x.with_segment("warp_logdiag", np.full(softmax_problem.y_layout.dim, 1e3))
