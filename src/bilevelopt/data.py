@@ -17,6 +17,7 @@ from .errors import (
     InsufficientClasses,
     InsufficientItemsPerClass,
     MixedDimensions,
+    NonFiniteValue,
     ParseError,
 )
 from .numerics import RngStream
@@ -378,9 +379,13 @@ def sample_task_batch(
         raise InsufficientItemsPerClass(
             f"class {names[short[0]]!r} has {int(caps[short[0]])} items, episode needs {need}"
         )
-    items = np.asarray(
-        source.draw_batch(chosen, need, rng.child(1).generator()), dtype=np.float64
-    )
+    # an overflow, such as of a huge noise_sd, leaves the items non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        items = np.asarray(
+            source.draw_batch(chosen, need, rng.child(1).generator()), dtype=np.float64
+        )
+    if not np.isfinite(items).all():
+        raise NonFiniteValue(f"{type(source).__name__} drew non-finite episode features")
     return TaskBatch.stacked(
         items[:, :, :shot].copy().reshape(n, spec.way * shot, -1),
         _label_stack(spec.way, shot, n),

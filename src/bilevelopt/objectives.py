@@ -9,9 +9,13 @@ per-task loss, evaluated on either split of a task:
     set. The meta objective averages this over a batch of tasks.
 
 Three concrete problems are provided: an analytic quadratic (closed-form
-minimizer and meta-gradient, used as a correctness oracle), a shared linear
-feature map with a per-task softmax head, and a per-task MLP whose
-initialization is the meta-parameter.
+minimizer and meta-gradient, used as a correctness oracle) and two
+classifiers that are one network kernel under two meta-learners. The
+network (_TaskAxisObjective) is dense, with an optional tanh hidden layer.
+MetaInitMlp trains it per task from an initialization that is the
+meta-parameter; MetaFeatureSoftmax trains it without a hidden layer, a
+softmax head, on the features of a shared linear map that is the
+meta-parameter.
 
 The trainer runs a whole batch of tasks at once on (tasks, dim) stacks.
 It asks a problem for what the points of one split share, whatever ys,
@@ -19,14 +23,14 @@ split_parts(x, batch, split), and for a point on those parts,
 at(parts, ys), and reads every oracle it needs there; evaluation reads the
 validation losses and classifier scores from val_losses_and_scores(parts,
 ys). BilevelObjective's points call the per-task oracles task by task. The
-two classifier problems build a point from one forward pass, and their
-per-task oracles are views of it; their parts add the split's features and
-one-hot targets. Their kernels read y through views of its dense layers
-(_dense) and write each answer into its own rows (_dense_gradient);
-nothing is concatenated. Their logit-shaped arrays are class-major in
-memory, (tasks, classes, rows), and the kernels read them through (tasks,
-rows, classes) views, so the reductions over the few classes run along
-contiguous rows.
+network builds a point from one forward pass, and its per-task oracles
+are views of it; its parts add the split's inputs, the input of the
+forward pass and the one-hot targets. Its kernels read y through views of
+its dense layers (_dense) and write each answer into its own rows
+(_dense_gradient); nothing is concatenated. Its logit-shaped arrays are
+class-major in memory, (tasks, classes, rows), and the kernels read them
+through (tasks, rows, classes) views, so the reductions over the few
+classes run along contiguous rows.
 """
 
 from __future__ import annotations
@@ -387,7 +391,7 @@ make_quadratic = QuadraticBilevel
 
 
 # ---------------------------------------------------------------------------
-# shared feature map + per-task softmax head
+# the network kernel of both classifiers
 # ---------------------------------------------------------------------------
 
 
@@ -497,34 +501,40 @@ def _residual_part(i: int) -> property:  # item i of the residual, computed on f
 
 
 class _TaskAxisPoint(Point):
-    """A point of a _TaskAxisObjective at the stack ys on its parts, whose
-    ys and batch may carry any leading task axes, or none for one task. The
-    forward pass runs when the point is built, the residual on its first
-    read, before the kernel that reads it allocates. A problem's subclass
-    writes each oracle kernel once (grad_y's as _grad_y, run once per
-    point), for its per-task oracles and points alike. grad_x and cross_hvp
-    here are those of a loss that never reads x: zero in every row."""
+    """The network of a _TaskAxisObjective at the stack ys on its parts,
+    whose ys and batch may carry any leading task axes, or none for one
+    task. The forward pass runs when the point is built and keeps the
+    scores, the output layer's input act (the hidden activations, or h
+    without a hidden layer) and its weights w1; the residual runs on its
+    first read, before the kernel that reads it allocates. Each oracle
+    kernel is written once (grad_y's as _grad_y, run once per point), for
+    the per-task oracles and points alike. grad_x and cross_hvp here are
+    those of a loss that never reads x: zero in every row."""
 
     def __init__(self, problem, ys, parts: _TaskAxisParts):
         super().__init__(problem, ys, parts)
         self.phi, self.h, self._g, self._pd = parts.phi, parts.h, None, None
-        self.scores = self._run()
+        self.scores, self.act, self.w1 = problem._forward(ys, self.h)
 
     p, delta = _residual_part(0), _residual_part(1)
+    slope, delta_w1 = _residual_part(2), _residual_part(3)
 
     def _read_residual(self):
         self._pd = self._residual()
         return self._pd
 
-    def _run(self) -> np.ndarray:
-        """Run the problem's forward pass on h, keep what the oracles read,
-        and return the scores, a (..., rows, classes) view of class-major
-        memory."""
-        raise NotImplementedError
-
-    def _residual(self) -> tuple:
-        """Softmax p and the cross-entropy residual dloss/dscores, then a subclass's own."""
-        return _softmax_residual(self.scores, self.parts.onehot)
+    def _residual(self):
+        """Softmax p (None for a squared error), the row-major residual dloss/dscores,
+        then, None without a hidden layer, its tanh' (slope, first) and delta W1 (last)."""
+        prob, slope, onehot = self.problem, None, self.parts.onehot
+        if prob.hidden:  # 1 - act^2 in one array of the hidden layer's size
+            slope = self.act * self.act
+            np.subtract(1.0, slope, out=slope)
+        if prob.loss is LossKind.CROSS_ENTROPY:
+            p, delta = _softmax_residual(self.scores, onehot)
+        else:
+            p, delta = None, np.subtract(self.scores, onehot, order="C") / onehot.shape[-2]
+        return p, delta, slope, delta @ self.w1 if prob.hidden else None
 
     def grad_y(self):
         """_grad_y's answer, computed on the first call; read-only."""
@@ -532,6 +542,15 @@ class _TaskAxisPoint(Point):
             self._g = self._grad_y()
             self._g.setflags(write=False)
         return self._g
+
+    def _grad_y(self):
+        prob, delta, out = self.problem, self.delta, np.empty(self.ys.shape)
+        _dense_gradient(out, prob._out_at, delta, self.act)
+        if prob.hidden:
+            _dense_gradient(out, 0, self.delta_w1 * self.slope, self.h)
+        if self.split is Split.TRAIN:
+            out += prob.reg.grad(self.ys)
+        return out
 
     def value(self):
         loss = self.problem._loss(self.scores, self.parts)
@@ -547,18 +566,74 @@ class _TaskAxisPoint(Point):
     def _cross_hvp(self, vs):
         return self.grad_x()
 
+    def _hvp_yy(self, vs):
+        """Pearlmutter's R-operator, a forward-mode pass through the backprop of _grad_y."""
+        prob, act = self.problem, self.act
+        if prob.hidden == 0:
+            u = self._head_jvp(vs)[1]
+            out = np.empty(vs.shape)
+            _dense_gradient(out, 0, u, act)
+        else:
+            delta, w1, h, slope = self.delta, self.w1, self.h, self.slope
+            out = np.empty(vs.shape)
+            v0, vb0 = _dense(vs, 0, prob.hidden, prob.dim_in)
+            v1, vb1 = _dense(vs, prob._out_at, prob.classes, prob.hidden)
+            r_act = (h @ v0.swapaxes(-1, -2) + vb0[..., None, :]) * slope
+            # this order of the three terms, or the bits move
+            r_out = w1 @ r_act.swapaxes(-1, -2) + v1 @ act.swapaxes(-1, -2) + vb1[..., None]
+            r_delta = self._r_delta(r_out.swapaxes(-1, -2))
+            r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * self.delta_w1 * act * r_act
+            _dense_gradient(out, 0, r_back, h)
+            _dense_gradient(out, prob._out_at, r_delta, act)
+            gw1 = _dense(out, prob._out_at, prob.classes, prob.hidden)[0]
+            np.add(gw1, delta.swapaxes(-1, -2) @ r_act, out=gw1)
+        if self.split is Split.TRAIN:
+            out += prob.reg.hvp(vs)
+        return out
+
+    _kept = None
+
+    def _head_jvp(self, vs):
+        """The R-op of a network without a hidden layer: the output layer's
+        direction Vw, and R{delta} along the logit direction Vw act^T + vb.
+        A point whose cross_hvp reads them (couples_x) keeps them for it if
+        vs cannot change under them: a read-only array that owns its memory."""
+        act = self.act
+        vw, vb = _dense(vs, 0, self.problem.classes, act.shape[-1])
+        u = self._r_delta(_class_major(vw, act, vb[..., None]))
+        keep = self.couples_x and vs.flags.owndata and not vs.flags.writeable
+        self._kept = (vs, vw, u) if keep else None
+        return vw, u
+
+    def _r_delta(self, r_out):
+        """The directional derivative of delta along r_out = R{scores}, a
+        class-major logit direction; row-major, as delta is."""
+        p, n = self.p, r_out.shape[-2]
+        if p is None:
+            return np.divide(r_out, n, order="C")
+        u = _softmax_jvp(p, r_out)
+        u /= n
+        return u
+
 
 class _TaskAxisObjective(BilevelObjective):
-    """A problem whose points (_point_type) run its kernels on y and v as
-    (..., dim_y) arrays over any leading task axes. Every per-task oracle is
-    a view of the point of one task, so each row of a point's answer matches
-    the per-task oracle bit for bit. Training reads every oracle from at,
-    and evaluation reads val_losses_and_scores, one forward pass through
-    _scores and _loss. A subclass that changes an oracle therefore overrides
-    at (and, for value or predict, val_losses_and_scores)."""
+    """A problem whose points (_point_type) run its network on y and v as
+    (..., dim_y) arrays over any leading task axes: on the input h of
+    _features, a tanh hidden layer of width `hidden` at offset 0 of y if
+    hidden > 0, then the output layer, one unit per class, at _out_at; the
+    loss is cross-entropy of its softmax or half the squared error against
+    the one-hot targets. Every per-task oracle is a view of the point of one
+    task, so each row of a point's answer matches the per-task oracle bit
+    for bit. Training reads every oracle from at, and evaluation reads
+    val_losses_and_scores, one forward pass through _forward and _loss. A
+    subclass that changes an oracle therefore overrides at (and, for value
+    or predict, val_losses_and_scores)."""
 
-    _point_type: type[_TaskAxisPoint]
+    _point_type: type[_TaskAxisPoint] = _TaskAxisPoint
     classes: int
+    # the bare network: no hidden layer, the output layer at offset 0
+    hidden = _out_at = 0
+    loss = LossKind.CROSS_ENTROPY
 
     def split_parts(self, x, batch, split) -> _TaskAxisParts:
         return _TaskAxisParts(self, x, batch, split)
@@ -587,14 +662,34 @@ class _TaskAxisObjective(BilevelObjective):
         return x.like(self._task_point(x, y, task, split).cross_hvp(v.values))
 
     def predict(self, x, y, features):
-        return self._scores(y.values, self._features(x, np.atleast_2d(features)))
+        return self._forward(y.values, self._features(x, np.atleast_2d(features)))[0]
 
     def _features(self, x: ParamVector, phi: np.ndarray) -> np.ndarray:
         """The input of the forward pass: phi itself here."""
         return phi
 
+    def _forward(self, yv: np.ndarray, h: np.ndarray):
+        """Class-major network outputs, the output layer's input act (the
+        hidden activations, or h without a hidden layer) and its weights."""
+        act = h
+        if self.hidden > 0:
+            w0, b0 = _dense(yv, 0, self.hidden, self.dim_in)
+            act = h @ w0.swapaxes(-1, -2)
+            act += b0[..., None, :]
+            np.tanh(act, out=act)
+        w1, b1 = _dense(yv, self._out_at, self.classes, act.shape[-1])
+        return _class_major(w1, act, b1[..., None]), act, w1
+
     def _loss(self, scores: np.ndarray, parts: _TaskAxisParts) -> np.ndarray:
-        return _cross_entropy(scores, parts.at_labels)
+        if self.loss is LossKind.CROSS_ENTROPY:
+            loss = _cross_entropy(scores, parts.at_labels)
+        else:
+            # row-major, so the sum runs in the order of row-major scores
+            r = np.subtract(scores, parts.onehot, order="C")
+            loss = 0.5 * (r * r).sum(axis=(-2, -1)) / parts.labels.shape[-1]
+        if not np.isfinite(loss).all():
+            raise NonFiniteValue(f"{type(self).__name__} loss is not finite")
+        return loss
 
     def _check_stack(self, parts, ys: np.ndarray):
         if ys.shape != (len(parts.batch), self.y_layout.dim):
@@ -607,59 +702,36 @@ class _TaskAxisObjective(BilevelObjective):
         scores on its features, from one forward pass."""
         _check_val(parts)
         self._check_stack(parts, ys)
-        scores = self._scores(ys, parts.h)
+        scores = self._forward(ys, parts.h)[0]
         return self._loss(scores, parts), scores if self.is_classifier else None
 
 
+# ---------------------------------------------------------------------------
+# shared feature map + per-task softmax head
+# ---------------------------------------------------------------------------
+
+
 class _SoftmaxPoint(_TaskAxisPoint):
-    """MetaFeatureSoftmax at a point: the shared features h = phi M^T, head
-    W, logits. hvp_yy keeps the head R-op of its last direction if that
-    cannot change under it, a read-only array that owns its memory, and
-    cross_hvp of that same array reads it; either way, cross_hvp leaves the
-    point without one."""
+    """MetaFeatureSoftmax at a point: the bare network's point on the
+    shared features h = phi M^T, with what the feature map adds, grad_x and
+    cross_hvp. cross_hvp of the direction whose head R-op hvp_yy kept reads
+    that R-op; either way, cross_hvp leaves the point without one."""
 
-    couples_x, _kept = True, None
-
-    def _run(self):
-        self.w, logits = self.problem._logits(self.ys, self.h)
-        return logits
-
-    def _head_jvp(self, v):
-        """Head direction Vw and the softmax-Jacobian product u, over n."""
-        prob, h = self.problem, self.h
-        k = prob.way * prob.dim_feat
-        vw = v[..., :k].reshape(v.shape[:-1] + (prob.way, prob.dim_feat))
-        u = _softmax_jvp(self.p, _class_major(vw, h, v[..., k:, None]))
-        u /= h.shape[-2]
-        return vw, u
-
-    def _grad_y(self):
-        delta, out = self.delta, np.empty(self.ys.shape)
-        _dense_gradient(out, 0, delta, self.h)
-        if self.split is Split.TRAIN:
-            out += self.problem.reg.grad(self.ys)
-        return out
+    couples_x = True
 
     def grad_x(self):
-        return self.problem._feat_gradient(self.x, self.delta @ self.w, self.phi)
-
-    def _hvp_yy(self, vs):
-        vw, u = self._head_jvp(vs)
-        self._kept = (vs, vw, u) if vs.flags.owndata and not vs.flags.writeable else None
-        out = np.empty(vs.shape)
-        _dense_gradient(out, 0, u, self.h)
-        if self.split is Split.TRAIN:
-            out += self.problem.reg.hvp(vs)
-        return out
+        return self.problem._feat_gradient(self.x, self.delta @ self.w1, self.phi)
 
     def _cross_hvp(self, vs):
-        kept, self._kept = self._kept, None
+        kept = self._kept
         vw, u = kept[1:] if kept is not None and kept[0] is vs else self._head_jvp(vs)
-        return self.problem._feat_gradient(self.x, self.delta @ vw + u @ self.w, self.phi)
+        self._kept = None
+        return self.problem._feat_gradient(self.x, self.delta @ vw + u @ self.w1, self.phi)
 
 
 class MetaFeatureSoftmax(_TaskAxisObjective):
-    """Cross-entropy of softmax(W (M phi) + c).
+    """Cross-entropy of softmax(W (M phi) + c): the bare network on the
+    shared features h = phi M^T.
 
     x holds the shared map M ("feat", dim_feat x dim_in, row-major); y holds
     the head weights ("w", way x dim_feat) and bias ("b", way). Because the
@@ -686,14 +758,6 @@ class MetaFeatureSoftmax(_TaskAxisObjective):
         """Features h = phi M^T."""
         return phi @ x.segment("feat").reshape(self.dim_feat, self.dim_in).T
 
-    def _logits(self, yv: np.ndarray, h: np.ndarray):
-        """Head weights W and the class-major logits h W^T + c."""
-        w, c = _dense(yv, 0, self.way, self.dim_feat)
-        return w, _class_major(w, h, c[..., None])
-
-    def _scores(self, yv, h):
-        return self._logits(yv, h)[1]
-
     def _feat_gradient(self, x, a, phi):
         """Rows in x's layout with a^T phi, (..., dim_feat, dim_in), written
         in segment "feat", for a (..., rows, dim_feat) stack a."""
@@ -712,72 +776,6 @@ make_meta_feature_softmax = MetaFeatureSoftmax
 # ---------------------------------------------------------------------------
 
 
-class _MlpPoint(_TaskAxisPoint):
-    """MetaInitMlp at a point: outputs, the output layer's input act (the
-    hidden activations, or phi without a hidden layer) and weights w1."""
-
-    slope, delta_w1 = _residual_part(2), _residual_part(3)
-
-    def _run(self):
-        out, self.act, self.w1 = self.problem._forward(self.ys, self.phi)
-        return out
-
-    def _residual(self):
-        """Softmax p (None for a squared error), the row-major residual dloss/dout,
-        then, None without a hidden layer, its tanh' (slope, first) and delta W1 (last)."""
-        slope = None
-        if self.problem.hidden:  # 1 - act^2 in one array of the hidden layer's size
-            slope = self.act * self.act
-            np.subtract(1.0, slope, out=slope)
-        if self.problem.loss is LossKind.CROSS_ENTROPY:
-            p, delta = super()._residual()
-        else:
-            onehot = self.parts.onehot
-            p, delta = None, np.subtract(self.scores, onehot, order="C") / onehot.shape[-2]
-        return p, delta, slope, delta @ self.w1 if self.problem.hidden else None
-
-    def _grad_y(self):
-        delta, out = self.delta, np.empty(self.ys.shape)
-        _dense_gradient(out, self.problem._out_at, delta, self.act)
-        if self.problem.hidden:
-            _dense_gradient(out, 0, self.delta_w1 * self.slope, self.phi)
-        if self.split is Split.TRAIN:
-            out += self.problem.reg.grad(self.ys)
-        return out
-
-    def _hvp_yy(self, vs):
-        prob, p, delta, act, w1 = self.problem, self.p, self.delta, self.act, self.w1
-        n = delta.shape[-2]
-
-        def r_residual(r_out):
-            # directional derivative of delta along r_out = R{out}, the
-            # class-major logit direction; row-major, as delta is
-            if p is None:
-                return np.divide(r_out, n, order="C")
-            return _softmax_jvp(p, r_out) / n
-
-        out = np.empty(vs.shape)
-        v1, vb1 = _dense(vs, prob._out_at, prob.dim_out, act.shape[-1])
-        if prob.hidden == 0:
-            r_delta = r_residual(_class_major(v1, act, vb1[..., None]))
-            _dense_gradient(out, 0, r_delta, act)
-        else:
-            v0, vb0 = _dense(vs, 0, prob.hidden, prob.dim_in)
-            phi, slope = self.phi, self.slope
-            r_act = (phi @ v0.swapaxes(-1, -2) + vb0[..., None, :]) * slope
-            # this order of the three terms, or the bits move
-            r_out = w1 @ r_act.swapaxes(-1, -2) + v1 @ act.swapaxes(-1, -2) + vb1[..., None]
-            r_delta = r_residual(r_out.swapaxes(-1, -2))
-            r_back = (r_delta @ w1 + delta @ v1) * slope - 2.0 * self.delta_w1 * act * r_act
-            _dense_gradient(out, 0, r_back, phi)
-            _dense_gradient(out, prob._out_at, r_delta, act)
-            gw1 = _dense(out, prob._out_at, prob.dim_out, prob.hidden)[0]
-            np.add(gw1, delta.swapaxes(-1, -2) @ r_act, out=gw1)
-        if self.split is Split.TRAIN:
-            out += prob.reg.hvp(vs)
-        return out
-
-
 class MetaInitMlp(_TaskAxisObjective):
     """Small tanh MLP trained per task; x carries its initialization.
 
@@ -787,8 +785,6 @@ class MetaInitMlp(_TaskAxisObjective):
     Gradients are analytic backprop; hvp_yy is Pearlmutter's exact
     R-operator, a forward-mode pass through that backprop.
     """
-
-    _point_type = _MlpPoint
 
     def __init__(
         self,
@@ -815,32 +811,6 @@ class MetaInitMlp(_TaskAxisObjective):
         # the offset of the output layer, behind the hidden one if any
         self._out_at = hidden * (dim_in + 1)
         self.x_layout = Layout([("init", self.y_layout.dim)])
-
-    def _forward(self, yv: np.ndarray, phi: np.ndarray):
-        """Class-major network outputs, the output layer's input act (the
-        hidden activations, or phi without a hidden layer) and its weights."""
-        act = phi
-        if self.hidden > 0:
-            w0, b0 = _dense(yv, 0, self.hidden, self.dim_in)
-            act = phi @ w0.swapaxes(-1, -2)
-            act += b0[..., None, :]
-            np.tanh(act, out=act)
-        w1, b1 = _dense(yv, self._out_at, self.dim_out, act.shape[-1])
-        return _class_major(w1, act, b1[..., None]), act, w1
-
-    def _loss(self, scores, parts):
-        if self.loss is LossKind.CROSS_ENTROPY:
-            loss = super()._loss(scores, parts)
-        else:
-            # row-major, so the sum runs in the order of row-major scores
-            r = np.subtract(scores, parts.onehot, order="C")
-            loss = 0.5 * (r * r).sum(axis=(-2, -1)) / parts.labels.shape[-1]
-        if not np.isfinite(loss).all():
-            raise NonFiniteValue("MLP loss is not finite")
-        return loss
-
-    def _scores(self, yv, h):
-        return self._forward(yv, h)[0]
 
 
 make_meta_init_mlp = MetaInitMlp

@@ -23,6 +23,7 @@ training-task sampling.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -37,7 +38,7 @@ from .data import (
     TaskBatch,
     sample_task_batch,
 )
-from .errors import BilevelError, ConfigError, UnknownMethod
+from .errors import BilevelError, ConfigError, NonFiniteValue, UnknownMethod
 from .hypergrad import (
     Darts,
     FirstOrder,
@@ -564,13 +565,17 @@ def _train_rounds(exp: Experiment, state: TrainState):
                 record=needs_full_trajectory(exp.method),
             )
             res = compute_hypergradient_batch(exp.method, exp.paradigm, run)
-            inner_final = run.at(-1, Split.TRAIN).value()
+            # an overflow, such as a regularizer's, leaves the loss non-finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                inner_final = run.at(-1, Split.TRAIN).value()
+            inner_loss = sum(inner_final.tolist()) / n_batch
+            if not math.isfinite(inner_loss):
+                raise NonFiniteValue("inner-final loss is not finite")
 
             g_total = _task_order_sum(res.grad_x)
             g_total *= 1.0 / n_batch
             g_mean = ParamVector(x.layout, g_total, copy=False)
             ul_loss = sum(res.ul_value.tolist()) / n_batch
-            inner_loss = sum(inner_final.tolist()) / n_batch
 
             x_next, opt_next = meta_step(state.opt, x, g_mean)
             state = TrainState(x=x_next, opt=opt_next, iteration=it + 1)
@@ -606,9 +611,13 @@ def meta_evaluate(
         raise ValueError("n_tasks must be >= 1")
     r = state.iteration if round_index is None else round_index
     run = _adapt(exp, state.x, n_tasks, _EVAL_TASK_STREAM, _EVAL_INIT_STREAM, r)
-    # the run's val split parts, which BDA's steps built already
-    losses, scores = exp.problem.val_losses_and_scores(run.parts(Split.VAL), run[-1])
-    mean_loss = float(np.mean(losses))
+    # the run's val split parts, which BDA's steps built already; an
+    # overflow leaves the loss non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses, scores = exp.problem.val_losses_and_scores(run.parts(Split.VAL), run[-1])
+        mean_loss = float(np.mean(losses))
+    if not math.isfinite(mean_loss):
+        raise NonFiniteValue("evaluation loss is not finite")
     if scores is None:
         return mean_loss, None
     hits = predicted_classes(scores) == run.batch.val_labels

@@ -447,10 +447,10 @@ def _meta_step_overflow(kind):
 @pytest.mark.parametrize(
     "raw, message",
     [
-        ({"meta_opt": {"lr": 1e308}}, "1: MLP loss is not finite"),
+        ({"meta_opt": {"lr": 1e308}}, "1: MetaInitMlp loss is not finite"),
         (
             {"meta_opt": {"kind": "sgd", "lr": 1e308}, "run": {"method": "FMAML"}},
-            "1: MLP loss is not finite",
+            "1: MetaInitMlp loss is not finite",
         ),
         (
             {
@@ -487,6 +487,52 @@ def test_an_overflowing_final_point_prints_its_error_line_alone(tmp_path, raw, m
     )
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [f"error: run aborted at meta-iteration {message}"]
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            {
+                "problem": {"kind": "mlp", "reg": "l1", "reg_coef": 1e300},
+                "run": {"meta_iterations": 1},
+            },
+            "0: inner-final loss is not finite",
+        ),
+        (
+            {
+                "problem": {"kind": "mlp", "loss": "mse"},
+                "run": {"method": "MAML", "meta_iterations": 14, "eval_every": 1},
+            },
+            "12: MetaInitMlp loss is not finite",
+        ),
+        (
+            {"data": {"noise_sd": 1.7e308}, "run": {"meta_iterations": 1}},
+            "0: SyntheticGaussian drew non-finite episode features",
+        ),
+    ],
+    ids=["inner-final-loss", "evaluation", "draw"],
+)
+def test_an_overflow_outside_the_estimate_ends_in_a_typed_error(tmp_path, capsys, raw, message):
+    # the episode draw, the inner-final read and the evaluation read each run
+    # under one errstate, so a finiteness check reports the overflow, not numpy
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert entry(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: run aborted at meta-iteration {message}"
+    ]
+    # the rounds before the failing one keep their records, all strict JSON
+    metrics = out / "metrics.jsonl"
+    lines = metrics.read_text().splitlines() if metrics.exists() else []
+    assert len(lines) == int(message.split(":")[0])
+    for line in lines:
+        json.loads(line, parse_constant=_not_json)
 
 
 def test_training_error_names_the_failing_meta_iteration(tmp_path, capsys):

@@ -38,7 +38,7 @@ from bilevelopt import (
     run_inner,
     sample_task_batch,
 )
-from bilevelopt.objectives import _MlpPoint, _SoftmaxPoint
+from bilevelopt.objectives import _TaskAxisPoint
 
 # the reference shape: 5-way 1-shot 15-query episodes over 20 synthetic
 # classes of dimension 8, 5 inner steps, the softmax head on 16 features
@@ -190,11 +190,9 @@ def _install_counters(monkeypatch, counting):
         monkeypatch.setattr(owner, attr, counted)
 
     bump(MetaFeatureSoftmax, "_features", "feature_maps")
-    bump(_SoftmaxPoint, "_grad_y", "grad_y_kernels")
-    bump(_MlpPoint, "_grad_y", "grad_y_kernels")
+    bump(_TaskAxisPoint, "_grad_y", "grad_y_kernels")
     bump(inner_mod, "_step_map", "step_maps")
-    bump(_SoftmaxPoint, "_residual", "residuals")
-    bump(_MlpPoint, "_residual", "residuals")
+    bump(_TaskAxisPoint, "_residual", "residuals")
     bump(np, "errstate", "errstates")
     bump(RngStream, "generator", "generators")
     solve = hg.conjugate_gradient_batch

@@ -1,7 +1,9 @@
 """Where numpy's error state is set.
 
-Each site below enters one np.errstate around a whole phase: the inner
-run, one step's transposed products, the estimate and the meta step. Code
+Each site below enters one np.errstate around a whole phase: the episode
+draw, the inner run, one step's transposed products, the estimate, the
+trainer's read of the inner-final loss, the meta step and the evaluation's
+read of the validation losses. Code
 under them reports a non-finite value through its own finiteness check, so
 it sets no error state of its own. A change that needs another site adds it
 here and says why, as it would for a count in tests/cost_model.json.
@@ -13,10 +15,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "bilevelopt"
 
 SITES = [
+    "data.sample_task_batch",
     "hypergrad.compute_hypergradient_batch",
     "inner.run_inner_batch",
     "inner.step_transposed_jvps",
     "meta_opt.meta_step",
+    "trainer._train_rounds",
+    "trainer.meta_evaluate",
 ]
 
 

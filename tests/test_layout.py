@@ -1,7 +1,8 @@
 """Class-major logits and split parts shared by a run's points: every batch
-row matches its per-task oracle bit for bit, at way 5 the numbers match the
-row-major formulas bit for bit, and the accuracy fold picks the first of
-equal maxima as np.argmax does."""
+row matches its per-task oracle bit for bit, at ways 5 and 10 and at way 20
+with width 64, at way 5 the numbers match the row-major formulas bit for
+bit, and the accuracy fold picks the first of equal maxima as np.argmax
+does."""
 
 import numpy as np
 import pytest
@@ -22,34 +23,39 @@ from bilevelopt import (
 from bilevelopt.objectives import predicted_classes
 
 DIM_IN, DIM_FEAT, HIDDEN = 8, 16, 16
+# (dim_in, dim_feat, hidden): the reference widths, and a width where BLAS
+# blocks the products as it does at scale
+NARROW, WIDE = (DIM_IN, DIM_FEAT, HIDDEN), (64, 64, 64)
 SPLITS = pytest.mark.parametrize("split", [Split.TRAIN, Split.VAL], ids=lambda s: s.value)
 
 
-def _batch(way, tasks=4):
+def _batch(way, dim_in=DIM_IN, tasks=4):
     """Episodes of the benchmark's reference shape: 1-shot 15-query."""
     source = SyntheticGaussian(
-        num_classes=20, dim=DIM_IN, cluster_spread=10.0, noise_sd=0.5, seed=5
+        num_classes=20, dim=dim_in, cluster_spread=10.0, noise_sd=0.5, seed=5
     )
     spec = EpisodeSpec(way=way, shot=1, query=15, batch_size=tasks)
     return sample_task_batch(source, spec, RngStream(5, way))
 
 
-def _problems(way):
+def _problems(way, dims=NARROW):
+    dim_in, dim_feat, hidden = dims
     reg = Regularizer.l2(0.01)
     return {
-        "softmax": make_meta_feature_softmax(DIM_IN, DIM_FEAT, way, reg=reg),
-        "mlp0": make_meta_init_mlp(DIM_IN, 0, way, reg=reg),
-        "mlp16": make_meta_init_mlp(DIM_IN, HIDDEN, way, reg=reg),
+        "softmax": make_meta_feature_softmax(dim_in, dim_feat, way, reg=reg),
+        "mlp0": make_meta_init_mlp(dim_in, 0, way, reg=reg),
+        "mlp16": make_meta_init_mlp(dim_in, hidden, way, reg=reg),
         "mlp16-mse": make_meta_init_mlp(
-            DIM_IN, HIDDEN, way, loss=LossKind.MEAN_SQUARED_ERROR, reg=reg
+            dim_in, hidden, way, loss=LossKind.MEAN_SQUARED_ERROR, reg=reg
         ),
     }
 
 
 def _cases():
-    for way in (5, 10):
-        for name in _problems(way):
-            yield pytest.param(way, name, id=f"way{way}-{name}")
+    for way, dims in ((5, NARROW), (10, NARROW), (20, WIDE)):
+        width = "" if dims == NARROW else f"-width{dims[-1]}"
+        for name in _problems(way, dims):
+            yield pytest.param(way, dims, name, id=f"way{way}{width}-{name}")
 
 
 def _at(prob, x, ys, batch, split):
@@ -70,9 +76,9 @@ def _draws(prob, n, seed):
 
 
 @SPLITS
-@pytest.mark.parametrize("way, name", list(_cases()))
-def test_every_batch_row_equals_its_per_task_oracle_bit_for_bit(way, name, split):
-    prob, batch = _problems(way)[name], _batch(way)
+@pytest.mark.parametrize("way, dims, name", list(_cases()))
+def test_every_batch_row_equals_its_per_task_oracle_bit_for_bit(way, dims, name, split):
+    prob, batch = _problems(way, dims)[name], _batch(way, dims[0])
     x, ys, vs = _draws(prob, len(batch), 3)
     point = _at(prob, x, ys, batch, split)
     batched = {
@@ -93,9 +99,9 @@ def test_every_batch_row_equals_its_per_task_oracle_bit_for_bit(way, name, split
             assert rows[j].tobytes() == per_task[oracle].tobytes(), (oracle, j)
 
 
-@pytest.mark.parametrize("way, name", list(_cases()))
-def test_val_losses_and_scores_rows_equal_the_per_task_oracles_bit_for_bit(way, name):
-    prob, batch = _problems(way)[name], _batch(way)
+@pytest.mark.parametrize("way, dims, name", list(_cases()))
+def test_val_losses_and_scores_rows_equal_the_per_task_oracles_bit_for_bit(way, dims, name):
+    prob, batch = _problems(way, dims)[name], _batch(way, dims[0])
     x, ys, _ = _draws(prob, len(batch), 4)
     losses, scores = _val_losses_and_scores(prob, x, ys, batch)
     for j, task in enumerate(batch):

@@ -1,7 +1,8 @@
 """The feature softmax's point kernels: answers written into their own rows
 equal the concatenated products bit for bit at a shape the preset digests
-do not cover, and the head R-op that hvp_yy keeps for cross_hvp changes no
-answer and outlives no sweep."""
+do not cover, the head R-op that hvp_yy keeps for cross_hvp changes no
+answer and outlives no sweep, and with the identity feature map the
+softmax is the MLP without a hidden layer, bit for bit."""
 
 import weakref
 
@@ -21,12 +22,13 @@ from bilevelopt import (
     SyntheticGaussian,
     fd_hvp,
     make_meta_feature_softmax,
+    make_meta_init_mlp,
     sample_task_batch,
 )
 from bilevelopt.hypergrad import compute_hypergradient_batch
 from bilevelopt.inner import run_inner_batch
 from bilevelopt.numerics import segment_rows
-from bilevelopt.objectives import _class_major, _SoftmaxPoint, _softmax_jvp
+from bilevelopt.objectives import _class_major, _softmax_jvp, _TaskAxisPoint
 
 SPLITS = pytest.mark.parametrize("split", [Split.TRAIN, Split.VAL], ids=lambda s: s.value)
 WAY, DIM_FEAT, DIM_IN = 8, 7, 5
@@ -109,13 +111,13 @@ def test_kernels_that_write_their_rows_equal_the_concatenated_products_bit_for_b
 
 def _count_head_jvps(monkeypatch):
     calls = []
-    inner = _SoftmaxPoint._head_jvp
+    inner = _TaskAxisPoint._head_jvp
 
     def counted(self, v):
         calls.append(v)
         return inner(self, v)
 
-    monkeypatch.setattr(_SoftmaxPoint, "_head_jvp", counted)
+    monkeypatch.setattr(_TaskAxisPoint, "_head_jvp", counted)
     return calls
 
 
@@ -190,13 +192,13 @@ def test_a_reverse_sweep_computes_one_head_r_op_per_point_and_step_and_keeps_non
     config = InnerConfig(steps=4, step_size=0.3, rule=rule)
     run = run_inner_batch(config, prob, x, ys, batch, record=True)
     swept = []
-    hvp_yy = _SoftmaxPoint._hvp_yy
+    hvp_yy = _TaskAxisPoint._hvp_yy
 
     def recorded(self, v):
         swept.append(weakref.ref(self))
         return hvp_yy(self, v)
 
-    monkeypatch.setattr(_SoftmaxPoint, "_hvp_yy", recorded)
+    monkeypatch.setattr(_TaskAxisPoint, "_hvp_yy", recorded)
     calls = _count_head_jvps(monkeypatch)
     compute_hypergradient_batch(Reverse(), Paradigm.META_FEATURE, run)
     points_per_step = 2 if rule is InnerRule.BDA else 1
@@ -253,3 +255,36 @@ def test_wide_hvp_yy_agrees_with_central_differences(wide_setting, split):
         fd = fd_hvp(lambda z: prob.grad_y(x, z, task, split), y, v)
         err = np.linalg.norm(fd.values - exact) / np.linalg.norm(exact)
         assert err <= FD_HVP_REL_TOL
+
+
+@SPLITS
+@pytest.mark.parametrize(
+    "way, dim, tasks", [(WAY, DIM_IN, 3), (WIDE_WAY, WIDE_FEAT, WIDE_TASKS)], ids=["way8", "wide"]
+)
+def test_with_identity_features_the_softmax_is_the_bare_mlp_bit_for_bit(way, dim, tasks, split):
+    # one network kernel: the softmax runs the MLP without a hidden layer on
+    # h = phi M^T, which is phi itself for M = I
+    reg = Regularizer.l2(0.01)
+    softmax = make_meta_feature_softmax(dim, dim, way, reg=reg)
+    mlp = make_meta_init_mlp(dim, 0, way, reg=reg)
+    source = SyntheticGaussian(
+        num_classes=way + 4, dim=dim, cluster_spread=4.0, noise_sd=0.5, seed=3
+    )
+    spec = EpisodeSpec(way=way, shot=2, query=5, batch_size=tasks)
+    batch = sample_task_batch(source, spec, RngStream(11, 1))
+    gen = np.random.default_rng(11)
+    ys = 0.5 * gen.standard_normal((tasks, mlp.y_layout.dim))
+    vs = gen.standard_normal(ys.shape)
+    identity = ParamVector(softmax.x_layout, np.eye(dim).ravel())
+    init = ParamVector(mlp.x_layout, gen.standard_normal(mlp.x_layout.dim))
+    soft_point, mlp_point = (
+        prob.at(prob.split_parts(x, batch, split), ys)
+        for prob, x in ((softmax, identity), (mlp, init))
+    )
+    # two public problems, neither an instance of the other
+    assert not isinstance(softmax, type(mlp)) and not isinstance(mlp, type(softmax))
+    assert soft_point.h.tobytes() == mlp_point.h.tobytes()
+    for name in ("value", "grad_y"):
+        got, want = getattr(soft_point, name)(), getattr(mlp_point, name)()
+        assert got.tobytes() == want.tobytes(), name
+    assert soft_point.hvp_yy(vs).tobytes() == mlp_point.hvp_yy(vs).tobytes()

@@ -714,16 +714,16 @@ def test_meta_evaluate_builds_the_same_number_of_generators_at_any_task_count(
 
 
 def test_meta_evaluate_runs_the_validation_forward_pass_once():
-    # the forward kernel of each classifier, whose last argument is the input
-    for raw, kernel in ((_maml_raw(), "_forward"), (_feature_raw(), "_logits")):
+    # the forward pass of each classifier, whose last argument is the input
+    for raw in (_maml_raw(), _feature_raw()):
         exp, state = build_experiment(ExperimentConfig.from_dict(raw))
         rows = []
 
-        def counted(*args, inner=getattr(exp.problem, kernel)):
+        def counted(*args, inner=exp.problem._forward):
             rows.append(args[-1].shape[-2])
             return inner(*args)
 
-        setattr(exp.problem, kernel, counted)
+        exp.problem._forward = counted
         meta_evaluate(exp, state, 6)
         data = raw["data"]
         assert rows.count(data["way"] * data["query"]) == 1
