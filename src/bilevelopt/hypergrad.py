@@ -1,13 +1,15 @@
 """Estimators for the meta-gradient d/dx of the validation loss at the end
 of an inner run.
 
-Five strategies with different cost/accuracy trade-offs:
+Five strategies with different cost/accuracy trade-offs. The first three
+are windows of one adjoint sweep (_sweep) over a run's last T, K or 0 steps;
+the last two correct the x gradient of its window of no steps in place:
 
   * reverse: exact adjoint sweep back through the stored trajectory.
   * truncated reverse: same sweep, stopped after the last K steps.
+  * first order: same sweep over no step; all curvature terms dropped.
   * implicit: linear solve against the inner Hessian at the final iterate
     (valid near an inner stationary point).
-  * first order: all curvature terms dropped.
   * darts-style: one-step estimate whose curvature term is a central
     difference of gradients, costing two extra gradient evaluations.
 
@@ -16,12 +18,12 @@ axis. compute_hypergradient_batch is the only way in and the only place
 that sets numpy's error state for an estimate; the per-task functions run
 it on a batch of one, so a task's estimate never depends on the others.
 Every estimator takes an inner run (inner.InnerRun), the (tasks, dim_y)
-stacks it kept with its config, problem, x and batch; the two reverse
-sweeps need it recorded (InnerRun.recorded), and the others read only its
-last stack, y_T. Each reads the problem's oracles from one point per
-(iterate, split) it visits (InnerRun.at), so the sweeps reuse the points
-the inner steps were taken from, and every CG iteration applies the
-Hessian of one point at y_T.
+stacks it kept with its config, problem, x and batch; the reverse and
+truncated windows need it recorded (InnerRun.recorded), and the window
+of no steps reads only its last stack, y_T. Each reads the problem's
+oracles from one point per (iterate, split) it visits (InnerRun.at), so
+the sweep reuses the points the inner steps were taken from, and every
+CG iteration applies the Hessian of one point at y_T.
 
 Named compositions of (paradigm, inner rule, estimator) for ten methods from
 the meta-learning literature are exposed through compose_named_method.
@@ -56,7 +58,6 @@ from .numerics import (
     ParamVector,
     conjugate_gradient_batch,
     row_dots,
-    segment_rows,
 )
 from .objectives import BilevelObjective, Paradigm, Split
 
@@ -174,31 +175,31 @@ class HyperGradBatch:
         )
 
 
-def _reverse_sweep(
-    run: InnerRun, first_step: int, include_init: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint recurrence over steps T..first_step of a recorded run, the
-    (tasks, dim_y) stacks y_0..y_T, every task at once.
+def _sweep(
+    paradigm: Paradigm, run: InnerRun, k: int, to_init: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, ul, lam) of the adjoint recurrence over the last k steps the run
+    kept, indexed from len(run), so a window of none never reads run.config.
 
-    lam starts as the validation gradient at y_T; each visited step t adds
-    the x-coupling term into g and pulls lam back through the step Jacobian,
-    at the points step t was taken from, under the run's step map. When
-    include_init is set (meta-init paradigm, sweep reaching y_0), what is
-    left of lam is exactly the gradient through the initialization.
+    lam starts as the validation gradient at y_T and g as a copy of its
+    grad_x, as a point may hand out a cached or read-only answer. Each step
+    adds its x-coupling term into g and pulls lam back through its Jacobian,
+    at the points it was taken from, under the run's step map. Under
+    meta-init with to_init, the sweep having reached y_0, what is left of lam
+    is the gradient through the initialization, and it is added into g.
     """
-    config = run.config
     final = run.at(-1, Split.VAL)
     ul, lam = final.value(), final.grad_y()
     g = final.grad_x().copy() if final.couples_x else np.zeros((len(lam), run.x.layout.dim))
-    for t in range(config.steps, first_step - 1, -1):
-        points = step_points(config, partial(run.at, t - 1))
-        lam = step_transposed_jvps_batch(config, points, lam, run.step_map, g)
+    for t in range(len(run) - 1, len(run) - 1 - k, -1):
+        points = step_points(run.config, partial(run.at, t - 1))
+        lam = step_transposed_jvps_batch(run.config, points, lam, run.step_map, g)
         # lam is the sweep's own and never changes, so a point may reuse
         # in cross_hvp what its hvp_yy computed from it
         lam.setflags(write=False)
-    if include_init:
+    if to_init and paradigm is Paradigm.META_INIT:
         g[..., run.x.layout.slice_of("init")] += lam
-    return g, ul
+    return g, ul, lam
 
 
 def _reverse(paradigm, run) -> HyperGradBatch:
@@ -206,7 +207,7 @@ def _reverse(paradigm, run) -> HyperGradBatch:
         raise TrajectoryNotRecorded(
             "reverse hypergradient needs the full trajectory; rerun with record=True"
         )
-    g, ul = _reverse_sweep(run, first_step=1, include_init=paradigm is Paradigm.META_INIT)
+    g, ul, _ = _sweep(paradigm, run, run.config.steps, True)
     return HyperGradBatch(grad_x=g, ul_value=ul)
 
 
@@ -220,11 +221,7 @@ def _truncated(paradigm, run, k) -> HyperGradBatch:
         raise InsufficientIterates(
             "truncated reverse needs recorded iterates; rerun with record=True"
         )
-    g, ul = _reverse_sweep(
-        run,
-        first_step=t_total - k + 1,
-        include_init=(paradigm is Paradigm.META_INIT and k == t_total),
-    )
+    g, ul, _ = _sweep(paradigm, run, k, k == t_total)
     return HyperGradBatch(grad_x=g, ul_value=ul, truncation_k=k)
 
 
@@ -232,16 +229,17 @@ def _implicit(paradigm, run, cfg: Implicit) -> HyperGradBatch:
     prox = cfg.prox_lambda
     if prox is None:
         prox = 1.0 if paradigm is Paradigm.META_INIT else 0.0
-    inner, final = run.at(-1, Split.TRAIN), run.at(-1, Split.VAL)
+    g, ul, v = _sweep(paradigm, run, 0, False)
+    inner = run.at(-1, Split.TRAIN)
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        hv = inner.hvp_yy(v)
-        hv += prox * v
-        return hv
+    def apply(w: np.ndarray) -> np.ndarray:
+        hw = inner.hvp_yy(w)
+        hw += prox * w
+        return hw
 
     try:
         q, iters, residual, converged = conjugate_gradient_batch(
-            apply if prox != 0.0 else inner.hvp_yy, final.grad_y(),
+            apply if prox != 0.0 else inner.hvp_yy, v,
             tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
         )
     except IndefiniteCurvature as e:
@@ -250,44 +248,36 @@ def _implicit(paradigm, run, cfg: Implicit) -> HyperGradBatch:
             f"solution, so raise hypergrad.prox_lambda (now {prox:g})",
         )
         raise
-    g = final.grad_x() - inner.cross_hvp(q)
+    g -= inner.cross_hvp(q)
     if paradigm is Paradigm.META_INIT and prox != 0.0:
         g[..., run.x.layout.slice_of("init")] += prox * q
     return HyperGradBatch(
-        grad_x=g, ul_value=final.value(),
+        grad_x=g, ul_value=ul,
         cg_iters=iters, cg_residual=residual, cg_converged=converged,
     )
 
 
 def _first_order(paradigm, run) -> HyperGradBatch:
-    final = run.at(-1, Split.VAL)
-    if paradigm is Paradigm.META_INIT:
-        g = segment_rows(run.x.layout, "init", final.grad_y())
-    else:
-        g = final.grad_x()
-    return HyperGradBatch(grad_x=g, ul_value=final.value())
+    g, ul, _ = _sweep(paradigm, run, 0, True)
+    return HyperGradBatch(grad_x=g, ul_value=ul)
 
 
 def _darts(paradigm, run, cfg: Darts) -> HyperGradBatch:
-    final = run.at(-1, Split.VAL)
-    v = final.grad_y()
+    g, ul, v = _sweep(paradigm, run, 0, True)
     # each task's own difference step from its direction's norm; 0 if that overflows
     eps = (cfg.delta / np.maximum(np.sqrt(row_dots(v, v)), 1e-12))[:, None]
     # the difference points share the run's train parts
     ys, shift, train = run[-1], eps * v, run.parts(Split.TRAIN)
     plus = run.problem.at(train, ys + shift)
     minus = run.problem.at(train, np.subtract(ys, shift, out=shift))
-    scale = run.config.step_size / (2.0 * eps)
-    # the bracket is this function's own, so the rest is computed in it
+    # the curvature term, subtracted from the rows of g it corrects
     if paradigm is Paradigm.META_INIT:
-        bracket = plus.grad_y() - minus.grad_y()
-        bracket *= scale
-        g = segment_rows(run.x.layout, "init", np.subtract(v, bracket, out=bracket))
+        bracket, rows = plus.grad_y() - minus.grad_y(), g[..., run.x.layout.slice_of("init")]
     else:
-        bracket = plus.grad_x() - minus.grad_x()
-        bracket *= scale
-        g = np.subtract(final.grad_x(), bracket, out=bracket)
-    return HyperGradBatch(grad_x=g, ul_value=final.value())
+        bracket, rows = plus.grad_x() - minus.grad_x(), g
+    bracket *= run.config.step_size / (2.0 * eps)
+    rows -= bracket
+    return HyperGradBatch(grad_x=g, ul_value=ul)
 
 
 def _run_of(traj: InnerTrajectory, problem: BilevelObjective, x: ParamVector, task) -> InnerRun:
@@ -409,8 +399,8 @@ def compute_hypergradient_batch(
     """compute_hypergradient for every task of the run's batch at once.
 
     run is the InnerRun that run_inner_batch returned, whose points the
-    estimators read; the reverse sweeps need it recorded, and the other
-    estimators read only its last stack, y_T.
+    estimators read; the reverse and truncated windows need it recorded,
+    and the other estimators read only its last stack, y_T.
     """
     # a non-finite value raises where it is checked (each step's product,
     # CG, the MLP loss, HyperGradBatch), not as a numpy warning before that

@@ -16,6 +16,7 @@ from bilevelopt import (
     Implicit,
     InsufficientIterates,
     MetaFeatureSoftmax,
+    MetaInitMlp,
     Paradigm,
     ParamVector,
     Regularizer,
@@ -42,7 +43,7 @@ from bilevelopt import (
 )
 from bilevelopt.hypergrad import compute_hypergradient_batch
 from bilevelopt.inner import run_inner_batch
-from bilevelopt.objectives import _TaskAxisObjective
+from bilevelopt.objectives import _SoftmaxPoint, _TaskAxisObjective, _TaskAxisPoint
 from bilevelopt.trainer import _INIT_STREAM, _TASK_STREAM, TrainState
 
 # the benchmark's reference shape: 5-way 1-shot 15-query episodes over 20
@@ -228,6 +229,71 @@ def test_an_unrecorded_run_of_two_or_more_steps_cannot_feed_the_batched_sweeps(
     assert len(kept) == 2
     with pytest.raises(error):
         compute_hypergradient_batch(method, exp.paradigm, kept)
+
+
+def _read_only(answer):
+    view = answer.view()
+    view.setflags(write=False)
+    return view
+
+
+def _read_only_answers(point_type):
+    """point_type whose grad_y and grad_x hand out read-only arrays."""
+
+    class ReadOnly(point_type):
+        def grad_y(self):
+            return _read_only(super().grad_y())
+
+        def grad_x(self):
+            return _read_only(super().grad_x())
+
+    return ReadOnly
+
+
+class _ReadOnlySoftmax(MetaFeatureSoftmax):
+    _point_type = _read_only_answers(_SoftmaxPoint)
+
+
+class _ReadOnlyMlp(MetaInitMlp):
+    _point_type = _read_only_answers(_TaskAxisPoint)
+
+
+def _read_only_twin(problem):
+    p = problem
+    if isinstance(p, MetaInitMlp):
+        return _ReadOnlyMlp(p.dim_in, p.hidden, p.dim_out, p.loss, p.reg)
+    return _ReadOnlySoftmax(p.dim_in, p.dim_feat, p.way, p.reg)
+
+
+@pytest.mark.parametrize("raw", [c for c in _cases() if c.id != "quadratic"])
+def test_no_estimator_writes_into_an_answer_a_point_handed_out(raw):
+    # a point may hand out a cached or read-only answer, so an estimator
+    # that writes into one raises here; the five estimators run on both
+    # classifiers, batched and per task, to the plain problem's bits
+    exp, state = _trained(raw)
+    plain, inner, x = exp.problem, exp.inner_config, state.x
+    read_only = _read_only_twin(plain)
+    batch, ys0 = _batch_and_ys0(exp, x)
+    record = needs_full_trajectory(exp.method)
+    want, got = (
+        compute_hypergradient_batch(
+            exp.method, exp.paradigm, run_inner_batch(inner, problem, x, ys0, batch, record)
+        )
+        for problem in (plain, read_only)
+    )
+    assert np.array_equal(got.grad_x, want.grad_x)
+    assert np.array_equal(got.ul_value, want.ul_value)
+    for j, task in enumerate(batch):
+        y0 = ParamVector(plain.y_layout, ys0[j])
+        want, got = (
+            compute_hypergradient(
+                exp.method, problem, exp.paradigm,
+                run_inner(inner.rule, inner, problem, x, y0, task, record=record), x, task,
+            )
+            for problem in (plain, read_only)
+        )
+        assert np.array_equal(got.grad_x.values, want.grad_x.values)
+        assert got.ul_value == want.ul_value
 
 
 class _Forwarding(BilevelObjective):

@@ -317,13 +317,15 @@ def test_an_evaluation_holds_each_large_array_once(name):
 
 
 # KB per preset: a bound just above the traced peak of one meta-iteration at
-# batch 16 (911 and 641 KB). The MLP's tanh slope and the inner step are
-# each computed in the one array they allocate.
-_TRAIN_PEAK_KB = {"FMAML": 930, "DARTS": 660}
+# batch 16 (FMAML 912, DARTS 583 and HOAG 584 KB). The MLP's tanh slope and
+# the inner step are each computed in the one array they allocate, and
+# DARTS and HOAG read the val point at y_T before their difference points
+# or CG solve exist.
+_TRAIN_PEAK_KB = {"FMAML": 930, "DARTS": 600, "HOAG": 600}
 
 
 @pytest.mark.parametrize("name", list(_TRAIN_PEAK_KB))
-def test_a_first_order_meta_iteration_holds_each_large_array_once(name):
+def test_a_meta_iteration_holds_each_large_array_once(name):
     exp, state = _preset(name, 16)
     meta_train(exp, state)  # one-time set-up, such as the class centers
     tracemalloc.start()

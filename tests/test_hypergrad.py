@@ -37,6 +37,8 @@ from bilevelopt import (
     needs_full_trajectory,
     run_inner,
 )
+from bilevelopt.hypergrad import compute_hypergradient_batch
+from bilevelopt.inner import run_inner_batch
 
 
 def _scalar_quad():
@@ -146,6 +148,24 @@ def test_first_order_under_shared_features_is_direct_gradient(
     assert np.array_equal(res.grad_x.values, want.values)
 
 
+@pytest.mark.parametrize(
+    "name, paradigm",
+    [("softmax_problem", Paradigm.META_FEATURE), ("mlp_problem", Paradigm.META_INIT)],
+)
+def test_first_order_is_reverse_on_a_recorded_zero_step_run(request, small_batch, name, paradigm):
+    # first order is the adjoint sweep's window of no steps, and reverse's
+    # window on a run of no steps
+    problem = request.getfixturevalue(name)
+    gen = RngStream(5, 3).generator()
+    x = ParamVector(problem.x_layout, 0.3 * gen.standard_normal(problem.x_layout.dim))
+    ys0 = 0.3 * gen.standard_normal((len(small_batch), problem.y_layout.dim))
+    run = run_inner_batch(InnerConfig(0, 0.1), problem, x, ys0, small_batch, record=True)
+    assert run.recorded
+    fo, rev = (compute_hypergradient_batch(m, paradigm, run) for m in (FirstOrder(), Reverse()))
+    assert np.array_equal(fo.grad_x, rev.grad_x)
+    assert np.array_equal(fo.ul_value, rev.ul_value)
+
+
 # --------------------------------------------------------------------------
 # truncation
 # --------------------------------------------------------------------------
@@ -157,7 +177,7 @@ def test_truncated_with_full_window_equals_reverse(quad2):
     _, traj = _run(quad2, x, [0.5, -0.5], steps=6, step_size=0.2)
     full = hypergrad_reverse(quad2, Paradigm.META_FEATURE, traj, x, None)
     trunc = hypergrad_truncated(quad2, Paradigm.META_FEATURE, traj, x, None, k=6)
-    assert np.allclose(full.grad_x.values, trunc.grad_x.values, atol=1e-15)
+    assert np.array_equal(full.grad_x.values, trunc.grad_x.values)
     assert trunc.truncation_k == 6
 
 
